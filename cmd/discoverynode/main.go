@@ -260,7 +260,7 @@ func run() int {
 		// Locally-coordinated mutations fan out to co-replicas and ack
 		// only after a quorum commits. With a quorum of one the hook is
 		// left nil: there is nothing to wait for.
-		srvCfg.Replicate = node.Replicate
+		srvCfg.Replicate = node.ReplicateAsync
 	}
 	srv, err := server.New(srvCfg)
 	if err != nil {

@@ -200,8 +200,10 @@ type DurablePool struct {
 }
 
 // durableShard is one shard's logging state, guarded by the owning pool
-// shard's mutex (the hook runs with it held).
+// shard's mutex (a combiner round commits with it held).
 type durableShard struct {
+	dp          *DurablePool
+	idx         int      // the shard's index
 	buf         []byte   // op framing scratch
 	offs        []int    // batch framing record boundaries in buf
 	payloads    [][]byte // batch append argument scratch, aliasing buf
@@ -344,10 +346,10 @@ func OpenDurablePool(ov Overlay, shards int, cfg DurableConfig, opts ...Option) 
 		return nil, stats, fmt.Errorf("discovery: %s: replay: %w", cfg.Dir, err)
 	}
 
-	// Arm the write-ahead hooks and the background snapshotter.
+	// Arm write-ahead logging and the background snapshotter.
 	for i := range p.shards {
-		p.shards[i].hook = dp.hookFor(i)
-		p.shards[i].batch = dp.batchHookFor(i)
+		dp.dsh[i].dp, dp.dsh[i].idx = dp, i
+		p.shards[i].dur = &dp.dsh[i]
 	}
 	dp.wg.Add(1)
 	go dp.snapLoop()
@@ -356,102 +358,70 @@ func OpenDurablePool(ov Overlay, shards int, cfg DurableConfig, opts ...Option) 
 	return dp, stats, nil
 }
 
-// hookFor builds shard i's write-ahead hook. It runs with the shard's
-// lock held: frame the op, append it to the shared log (blocking until
-// durable per the fsync policy), and occasionally request a snapshot.
-func (dp *DurablePool) hookFor(i int) mutationHook {
-	ds := &dp.dsh[i]
-	return func(kind opKind, node, origin uint32, key ID, value []byte) error {
-		ds.buf = appendOp(ds.buf[:0], uint16(i), kind, node, origin, key, value)
-		seq, err := dp.log.Append(ds.buf)
-		if err != nil {
-			return fmt.Errorf("discovery: wal append: %w", err)
-		}
-		ds.seq = seq
-		ds.sinceSnap++
-		if dp.cfg.SnapshotEvery > 0 && ds.sinceSnap >= dp.cfg.SnapshotEvery && !ds.snapPending {
-			ds.snapPending = true
-			select {
-			case dp.snapCh <- i:
-			default:
-				ds.snapPending = false // snapshotter saturated; retry later
-			}
-		}
-		return nil
+// commit is the durable half of a combiner round (Pool.execRound). It
+// runs with the shard's lock held: frame every mutation of every
+// submission in segs into one flat buffer, append them to the shared log
+// as ONE multi-record write covered by one fsync (which the other shards'
+// rounds share via group commit), and occasionally request a snapshot.
+// Per-mutation durability cost divides by the round's mutation count. An
+// error means no mutation of the round is known durable.
+func (ds *durableShard) commit(segs [][]BatchOp) error {
+	// Frame into the flat buffer first, recording record boundaries: the
+	// buffer may reallocate while growing, so the payload subslices are
+	// cut only after framing finishes. A buffer grown by one value-heavy
+	// round is not retained forever (the wal package applies the same cap
+	// to its own scratch).
+	if cap(ds.buf) > 4<<20 {
+		ds.buf = nil
 	}
-}
-
-// batchHookFor builds shard i's batched write-ahead hook, the durable
-// half of Pool.ExecBatch. It runs with the shard's lock held: frame
-// every mutation of the batch into one flat buffer, append them to the
-// shared log as ONE multi-record write covered by one fsync (which
-// concurrent shards' batches share via group commit), and occasionally
-// request a snapshot. Per-mutation durability cost divides by the
-// batch's mutation count.
-func (dp *DurablePool) batchHookFor(i int) batchHook {
-	ds := &dp.dsh[i]
-	return func(ops []BatchOp) error {
-		// Frame into the flat buffer first, recording record boundaries:
-		// the buffer may reallocate while growing, so the payload
-		// subslices are cut only after framing finishes. A buffer grown
-		// by one value-heavy batch is not retained forever (the wal
-		// package applies the same cap to its own scratch).
-		if cap(ds.buf) > 4<<20 {
-			ds.buf = nil
-		}
-		ds.buf = ds.buf[:0]
-		ds.offs = ds.offs[:0]
+	ds.buf = ds.buf[:0]
+	ds.offs = ds.offs[:0]
+	for _, ops := range segs {
 		for k := range ops {
 			op := &ops[k]
 			if op.Err != nil || op.skip {
 				continue
 			}
 			var kind opKind
-			var node uint32
+			var value []byte
 			switch op.Kind {
 			case BatchInsert:
-				kind = opInsert
+				kind, value = opInsert, op.Value
 			case BatchDelete:
 				kind = opDelete
 			case BatchPut:
-				kind = opPut
-				node = uint32(op.Node)
+				kind, value = opPut, op.Value
+			case batchDrop:
+				kind = opDrop
 			default:
 				continue
 			}
-			value := op.Value
-			if kind == opDelete {
-				value = nil
-			}
-			ds.buf = appendOp(ds.buf, uint16(i), kind, node, uint32(op.Origin), op.Key, value)
+			ds.buf = appendOp(ds.buf, uint16(ds.idx), kind, uint32(op.Node), uint32(op.Origin), op.Key, value)
 			ds.offs = append(ds.offs, len(ds.buf))
 		}
-		if len(ds.offs) == 0 {
-			return nil
-		}
-		ds.payloads = ds.payloads[:0]
-		start := 0
-		for _, end := range ds.offs {
-			ds.payloads = append(ds.payloads, ds.buf[start:end])
-			start = end
-		}
-		first, err := dp.log.AppendBatch(ds.payloads)
-		if err != nil {
-			return fmt.Errorf("discovery: wal batch append: %w", err)
-		}
-		n := len(ds.payloads)
-		ds.seq = first + uint64(n) - 1
-		ds.sinceSnap += n
-		if dp.cfg.SnapshotEvery > 0 && ds.sinceSnap >= dp.cfg.SnapshotEvery && !ds.snapPending {
-			ds.snapPending = true
-			select {
-			case dp.snapCh <- i:
-			default:
-				ds.snapPending = false // snapshotter saturated; retry later
-			}
-		}
-		return nil
 	}
+	ds.payloads = ds.payloads[:0]
+	start := 0
+	for _, end := range ds.offs {
+		ds.payloads = append(ds.payloads, ds.buf[start:end])
+		start = end
+	}
+	first, err := ds.dp.log.AppendBatch(ds.payloads)
+	if err != nil {
+		return fmt.Errorf("discovery: wal append: %w", err)
+	}
+	n := len(ds.payloads)
+	ds.seq = first + uint64(n) - 1
+	ds.sinceSnap += n
+	if every := ds.dp.cfg.SnapshotEvery; every > 0 && ds.sinceSnap >= every && !ds.snapPending {
+		ds.snapPending = true
+		select {
+		case ds.dp.snapCh <- ds.idx:
+		default:
+			ds.snapPending = false // snapshotter saturated; retry later
+		}
+	}
+	return nil
 }
 
 // snapLoop runs snapshot requests until Close.

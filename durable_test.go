@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -572,21 +573,30 @@ func TestDurablePoolImportBatchSharesAppends(t *testing.T) {
 }
 
 // TestDurablePoolFsyncFailureNeverAcks proves the poison-on-sync-error
-// contract end to end through DurablePool: once the injected fsync
-// failure fires, the failing mutation is rejected (never acked) and
-// never applied to the engine — the write-ahead hook runs before apply
-// — and the log refuses every further append, even after the injected
-// fault is lifted. A fresh reopen without the hook recovers cleanly and
-// serves every previously-acked key.
+// contract end to end through DurablePool, on a batch the commit combiner
+// merged from several submitters: once the injected fsync failure fires,
+// every mutation of the merged batch — whoever submitted it — is rejected
+// (never acked) and never applied to the engine — the write-ahead append
+// runs before apply — while the lookups riding in the same batch still
+// answer, and the log refuses every further append, even after the
+// injected fault is lifted. A fresh reopen without the hook recovers
+// cleanly and serves every previously-acked key.
 func TestDurablePoolFsyncFailureNeverAcks(t *testing.T) {
 	ov := newDurableTestOverlay(t)
 	dir := t.TempDir()
 	var fail atomic.Bool
+	// hold, when set, parks the fsync that receives it until it is closed:
+	// the window in which other submitters queue up behind that round.
+	var hold atomic.Pointer[chan struct{}]
 	cfg := DurableConfig{
 		Dir:   dir,
 		Fsync: FsyncAlways,
 		Logf:  t.Logf,
 		WALSyncErr: func() error {
+			if ch := hold.Swap(nil); ch != nil {
+				<-*ch
+				return nil
+			}
 			if fail.Load() {
 				return fmt.Errorf("chaos: injected fsync failure")
 			}
@@ -597,19 +607,64 @@ func TestDurablePoolFsyncFailureNeverAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acked := NewID("fsync-acked")
+	keys := sameShardKeys(dp.Pool, "fsync", 6)
+	acked, ackedLate, lost := keys[0], keys[1], keys[2:]
 	if _, err := dp.Insert(0, acked, []byte("safe")); err != nil {
 		t.Fatalf("healthy insert: %v", err)
 	}
 
-	fail.Store(true)
-	lost := NewID("fsync-lost")
-	if _, err := dp.Insert(1, lost, []byte("gone")); err == nil {
-		t.Fatal("insert through failed fsync was acked")
+	// One insert's fsync is held open; behind it four submitters queue a
+	// mutation and a lookup each. The held fsync then succeeds, and the
+	// merged batch that follows hits the failure.
+	release := make(chan struct{})
+	hold.Store(&release)
+	lateErr := make(chan error, 1)
+	go func() {
+		_, err := dp.Insert(1, ackedLate, []byte("safe too"))
+		lateErr <- err
+	}()
+	for hold.Load() != nil {
+		runtime.Gosched() // until the leader is inside its fsync
 	}
-	// Write-ahead: the failed append aborted the mutation before apply.
-	if res := dp.Lookup(2, lost); res.Found {
-		t.Fatal("failed-sync insert is visible in the engine")
+	batches := make([][]BatchOp, len(lost))
+	var wg sync.WaitGroup
+	for i, k := range lost {
+		batches[i] = []BatchOp{
+			{Kind: BatchInsert, Origin: 1, Key: k, Value: []byte("gone")},
+			{Kind: BatchLookup, Origin: 2, Key: acked},
+		}
+		if i == 0 {
+			batches[i][0] = BatchOp{Kind: BatchDelete, Origin: 0, Key: acked}
+		}
+		wg.Add(1)
+		go func(ops []BatchOp) {
+			defer wg.Done()
+			dp.ExecBatch(ops)
+		}(batches[i])
+	}
+	waitQueued(t, dp.Pool, len(lost))
+	fail.Store(true)
+	close(release)
+	wg.Wait()
+	if err := <-lateErr; err != nil {
+		t.Fatalf("insert whose own fsync succeeded: %v", err)
+	}
+	for i, ops := range batches {
+		if ops[0].Err == nil {
+			t.Fatalf("submitter %d: mutation through failed fsync was acked", i)
+		}
+		if ops[1].Err != nil || !ops[1].Lookup.Found {
+			t.Fatalf("submitter %d: lookup in the failed batch did not answer: %+v", i, ops[1])
+		}
+	}
+	// Write-ahead: the failed append aborted every mutation before apply.
+	for _, k := range lost[1:] {
+		if res := dp.Lookup(2, k); res.Found {
+			t.Fatal("failed-sync insert is visible in the engine")
+		}
+	}
+	if res := dp.Lookup(2, acked); !res.Found {
+		t.Fatal("failed-sync delete was applied to the engine")
 	}
 	// Poisoned log refuses further appends — including after the
 	// injected fault heals. Only a restart (recovery) clears it.
@@ -631,8 +686,10 @@ func TestDurablePoolFsyncFailureNeverAcks(t *testing.T) {
 		t.Fatalf("reopen after poison: %v", err)
 	}
 	defer dp2.Close()
-	if res := dp2.Lookup(1, acked); !res.Found {
-		t.Fatal("acked key lost across poison + restart")
+	for _, k := range []ID{acked, ackedLate} {
+		if res := dp2.Lookup(1, k); !res.Found {
+			t.Fatal("acked key lost across poison + restart")
+		}
 	}
 	if _, err := dp2.Insert(0, NewID("fsync-after-recovery"), []byte("v")); err != nil {
 		t.Fatalf("insert after recovery: %v", err)

@@ -246,70 +246,108 @@ func (n *Node) Forward(typ wire.Type, key idspace.ID, origin uint32, value []byt
 
 // Replicate fans one committed mutation to the key's co-replicas as
 // TReplicate frames and waits until enough of them ack that the
-// mutation is quorum-committed: the caller has (or is about to) commit
-// locally, so Quorum()-1 remote acks complete the quorum. With R=1 (or
-// a quorum of 1) it returns nil immediately. It has the signature
-// server.Config.Replicate expects. trc, when nonzero, joins the
-// replicas' apply spans to the coordinator's trace.
-//
-// The fan-out is parallel and returns as soon as the quorum is in;
-// slower replicas finish in the background (their acks are simply
-// dropped — the buffered channel never blocks them) and any replica
-// that missed the write converges through anti-entropy.
+// mutation is quorum-committed: ReplicateAsync plus the wait.
 func (n *Node) Replicate(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64) error {
+	ch := make(chan error, 1)
+	n.ReplicateAsync(typ, key, origin, value, trc, func(err error) { ch <- err })
+	return <-ch
+}
+
+// ReplicateAsync fans one committed mutation to the key's co-replicas as
+// TReplicate frames and reports, through done, when enough of them have
+// acked that the mutation is quorum-committed: the caller has (or is
+// about to) commit locally, so Quorum()-1 remote acks complete the
+// quorum. With R=1 (or a quorum of 1) done(nil) runs at once. It has the
+// signature server.Config.Replicate expects. trc, when nonzero, joins
+// the replicas' apply spans to the coordinator's trace.
+//
+// done is invoked exactly once — as soon as the quorum is in, or as soon
+// as the calls still outstanding can no longer supply it — and must not
+// block: it runs on a peer connection's reader, or on the calling
+// goroutine before ReplicateAsync returns (see Transport.Go). Slower
+// replicas finish in the background (their acks are counted and dropped)
+// and any replica that missed the write converges through anti-entropy.
+func (n *Node) ReplicateAsync(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64, done func(error)) {
 	c := n.cfg.Cluster
 	need := c.Quorum() - 1 // the caller's local commit is the first vote
 	if need <= 0 {
-		return nil
+		done(nil)
+		return
 	}
 	replicas := c.ReplicasOf(key)
-	peers := make([]int, 0, len(replicas))
+	q := &quorum{need: need, peers: len(replicas), replicas: len(replicas), key: key, done: done}
 	for _, r := range replicas {
-		if r != c.Self() {
-			peers = append(peers, r)
+		if r == c.Self() {
+			q.peers--
 		}
 	}
-	if len(peers) < need {
-		return fmt.Errorf("p2p: quorum impossible for %v: %d co-replicas, need %d acks", key, len(peers), need)
+	if q.peers < need {
+		done(fmt.Errorf("p2p: quorum impossible for %v: %d co-replicas, need %d acks", key, q.peers, need))
+		return
 	}
-	results := make(chan error, len(peers))
-	for _, p := range peers {
-		go func(p int) {
-			req := &wire.Msg{Type: wire.TReplicate, RouteKind: typ, Cluster: c.Hash(), Key: key, Origin: origin, Value: value}
-			if trc != 0 {
-				req.Traced = true
-				req.Trace = trc
-			}
-			resp, err := n.tr.Call(p, req)
-			switch {
-			case err != nil:
-				results <- fmt.Errorf("%s: %w", c.Addr(p), err)
-			case resp.Type == wire.TReplicateOK:
-				results <- nil
-			case resp.Type == wire.TError:
-				results <- fmt.Errorf("%s: %s", c.Addr(p), resp.ErrorText())
-			default:
-				results <- fmt.Errorf("%s: unexpected replicate response %v", c.Addr(p), resp.Type)
-			}
-		}(p)
-	}
-	acked := 0
-	var failures []error
-	for range peers {
-		err := <-results
-		if err == nil {
-			if acked++; acked >= need {
-				return nil
-			}
+	for _, p := range replicas {
+		if p == c.Self() {
 			continue
 		}
-		failures = append(failures, err)
-		if len(peers)-len(failures) < need {
-			break // even if every outstanding call acks, the quorum is lost
+		req := &wire.Msg{Type: wire.TReplicate, RouteKind: typ, Cluster: c.Hash(), Key: key, Origin: origin, Value: value}
+		if trc != 0 {
+			req.Traced = true
+			req.Trace = trc
+		}
+		addr := c.Addr(p)
+		n.tr.Go(p, req, func(resp *wire.Msg, err error) {
+			switch {
+			case err != nil:
+				err = fmt.Errorf("%s: %w", addr, err)
+			case resp.Type == wire.TReplicateOK:
+			case resp.Type == wire.TError:
+				err = fmt.Errorf("%s: %s", addr, resp.ErrorText())
+			default:
+				err = fmt.Errorf("%s: unexpected replicate response %v", addr, resp.Type)
+			}
+			q.result(err)
+		})
+	}
+}
+
+// quorum counts one mutation's replicate acks as its peer calls complete.
+type quorum struct {
+	need     int // remote acks that complete the quorum
+	peers    int // co-replicas called
+	replicas int
+	key      idspace.ID
+	done     func(error)
+
+	mu       sync.Mutex
+	acked    int
+	failures []error
+	fired    bool
+}
+
+// result counts one peer call's outcome and fires done when it settles
+// the quorum either way.
+func (q *quorum) result(err error) {
+	q.mu.Lock()
+	if err == nil {
+		q.acked++
+	} else {
+		q.failures = append(q.failures, err)
+	}
+	won := q.acked >= q.need
+	lost := q.peers-len(q.failures) < q.need // even if every outstanding call acks
+	fire := !q.fired && (won || lost)
+	if fire {
+		q.fired = true
+		err = nil
+		if !won {
+			err = fmt.Errorf("p2p: quorum not reached for %v: %d of %d replicas committed (need %d): %v",
+				q.key, q.acked+1, q.replicas, q.need+1, q.failures)
 		}
 	}
-	return fmt.Errorf("p2p: quorum not reached for %v: %d of %d replicas committed (need %d): %v",
-		key, acked+1, len(replicas), need+1, failures)
+	q.mu.Unlock()
+	if fire {
+		q.done(err)
+	}
 }
 
 // Start listens for peer connections on addr and serves them in the
@@ -418,12 +456,17 @@ func (n *Node) handleConn(nc net.Conn) {
 		n.mu.Unlock()
 	}()
 	sem := make(chan struct{}, inboundWorkers)
-	// TReplicate executes under its own worker budget: a route handler
-	// occupying a regular worker may be blocked waiting for THIS node's
-	// replication acks, so if replicate applies had to queue behind route
-	// handlers, two nodes coordinating writes at each other could starve
-	// one another's fan-outs into a distributed deadlock. A separate
-	// semaphore guarantees replicate applies always make progress.
+	// The reader parks when a lane is full, with later frames — another
+	// node's TReplicate among them — unread behind it. So no worker may
+	// hold its slot while it waits on a peer: two nodes coordinating
+	// writes at each other would each park their reader behind handlers
+	// waiting for acks only the other's parked reader can take in. Two
+	// rules keep every slot's hold time local. A route handler gives its
+	// slot back before it waits for its replication quorum (release,
+	// below). And TReplicate executes under its own budget, so an apply
+	// never queues behind route handlers; what it does queue behind — the
+	// pool's commit combiner — waits only on the local log.
+	// TestCoordinatorsCannotStarveEachOther pins all of it.
 	replSem := make(chan struct{}, inboundWorkers)
 	// Sized buffered reader: a pipelined burst from a peer decodes
 	// several frames per read(2), the symmetric twin of the coalesced
@@ -446,12 +489,20 @@ func (n *Node) handleConn(nc net.Conn) {
 		lane <- struct{}{} // backpressure: stop reading at the cap
 		reqWg.Add(1)
 		go func() {
-			defer func() { <-lane; reqWg.Done() }()
+			defer reqWg.Done()
+			held := true
+			release := func() {
+				if held {
+					held = false
+					<-lane
+				}
+			}
+			defer release()
 			var reply wire.Msg
 			if derr != nil {
 				reply = wire.Msg{Type: wire.TError, ReqID: m.ReqID, Value: []byte("bad peer frame: " + derr.Error())}
 			} else {
-				n.handlePeer(m, &reply)
+				n.handlePeer(m, &reply, release)
 				reply.ReqID = m.ReqID
 			}
 			bp := n.bufs.Get().(*[]byte)
@@ -482,8 +533,9 @@ func (n *Node) connWriter(nc net.Conn, out <-chan *[]byte, done chan<- struct{})
 }
 
 // handlePeer executes one decoded peer request into reply (reqID is
-// filled by the caller).
-func (n *Node) handlePeer(m, reply *wire.Msg) {
+// filled by the caller). release gives back the caller's inbound worker
+// slot early; a handler calls it once only waiting on peers remains.
+func (n *Node) handlePeer(m, reply *wire.Msg, release func()) {
 	*reply = wire.Msg{}
 	switch m.Type {
 	case wire.TPeerProbe:
@@ -507,7 +559,7 @@ func (n *Node) handlePeer(m, reply *wire.Msg) {
 		reply.Held = uint64(n.cfg.Pool.ReplicaCount())
 		reply.ClientAddr = append(reply.ClientAddr[:0], self...)
 	case wire.TRoute:
-		n.handleRoute(m, reply)
+		n.handleRoute(m, reply, release)
 	case wire.TRepair:
 		n.handleRepair(m, reply)
 	case wire.TTransfer:
@@ -542,8 +594,9 @@ func (n *Node) checkCluster(m, reply *wire.Msg) bool {
 // deletes fan out to the key's co-replicas and the reply is withheld
 // until a quorum of replicas (this one included) has committed — the
 // sender may be failing over from the dead primary, so ANY live replica
-// can coordinate.
-func (n *Node) handleRoute(m, reply *wire.Msg) {
+// can coordinate. release is called once the local execution is done and
+// only the quorum wait remains (see handleConn).
+func (n *Node) handleRoute(m, reply *wire.Msg, release func()) {
 	if !n.checkCluster(m, reply) {
 		return
 	}
@@ -583,8 +636,7 @@ func (n *Node) handleRoute(m, reply *wire.Msg) {
 	var repl chan error
 	if (m.RouteKind == wire.TInsert || m.RouteKind == wire.TDelete) && n.cfg.Cluster.Quorum() > 1 {
 		repl = make(chan error, 1)
-		kind, key, value := m.RouteKind, m.Key, m.Value
-		go func() { repl <- n.Replicate(kind, key, origin, value, trc) }()
+		n.ReplicateAsync(m.RouteKind, m.Key, origin, m.Value, trc, func(err error) { repl <- err })
 	}
 	switch m.RouteKind {
 	case wire.TInsert:
@@ -613,6 +665,7 @@ func (n *Node) handleRoute(m, reply *wire.Msg) {
 		reply.Deleted = uint32(removed)
 	}
 	if repl != nil {
+		release()
 		if rerr := <-repl; rerr != nil {
 			// Local commit survived but the quorum did not: the write must
 			// not be acked (the client may never find it after this node
@@ -956,27 +1009,53 @@ func (n *Node) PullRepair(i, region int) (applied int, err error) {
 	// repair's pages share a trace ID (one peer_call + repair_exec pair
 	// per page).
 	tr := n.tracer.Sample()
+	type fetched struct {
+		resp *wire.Msg
+		err  error
+	}
+	fetch := func(cursor wire.RepairCursor) <-chan fetched {
+		ch := make(chan fetched, 1) // the reply never blocks its deliverer, even once the pull has returned
+		req := &wire.Msg{Type: wire.TRepair, Cluster: n.cfg.Cluster.Hash(), Region: uint32(region), Cursor: cursor}
+		if tr != 0 {
+			req.Traced = true
+			req.Trace = tr
+		}
+		n.tr.Go(i, req, func(resp *wire.Msg, err error) { ch <- fetched{resp, err} })
+		return ch
+	}
 	var cursor wire.RepairCursor
+	next := fetch(cursor)
 	for page := 0; ; page++ {
 		select {
 		case <-n.quit:
 			return applied, errNodeClosed
 		default:
 		}
-		req := &wire.Msg{Type: wire.TRepair, Cluster: n.cfg.Cluster.Hash(), Region: uint32(region), Cursor: cursor}
-		if tr != 0 {
-			req.Traced = true
-			req.Trace = tr
+		f := <-next
+		if f.err != nil {
+			return applied, f.err
 		}
-		resp, err := n.tr.Call(i, req)
-		if err != nil {
-			return applied, err
-		}
+		resp := f.resp
 		if resp.Type == wire.TError {
 			return applied, fmt.Errorf("p2p: %s: repair refused: %s", n.cfg.Cluster.Addr(i), resp.ErrorText())
 		}
 		if resp.Type != wire.TRepairOK {
 			return applied, fmt.Errorf("p2p: %s: unexpected repair response %v", n.cfg.Cluster.Addr(i), resp.Type)
+		}
+		// A well-behaved responder's cursor always advances; a stuck one
+		// would otherwise loop forever. Page size is irrelevant: a
+		// responder resending the same NON-empty page with the same
+		// cursor is just as stuck (we would re-import the same batch
+		// every iteration), so any repeated cursor under More is fatal —
+		// after this page has landed, like every page before it.
+		stuck := resp.More && resp.Cursor == cursor
+		if resp.More && !stuck {
+			// One page of read-ahead: the peer walks and ships the next
+			// page while this one is imported (a WAL commit per shard), so
+			// a restarted node's catch-up overlaps its two halves instead
+			// of alternating them.
+			cursor = resp.Cursor
+			next = fetch(cursor)
 		}
 		// Each accepted page lands as one batch: per shard, one lock
 		// acquisition and one group-committed WAL append for the page's
@@ -1004,22 +1083,17 @@ func (n *Node) PullRepair(i, region int) (applied int, err error) {
 			}
 			return applied, nil
 		}
-		// A well-behaved responder's cursor always advances; a stuck one
-		// would otherwise loop forever. Page size is irrelevant: a
-		// responder resending the same NON-empty page with the same
-		// cursor is just as stuck (we would re-import the same batch
-		// every iteration), so any repeated cursor under More is fatal.
-		if resp.Cursor == cursor {
+		if stuck {
 			return applied, fmt.Errorf("p2p: %s: repair cursor made no progress at page %d (%d entries re-sent)",
 				n.cfg.Cluster.Addr(i), page, len(resp.Entries))
 		}
-		cursor = resp.Cursor
 	}
 }
 
 // AntiEntropy runs one full maintenance pass: shed replicas of keys
 // this node no longer holds to their owners, then pull every region
-// this node replicates from every other peer. On a steady cluster both
+// this node replicates from every other peer — one peer at a time, that
+// peer's regions side by side. On a steady cluster both
 // halves are no-ops; after a crash, restart, or membership change they
 // converge data back onto the replica set — a node that missed quorum
 // writes while dead catches up here. The error (if any) aggregates the
@@ -1035,18 +1109,32 @@ func (n *Node) AntiEntropy() (moved, pulled int, err error) {
 		if i == n.cfg.Cluster.Self() {
 			continue
 		}
+		select {
+		case <-n.quit:
+			return moved, pulled, errNodeClosed
+		default:
+		}
+		// A peer's regions are pulled side by side. Each pull is a chain
+		// of dependent pages (the next cursor comes back with the page),
+		// so one chain at a time leaves the peer's other shard and this
+		// node's importer idle between pages; the chains' imports meet in
+		// the pool's commit combiner.
+		got := make([]int, len(regions))
+		errs := make([]error, len(regions))
+		var wg sync.WaitGroup
+		for k, region := range regions {
+			wg.Add(1)
+			go func(k, region int) {
+				defer wg.Done()
+				got[k], errs[k] = n.PullRepair(i, region)
+			}(k, region)
+		}
+		wg.Wait()
 		var peerErr error
-		for _, region := range regions {
-			select {
-			case <-n.quit:
-				return moved, pulled, errNodeClosed
-			default:
-			}
-			got, perr := n.PullRepair(i, region)
-			pulled += got
-			if perr != nil {
-				peerErr = perr
-				break // the peer is down or confused; its other regions can wait
+		for k := range regions {
+			pulled += got[k]
+			if peerErr == nil {
+				peerErr = errs[k]
 			}
 		}
 		if peerErr != nil {

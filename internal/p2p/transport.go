@@ -16,9 +16,10 @@ import (
 
 // Transport is the outbound half of the peer protocol: one lazily-dialed,
 // automatically-redialed TCP connection per peer, multiplexing concurrent
-// requests by reqID. Calls are synchronous; concurrency comes from the
-// callers (the runtime forwards each client request on its own
-// goroutine), which pipeline freely over the shared connection.
+// requests by reqID. A call completes through a callback (Go), invoked
+// by the connection's reader when the reply lands; Call wraps that in a
+// wait for callers that want the reply in hand. Either way calls
+// pipeline freely over the shared connection.
 //
 // Outbound writes are coalesced, mirroring the inbound response writers:
 // a Call encodes its frame into a pooled buffer and queues it on the
@@ -47,6 +48,8 @@ type Transport struct {
 	selfClientAddr string
 	peerAddrFn     func(i int, addr string)
 
+	// proberQuit stops the transport's background goroutines — the health
+	// prober and the call-timeout sweeper — and proberWg waits for them.
 	proberQuit chan struct{}
 	proberWg   sync.WaitGroup
 
@@ -166,8 +169,10 @@ func NewTransport(c *Cluster, ov *RemoteOverlay, cfg TransportConfig) *Transport
 		if via, ok := cfg.DialVia[addr]; ok && via != "" {
 			dialAddr = via
 		}
-		t.peers[i] = &peerConn{t: t, idx: i, addr: addr, dialAddr: dialAddr, pending: make(map[uint64]chan *wire.Msg)}
+		t.peers[i] = &peerConn{t: t, idx: i, addr: addr, dialAddr: dialAddr, pending: make(map[uint64]*call)}
 	}
+	t.proberWg.Add(1)
+	go t.sweep()
 	return t
 }
 
@@ -232,9 +237,34 @@ type peerConn struct {
 	mu            sync.Mutex
 	cur           *connState
 	nextID        uint64
-	pending       map[uint64]chan *wire.Msg
+	pending       map[uint64]*call
 	lastFail      time.Time // last failed dial, for redialBackoff
 	everConnected bool      // a later dial is a redial, not a first dial
+}
+
+// call is one request awaiting its reply.
+type call struct {
+	peer     int
+	trace    uint64 // the request's trace ID; 0 = untraced
+	start    time.Time
+	deadline time.Time
+	done     func(*wire.Msg, error)
+}
+
+// finish completes c exactly once — its pending entry, if it had one, is
+// already gone — recording the hop's span and metrics.
+func (t *Transport) finish(c *call, resp *wire.Msg, err error) {
+	if c.trace != 0 {
+		// The peer_call span covers encode → reply (or failure) for this
+		// hop; the responder's own spans nest inside it under the same ID.
+		t.tracer.Record(c.trace, trace.KindPeerCall, c.start, time.Since(c.start), uint64(c.peer))
+	}
+	if err != nil {
+		t.callErrors.Inc()
+	} else {
+		t.callNanos.Observe(int64(time.Since(c.start)))
+	}
+	c.done(resp, err)
 }
 
 // Call sends m to peer i and waits for its response, dialing or redialing
@@ -242,76 +272,142 @@ type peerConn struct {
 // is owned by the caller. Transport health (RemoteOverlay.Alive) is
 // updated as a side effect.
 func (t *Transport) Call(i int, m *wire.Msg) (*wire.Msg, error) {
-	t.calls.Inc()
-	start := time.Now()
-	resp, err := t.call(i, m)
-	if m.Traced {
-		// The peer_call span covers encode → reply (or failure) for this
-		// hop; the responder's own spans nest inside it under the same ID.
-		t.tracer.Record(m.Trace, trace.KindPeerCall, start, time.Since(start), uint64(i))
+	type result struct {
+		resp *wire.Msg
+		err  error
 	}
-	if err != nil {
-		t.callErrors.Inc()
-		return nil, err
-	}
-	t.callNanos.Observe(int64(time.Since(start)))
-	return resp, nil
+	ch := make(chan result, 1)
+	t.Go(i, m, func(resp *wire.Msg, err error) { ch <- result{resp, err} })
+	r := <-ch
+	return r.resp, r.err
 }
 
-func (t *Transport) call(i int, m *wire.Msg) (*wire.Msg, error) {
+// Go is Call without the wait: it sends m to peer i and returns, and done
+// is invoked exactly once with the reply or the failure. With the
+// connection up and room in its out-queue — the steady state — the frame
+// is queued on the caller's goroutine and done runs on the connection's
+// reader; a call that must first dial, or wait for queue room, does so on
+// a goroutine of its own, so Go never blocks on a slow or dead peer. done
+// must not block either: it may run on that reader (every other reply
+// from the peer waits behind it), on the timeout sweeper, on whoever tore
+// the connection down, or on the calling goroutine before Go returns.
+func (t *Transport) Go(i int, m *wire.Msg, done func(*wire.Msg, error)) {
+	t.calls.Inc()
+	c := &call{peer: i, start: time.Now(), done: done}
+	c.deadline = c.start.Add(t.callTimeout)
+	if m.Traced {
+		c.trace = m.Trace
+	}
 	if i == t.cluster.Self() {
-		return nil, fmt.Errorf("p2p: call to self (index %d)", i)
+		t.finish(c, nil, fmt.Errorf("p2p: call to self (index %d)", i))
+		return
 	}
 	pc := t.peers[i]
-	cs, err := pc.conn()
-	if err != nil {
-		t.overlay.SetAlive(i, false)
-		return nil, err
+	pc.mu.Lock()
+	cs := pc.cur
+	pc.mu.Unlock()
+	if cs != nil {
+		if queued, err := pc.post(cs, m, c, false); queued {
+			return
+		} else if err != nil {
+			t.finish(c, nil, err)
+			return
+		}
 	}
-	ch := make(chan *wire.Msg, 1)
+	go func() {
+		cs, err := pc.conn()
+		if err != nil {
+			t.overlay.SetAlive(i, false)
+			t.finish(c, nil, err)
+			return
+		}
+		if _, err := pc.post(cs, m, c, true); err != nil {
+			t.finish(c, nil, err)
+		}
+	}()
+}
+
+// post registers c as pending and queues m's frame on cs. With block it
+// waits for room in the out-queue (backpressure); without, a full queue
+// reports (false, nil) with c no longer registered. An error means the
+// call will not be sent and is the caller's to finish: the frame did not
+// encode, or the connection died first.
+func (pc *peerConn) post(cs *connState, m *wire.Msg, c *call, block bool) (queued bool, err error) {
+	t := pc.t
 	pc.mu.Lock()
 	pc.nextID++
 	id := pc.nextID
-	pc.pending[id] = ch
+	pc.pending[id] = c
 	pc.mu.Unlock()
 	m.ReqID = id
 	bp := t.bufs.Get().(*[]byte)
 	frame, err := m.Append((*bp)[:0])
-	if err != nil {
-		pc.mu.Lock()
-		delete(pc.pending, id)
-		pc.mu.Unlock()
-		t.bufs.Put(bp)
-		return nil, err
-	}
-	*bp = frame
-	select {
-	case cs.out <- bp: // may block when the queue is full: backpressure
-	case <-cs.dead:
-		pc.mu.Lock()
-		delete(pc.pending, id)
-		pc.mu.Unlock()
-		t.bufs.Put(bp)
-		t.overlay.SetAlive(i, false)
-		return nil, fmt.Errorf("p2p: %s: connection lost before send", pc.addr)
-	}
-
-	timer := time.NewTimer(t.callTimeout)
-	defer timer.Stop()
-	select {
-	case resp := <-ch:
-		if resp == nil {
-			t.overlay.SetAlive(i, false)
-			return nil, fmt.Errorf("p2p: %s: connection lost awaiting reply", pc.addr)
+	full := false
+	if err == nil {
+		*bp = frame
+		if block {
+			select {
+			case cs.out <- bp:
+				return true, nil
+			case <-cs.dead:
+			}
+		} else {
+			select {
+			case cs.out <- bp:
+				return true, nil
+			case <-cs.dead:
+			default:
+				full = true
+			}
 		}
-		t.overlay.SetAlive(i, true)
-		return resp, nil
-	case <-timer.C:
-		pc.mu.Lock()
-		delete(pc.pending, id)
-		pc.mu.Unlock()
-		t.overlay.SetAlive(i, false)
-		return nil, fmt.Errorf("p2p: %s: no reply within %s", pc.addr, t.callTimeout)
+	}
+	t.bufs.Put(bp)
+	pc.mu.Lock()
+	_, mine := pc.pending[id]
+	delete(pc.pending, id)
+	pc.mu.Unlock()
+	switch {
+	case !mine:
+		// A teardown racing this send failed every pending call, this one
+		// included: whoever removes the entry finishes the call.
+		return true, nil
+	case err != nil || full:
+		return false, err
+	}
+	t.overlay.SetAlive(pc.idx, false)
+	return false, fmt.Errorf("p2p: %s: connection lost before send", pc.addr)
+}
+
+// sweep fails every call whose reply is overdue, until Close. One
+// sweeper per transport, ticking at a quarter of the call timeout, stands
+// in for a timer per call: a lost reply is reported between one and one
+// and a quarter timeouts after the send.
+func (t *Transport) sweep() {
+	defer t.proberWg.Done()
+	ticker := time.NewTicker(t.callTimeout / 4)
+	defer ticker.Stop()
+	var overdue []*call
+	for {
+		select {
+		case <-t.proberQuit:
+			return
+		case now := <-ticker.C:
+			for _, pc := range t.peers {
+				overdue = overdue[:0]
+				pc.mu.Lock()
+				for id, c := range pc.pending {
+					if now.After(c.deadline) {
+						delete(pc.pending, id)
+						overdue = append(overdue, c)
+					}
+				}
+				pc.mu.Unlock()
+				for _, c := range overdue {
+					t.overlay.SetAlive(pc.idx, false)
+					t.finish(c, nil, fmt.Errorf("p2p: %s: no reply within %s", pc.addr, t.callTimeout))
+				}
+			}
+		}
 	}
 }
 
@@ -454,11 +550,11 @@ func (pc *peerConn) writeLoop(cs *connState) {
 	}
 }
 
-// readLoop decodes responses off one connection and delivers them to
-// waiting calls by reqID. The socket is wrapped in a sized buffered
-// reader, so a pipelined burst of responses decodes several frames per
-// read(2). Each response gets a fresh Msg: it is handed across
-// goroutines and owned by the receiving call.
+// readLoop decodes responses off one connection and completes the
+// pending calls they answer, by reqID, on this goroutine. The socket is
+// wrapped in a sized buffered reader, so a pipelined burst of responses
+// decodes several frames per read(2). Each response gets a fresh Msg: it
+// is owned by the call it completes.
 func (pc *peerConn) readLoop(cs *connState) {
 	br := bufio.NewReaderSize(cs.nc, peerReadBuffer)
 	var scratch []byte
@@ -473,11 +569,12 @@ func (pc *peerConn) readLoop(cs *connState) {
 			break
 		}
 		pc.mu.Lock()
-		ch := pc.pending[m.ReqID]
+		c := pc.pending[m.ReqID]
 		delete(pc.pending, m.ReqID)
 		pc.mu.Unlock()
-		if ch != nil {
-			ch <- m
+		if c != nil {
+			pc.t.overlay.SetAlive(pc.idx, true)
+			pc.t.finish(c, m, nil)
 		}
 	}
 	pc.teardown(cs)
@@ -490,16 +587,20 @@ func (pc *peerConn) readLoop(cs *connState) {
 func (pc *peerConn) teardown(cs *connState) {
 	cs.kill()
 	cs.nc.Close()
+	var lost []*call
 	pc.mu.Lock()
 	if pc.cur == cs {
 		pc.cur = nil
-		for id, ch := range pc.pending {
+		for id, c := range pc.pending {
 			delete(pc.pending, id)
-			ch <- nil // buffered; never blocks
+			lost = append(lost, c)
 		}
 		pc.t.overlay.SetAlive(pc.idx, false)
 	}
 	pc.mu.Unlock()
+	for _, c := range lost {
+		pc.t.finish(c, nil, fmt.Errorf("p2p: %s: connection lost awaiting reply", pc.addr))
+	}
 }
 
 // Probe checks peer i end to end: dial if needed, exchange membership

@@ -97,7 +97,7 @@ func TestWriteLoopCoalescesQueuedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pc := &peerConn{t: tr, idx: 1, addr: lis.Addr().String(), pending: make(map[uint64]chan *wire.Msg)}
+	pc := &peerConn{t: tr, idx: 1, addr: lis.Addr().String(), pending: make(map[uint64]*call)}
 	cs := &connState{nc: nc, out: make(chan *[]byte, 64), dead: make(chan struct{})}
 
 	const queued = 32

@@ -20,8 +20,10 @@
 // whatever else is already queued (up to MaxBatch) and executes the run
 // as one Pool.ExecBatch: one shard-lock acquisition, and on durable
 // pools one multi-record write-ahead append whose single fsync covers
-// every mutation in the batch — acks are only sent after that shared
-// sync returns, so the write-ahead contract is per-response intact. A
+// every mutation in the batch — and in whatever the pool's commit
+// combiner merged it with (replica applies from other coordinators,
+// repair pages) — acks are only sent after that shared sync returns, so
+// the write-ahead contract is per-response intact. A
 // connection writer likewise blocks for one encoded response, drains the
 // rest of its queue (up to CoalesceFrames/CoalesceBytes), and hands the
 // run to the kernel as one writev(2) via net.Buffers, so a pipelining
@@ -99,14 +101,15 @@ type Config struct {
 	// Required when Owns is set.
 	Forward func(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64, respond func(*wire.Msg))
 	// Replicate, when set, fans one locally-accepted mutation out to the
-	// key's co-replicas and returns once a quorum of them (coordinator
-	// excluded) has committed — p2p.Node.Replicate has the right shape.
-	// The fan-out runs concurrently with local shard execution; the ack
-	// is withheld until both land, and a fan-out error turns the reply
-	// into TError even when the local commit succeeded (the replicas
-	// reconcile via anti-entropy). Leave nil with replication 1: every
-	// mutation would pay a no-op goroutine for a quorum of one.
-	Replicate func(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64) error
+	// key's co-replicas and calls done once a quorum of them (coordinator
+	// excluded) has committed, or cannot — p2p.Node.ReplicateAsync has
+	// the right shape. It must not block on a peer, and done may run on
+	// any goroutine, including the caller's before Replicate returns. The
+	// fan-out runs concurrently with local shard execution; the ack is
+	// withheld until both land, and a fan-out error turns the reply into
+	// TError even when the local commit succeeded (the replicas reconcile
+	// via anti-entropy). Leave nil with replication 1.
+	Replicate func(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64, done func(error))
 	// Replication is the cluster's replication factor as reported to
 	// cluster-smart clients in TMembersOK; 0 is reported as 1.
 	Replication uint32
@@ -158,7 +161,7 @@ type Server struct {
 	logf         func(format string, args ...any)
 	owns         func(key idspace.ID) bool
 	forward      func(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64, respond func(*wire.Msg))
-	replicate    func(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64) error
+	replicate    func(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64, done func(error))
 	replication  uint32
 	tracer       *trace.Tracer
 	slowNanos    int64
@@ -191,10 +194,10 @@ type Server struct {
 	reqLookup  *metrics.Counter
 	reqDelete  *metrics.Counter
 	reqStats   *metrics.Counter
-	routed     *metrics.Counter // TRoute frames executed locally
-	forwarded  *metrics.Counter // keyed requests relayed to their owner
-	wrongview  *metrics.Counter // TRoute refusals for a stale fingerprint
-	shed       *metrics.Counter // connections severed by a stalled writer
+	routed     *metrics.Counter   // TRoute frames executed locally
+	forwarded  *metrics.Counter   // keyed requests relayed to their owner
+	wrongview  *metrics.Counter   // TRoute refusals for a stale fingerprint
+	shed       *metrics.Counter   // connections severed by a stalled writer
 	queueWait  *metrics.Histogram // enqueue → batch execution start
 	svcInsert  *metrics.Histogram // per-op share of batch service time
 	svcLookup  *metrics.Histogram
@@ -210,10 +213,88 @@ type task struct {
 	reqID  uint64
 	key    idspace.ID
 	origin uint32
-	value  []byte     // insert payload, owned by the task
-	enq    time.Time  // enqueue instant; zero when untimestamped
-	trace  uint64     // sampled trace ID; 0 = untraced
-	repl   chan error // in-flight replica fan-out result; nil = none
+	value  []byte    // insert payload, owned by the task
+	enq    time.Time // enqueue instant; zero when untimestamped
+	trace  uint64    // sampled trace ID; 0 = untraced
+	repl   *replJoin // in-flight replica fan-out; nil = none
+}
+
+// replJoin joins the two halves of a replicated mutation — the local
+// commit and the replica quorum — with no goroutine parked on either:
+// whichever half lands second sends the reply.
+type replJoin struct {
+	s     *Server
+	c     *conn
+	typ   wire.Type
+	reqID uint64
+	trace uint64
+
+	mu       sync.Mutex
+	half     bool     // one half has landed
+	answered bool     // the reply is sent, or on its way
+	reply    wire.Msg // the local half's reply
+	err      error    // the quorum half's failure
+}
+
+// local lands the local half: the shard's reply to the request. A local
+// failure answers at once — the mutation did not execute here, whatever
+// the replicas did with it.
+func (j *replJoin) local(m *wire.Msg, failed bool) {
+	j.mu.Lock()
+	j.reply = *m
+	send := !j.answered && (failed || j.half)
+	j.half = true
+	j.answered = j.answered || send
+	j.mu.Unlock()
+	if send {
+		j.finish(true)
+	}
+}
+
+// quorum lands the fan-out's outcome. It runs wherever the fan-out's
+// last peer call completed — typically a peer connection's reader — so
+// it never blocks on the client.
+func (j *replJoin) quorum(err error) {
+	j.mu.Lock()
+	j.err = err
+	send := !j.answered && j.half
+	j.half = true
+	j.answered = j.answered || send
+	j.mu.Unlock()
+	if send {
+		j.finish(false)
+	}
+}
+
+// finish sends the joined reply and retires the request. When it may not
+// block and the client's response queue is full, the send moves to a
+// goroutine of its own (the connection's drainer waits for it through
+// inflight).
+func (j *replJoin) finish(mayBlock bool) {
+	s, m := j.s, &j.reply
+	if j.err != nil && m.Type != wire.TError {
+		// Local commit without quorum must not be acked: the client would
+		// treat it as replicated. The replicas reconcile via anti-entropy.
+		s.logf("server: %v: %v", j.typ, j.err)
+		m = &wire.Msg{Type: wire.TError, ReqID: j.reqID, Value: []byte("replication: " + j.err.Error())}
+	}
+	f := s.encode(m, j.trace)
+	if !mayBlock {
+		select {
+		case j.c.out <- f:
+		case <-j.c.dead:
+			s.bufs.Put(f.bp)
+		default:
+			go func() {
+				s.offer(j.c, f)
+				j.c.inflight.Done()
+			}()
+			return
+		}
+	} else {
+		s.offer(j.c, f)
+	}
+	j.c.inflight.Done()
 }
 
 // outFrame is one encoded response bound for a connection writer: the
@@ -609,16 +690,17 @@ func (s *Server) dispatchKeyed(c *conn, typ wire.Type, m *wire.Msg, routed bool,
 		t.value = append([]byte(nil), m.Value...)
 	}
 	if s.replicate != nil && (typ == wire.TInsert || typ == wire.TDelete) {
-		// Start the replica fan-out before the task even queues so the
-		// peer round trips overlap the local shard execution; execBatch
-		// withholds the ack until both the local commit and the quorum
-		// land. The value is shared with the task — both sides only read
-		// it.
-		t.repl = make(chan error, 1)
-		repl, key, value := t.repl, m.Key, t.value
-		go func() { repl <- s.replicate(typ, key, origin, value, tr) }()
+		t.repl = &replJoin{s: s, c: c, typ: typ, reqID: m.ReqID, trace: tr}
 	}
 	c.inflight.Add(1)
+	if t.repl != nil {
+		// Start the replica fan-out before the task even queues so the
+		// peer round trips overlap the local shard execution; the ack
+		// goes out when both the local commit and the quorum have landed
+		// (replJoin). The value is shared with the task — both sides only
+		// read it.
+		s.replicate(typ, m.Key, origin, t.value, tr, t.repl.quorum)
+	}
 	select {
 	case s.queues[s.pool.ShardOf(m.Key)] <- t: // may block: backpressure
 	case <-s.done:
@@ -729,8 +811,14 @@ func (s *Server) execBatch(tasks []task, ops *[]discovery.BatchOp) {
 		}
 		*ops = append(*ops, op)
 	}
-	walNanos := s.pool.ExecBatchTimed(*ops)
-	var share int64
+	// The pool merges this batch with whatever else is in flight on the
+	// shard (replica applies, other submitters), so the write-ahead time
+	// belongs to merged mutations, not to this batch's tasks alone.
+	walNanos, merged := s.pool.ExecBatchTimed(*ops)
+	var share, walShare int64
+	if merged > 0 {
+		walShare = walNanos / int64(merged)
+	}
 	if s.metered || traced || s.slowNanos > 0 {
 		share = int64(time.Since(started)) / int64(len(tasks))
 	}
@@ -748,10 +836,10 @@ func (s *Server) execBatch(tasks []task, ops *[]discovery.BatchOp) {
 	}
 	if traced {
 		// Batch time is attributed evenly: each traced task gets the WAL
-		// append+fsync share and the remaining execution share as two
+		// append+fsync share (of the merged batch, whose mutation count is
+		// the span's argument) and the remaining execution share as two
 		// adjacent spans, so a trace shows where the batch spent its time
 		// even though the work was amortized.
-		walShare := walNanos / int64(len(tasks))
 		execShare := share - walShare
 		if execShare < 0 {
 			execShare = 0
@@ -764,7 +852,7 @@ func (s *Server) execBatch(tasks []task, ops *[]discovery.BatchOp) {
 			}
 			s.tracer.RecordNanos(t.trace, trace.KindQueueWait, t.enq.UnixNano(), startNanos-t.enq.UnixNano(), uint64(len(tasks)))
 			if walShare > 0 {
-				s.tracer.RecordNanos(t.trace, trace.KindWALCommit, startNanos, walShare, uint64(len(tasks)))
+				s.tracer.RecordNanos(t.trace, trace.KindWALCommit, startNanos, walShare, uint64(merged))
 			}
 			s.tracer.RecordNanos(t.trace, trace.KindShardExec, startNanos+walShare, execShare, uint64(len(tasks)))
 		}
@@ -798,31 +886,17 @@ func (s *Server) execBatch(tasks []task, ops *[]discovery.BatchOp) {
 		}
 		if s.slowNanos > 0 {
 			if total := nowNanos - t.enq.UnixNano(); total > s.slowNanos {
-				s.slowLogf("server: slow %v: total=%s queue=%s exec=%s wal=%s batch=%d trace=%016x",
+				s.slowLogf("server: slow %v: total=%s queue=%s exec=%s wal=%s batch=%d merged=%d trace=%016x",
 					t.typ, time.Duration(total), started.Sub(t.enq),
-					time.Duration(share), time.Duration(walNanos/int64(len(tasks))),
-					len(tasks), t.trace)
+					time.Duration(share), time.Duration(walShare),
+					len(tasks), merged, t.trace)
 			}
 		}
-		if t.repl != nil && op.Err == nil {
-			// The local commit landed but the ack must also wait for the
-			// replica quorum. The wait parks a goroutine, not the shard
-			// worker, so a slow peer cannot stall the shard's other
-			// traffic; task and reply are copied because the batch slices
-			// are reused for the next batch.
-			s.connWg.Add(1)
-			go func(t task, m wire.Msg) {
-				defer s.connWg.Done()
-				if rerr := <-t.repl; rerr != nil {
-					// Local commit without quorum must not be acked: the
-					// client would treat it as replicated. The replicas
-					// reconcile via anti-entropy.
-					s.logf("server: %v: %v", t.typ, rerr)
-					m = wire.Msg{Type: wire.TError, ReqID: t.reqID, Value: []byte("replication: " + rerr.Error())}
-				}
-				s.send(t.c, &m, t.trace)
-				t.c.inflight.Done()
-			}(*t, m)
+		if t.repl != nil {
+			// The ack also waits for the replica quorum: whichever of the
+			// two lands second sends it, so a slow peer parks nothing —
+			// not the shard worker, not a goroutine.
+			t.repl.local(&m, op.Err != nil)
 			continue
 		}
 		s.send(t.c, &m, t.trace)
@@ -854,11 +928,15 @@ func (s *Server) replyError(c *conn, reqID uint64, text string) {
 	s.send(c, &m, 0)
 }
 
-// send encodes m into a pooled buffer and offers it to the connection's
-// writer, dropping it if the writer is gone. tr is the originating
-// request's trace ID (0 = untraced); a traced frame is timestamped so
-// the writer can record its enqueue→flush span.
+// send encodes m and offers it to the connection's writer. tr is the
+// originating request's trace ID (0 = untraced).
 func (s *Server) send(c *conn, m *wire.Msg, tr uint64) {
+	s.offer(c, s.encode(m, tr))
+}
+
+// encode frames m into a pooled buffer. A traced frame is timestamped so
+// the writer can record its enqueue→flush span.
+func (s *Server) encode(m *wire.Msg, tr uint64) outFrame {
 	bp := s.bufs.Get().(*[]byte)
 	frame, err := m.Append((*bp)[:0])
 	if err != nil {
@@ -872,10 +950,16 @@ func (s *Server) send(c *conn, m *wire.Msg, tr uint64) {
 	if tr != 0 {
 		f.enq = time.Now().UnixNano()
 	}
+	return f
+}
+
+// offer hands f to the connection's writer, waiting for queue room, and
+// drops it if the writer is gone.
+func (s *Server) offer(c *conn, f outFrame) {
 	select {
 	case c.out <- f:
 	case <-c.dead:
-		s.bufs.Put(bp)
+		s.bufs.Put(f.bp)
 	}
 }
 

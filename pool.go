@@ -40,31 +40,25 @@ type Pool struct {
 	shards []poolShard
 }
 
-// mutationHook observes one mutation before it is applied, while the
-// owning shard's lock is held. Returning an error aborts the mutation
-// before it touches the engine — the write-ahead contract: a mutation
-// that was not logged durably is never applied, never acked. node is
-// meaningful only for direct replica placements (opPut, opDrop).
-type mutationHook func(kind opKind, node, origin uint32, key ID, value []byte) error
-
-// batchHook observes every mutation of one ExecBatch before any of them
-// is applied, with the owning shard's lock held: the durable layer logs
-// them as a single multi-record append covered by one shared fsync.
-// Ops whose Err is already set and non-mutating ops must be skipped.
-// Returning an error means no mutation in the batch is known durable,
-// so none of them may execute.
-type batchHook func(ops []BatchOp) error
-
-// poolShard is one engine plus its serialization lock and counters. The
-// counters live in the pool's metrics registry (a private one unless
-// WithMetrics supplied a shared registry), so a live /metrics scrape and
-// Pool.Stats read the same atomics; increments happen while the shard
-// executes a request under mu, reads are lock-free.
+// poolShard is one engine plus its serialization lock, commit combiner
+// and counters. The counters live in the pool's metrics registry (a
+// private one unless WithMetrics supplied a shared registry), so a live
+// /metrics scrape and Pool.Stats read the same atomics; increments happen
+// while the shard executes a request under mu, reads are lock-free.
 type poolShard struct {
-	mu    sync.Mutex
-	svc   *Service
-	hook  mutationHook // nil for in-memory pools
-	batch batchHook    // nil for in-memory pools
+	mu  sync.Mutex // the engine and dur: held by a combiner round and by readers
+	svc *Service
+	dur *durableShard // write-ahead state; nil for in-memory pools
+
+	// Commit combiner (see submit). cmu guards leading and waiting only
+	// and is never held while a round runs.
+	cmu     sync.Mutex
+	leading bool      // a goroutine is running a round on this shard
+	waiting []*waiter // submissions queued behind it, in arrival order
+
+	// Round scratch, owned by whichever goroutine currently leads.
+	segs  [][]BatchOp
+	round []*waiter
 
 	inserts      *metrics.Counter
 	lookups      *metrics.Counter
@@ -174,24 +168,15 @@ func (p *Pool) AutoOrigin(key ID) int {
 	return int((fnv1a(key) >> 32) % uint64(p.ov.N()))
 }
 
-// Insert publishes key from origin via the owning shard. On a durable
-// pool the operation is logged (and, per the fsync policy, made durable)
+// Insert publishes key from origin via the owning shard: a batch of one
+// through the shard's commit combiner (see ExecBatch). On a durable pool
+// the operation is logged (and, per the fsync policy, made durable)
 // before it executes; a logging failure returns the error with the
-// engine untouched. In-memory pools never return an error.
+// engine untouched. In-memory pools only refuse foreign-region keys.
 func (p *Pool) Insert(origin int, key ID, value []byte) (InsertResult, error) {
-	if err := p.checkOwned(key); err != nil {
-		return InsertResult{}, err
-	}
-	s := &p.shards[p.ShardOf(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.hook != nil {
-		if err := s.hook(opInsert, 0, uint32(origin), key, value); err != nil {
-			return InsertResult{}, err
-		}
-	}
-	s.inserts.Inc()
-	return s.svc.Insert(origin, key, value), nil
+	op := [1]BatchOp{{Kind: BatchInsert, Origin: origin, Key: key, Value: value}}
+	p.submit(p.ShardOf(key), op[:])
+	return op[0].Insert, op[0].Err
 }
 
 // Lookup queries key from origin via the owning shard. Unlike Insert
@@ -216,21 +201,11 @@ func (p *Pool) Lookup(origin int, key ID) LookupResult {
 }
 
 // Delete removes origin's replicas of key via the owning shard. Like
-// Insert, durable pools log the deletion before applying it.
+// Insert, it is a batch of one and durable pools log it before applying.
 func (p *Pool) Delete(origin int, key ID) (int, error) {
-	if err := p.checkOwned(key); err != nil {
-		return 0, err
-	}
-	s := &p.shards[p.ShardOf(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.hook != nil {
-		if err := s.hook(opDelete, 0, uint32(origin), key, nil); err != nil {
-			return 0, err
-		}
-	}
-	s.deletes.Inc()
-	return s.svc.Delete(origin, key), nil
+	op := [1]BatchOp{{Kind: BatchDelete, Origin: origin, Key: key}}
+	p.submit(p.ShardOf(key), op[:])
+	return op[0].Removed, op[0].Err
 }
 
 // BatchKind tags one operation of an ExecBatch.
@@ -246,6 +221,10 @@ const (
 	BatchLookup
 	BatchDelete
 	BatchPut
+	// batchDrop is DropReplica's op: remove the replica of Key stored at
+	// Node, neither origin-restricted nor region-checked. Removed reports
+	// 1 when a replica was dropped.
+	batchDrop
 )
 
 // BatchOp is one operation of a shard batch executed by ExecBatch. Kind,
@@ -273,161 +252,280 @@ type BatchOp struct {
 }
 
 // ExecBatch executes ops — whose keys must all map to the same shard —
-// in order under ONE shard-lock acquisition. On a durable pool every
-// mutation of the batch is logged as a single multi-record write-ahead
-// append covered by one shared fsync before any of them applies, so the
-// per-mutation durability cost divides by the batch's mutation count
-// while the write-ahead contract is untouched: a mutation whose record
-// is not durable never executes and never acks. Results and errors land
-// in the ops themselves. An op whose key maps to another shard, or whose
-// mutation targets a foreign region, gets Err set and is skipped; a
-// failed batch append fails every mutation of the batch (their outcome
-// is unknown, exactly like a crash between append and ack) while
-// lookups still execute.
+// in order, through the shard's commit combiner: the only way a mutation
+// reaches an engine. A caller that finds the shard idle runs its batch
+// inline on its own goroutine; one that finds a batch in flight queues
+// behind it, and everything queued when that batch finishes — client
+// batches, replica applies, single-op mutators, whoever submitted them —
+// executes as ONE merged batch under one shard-lock acquisition. On a
+// durable pool every mutation of the merged batch is logged as a single
+// multi-record write-ahead append covered by one shared fsync before any
+// of them applies, so the per-mutation durability cost divides by the
+// merged mutation count while the write-ahead contract is untouched: a
+// mutation whose record is not durable never executes and never acks.
+// Results and errors land in the ops themselves. An op whose key maps to
+// another shard, or whose mutation targets a foreign region, gets Err set
+// and is skipped; a failed append fails every mutation of the merged
+// batch, from every submitter (their outcome is unknown, exactly like a
+// crash between append and ack) while lookups still execute.
 //
 // A batch is equivalent to issuing its ops back to back on the shard:
-// intra-batch read-your-writes holds because mutations apply in batch
-// order before any later lookup in the same batch runs.
+// submissions execute whole and in arrival order, and intra-batch
+// read-your-writes holds because mutations apply in batch order before
+// any later lookup in the same batch runs.
 func (p *Pool) ExecBatch(ops []BatchOp) {
 	p.ExecBatchTimed(ops)
 }
 
-// ExecBatchTimed is ExecBatch, additionally reporting how long the batch
-// spent in the write-ahead hook — the WAL append plus this batch's share
-// of the group-commit fsync. It is 0 for in-memory pools and lookup-only
-// batches, and feeds the tracing layer's wal_commit spans without the
-// WAL needing to know about tracing.
-func (p *Pool) ExecBatchTimed(ops []BatchOp) (walNanos int64) {
+// ExecBatchTimed is ExecBatch, additionally reporting how long the merged
+// batch that carried ops spent in the write-ahead log — the append plus
+// its share of the group-commit fsync — and how many mutations that
+// append covered, the divisor for a per-mutation share. Both are 0 for
+// in-memory pools and lookup-only batches. They feed the tracing layer's
+// wal_commit spans without the WAL needing to know about tracing.
+func (p *Pool) ExecBatchTimed(ops []BatchOp) (walNanos int64, merged int) {
 	if len(ops) == 0 {
-		return 0
+		return 0, 0
 	}
-	shard := p.ShardOf(ops[0].Key)
+	return p.submit(p.ShardOf(ops[0].Key), ops)
+}
+
+// maxRoundOps caps the ops one combiner round merges (a submission larger
+// than the cap still runs, alone), bounding both the framing scratch a
+// round retains and how long a submitter at the back of a deep queue
+// waits for the rounds ahead of it.
+const maxRoundOps = 256
+
+// waiter is one submission queued behind a running round. wake delivers
+// false once a round has executed ops (walNanos and merged describe that
+// round), or true to hand the submitter the shard's leadership with ops
+// still to run.
+type waiter struct {
+	ops      []BatchOp
+	wake     chan bool // buffered: the waker never blocks
+	walNanos int64
+	merged   int
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{wake: make(chan bool, 1)} }}
+
+// submit is the shard's leader/follower commit combiner. The first
+// submitter to find the shard idle becomes its leader and runs its own
+// ops as a round at once — no gathering delay, no goroutine hop, so an
+// uncontended submission costs what a direct call would. Submitters that
+// arrive meanwhile queue; when the round ends the leader hands leadership
+// to the head of the queue, which runs itself plus everything queued
+// behind it (up to maxRoundOps) as the next round and wakes each
+// submitter with its own results. Every leader runs exactly one round —
+// the one holding its own ops — so no caller is kept draining other
+// submitters' work, however steadily they arrive.
+//
+// A round waits only on the local log, never on a peer or on another
+// shard: that is what lets a replica apply (internal/p2p) queue here
+// behind a coordinator's batch without two nodes ever waiting on each
+// other.
+func (p *Pool) submit(shard int, ops []BatchOp) (walNanos int64, merged int) {
+	s := &p.shards[shard]
+	s.cmu.Lock()
+	if s.leading {
+		w := waiterPool.Get().(*waiter)
+		w.ops = ops
+		s.waiting = append(s.waiting, w)
+		s.cmu.Unlock()
+		promoted := <-w.wake
+		walNanos, merged = w.walNanos, w.merged
+		w.ops = nil
+		waiterPool.Put(w)
+		if !promoted {
+			return walNanos, merged
+		}
+		// Leadership was handed over: open the round with everything that
+		// queued up behind this submission.
+		s.cmu.Lock()
+		n, take := len(ops), 0
+		for take < len(s.waiting) && n+len(s.waiting[take].ops) <= maxRoundOps {
+			n += len(s.waiting[take].ops)
+			take++
+		}
+		s.round = append(s.round[:0], s.waiting[:take]...)
+		s.waiting = s.waiting[:s.shiftWaiting(take)]
+	} else {
+		s.leading = true
+	}
+	s.cmu.Unlock()
+
+	s.segs = append(s.segs[:0], ops)
+	for _, w := range s.round {
+		s.segs = append(s.segs, w.ops)
+	}
+	walNanos, merged = p.execRound(shard, s.segs)
+	for i, w := range s.round {
+		w.walNanos, w.merged = walNanos, merged
+		s.round[i] = nil
+		w.wake <- false
+	}
+	s.round = s.round[:0]
+	clear(s.segs)
+
+	s.cmu.Lock()
+	var next *waiter
+	if len(s.waiting) > 0 {
+		next = s.waiting[0]
+		s.waiting = s.waiting[:s.shiftWaiting(1)]
+	} else {
+		s.leading = false
+	}
+	s.cmu.Unlock()
+	if next != nil {
+		next.wake <- true
+	}
+	return walNanos, merged
+}
+
+// shiftWaiting drops the first n queued waiters, returning the new queue
+// length. The caller holds cmu.
+func (s *poolShard) shiftWaiting(n int) int {
+	rest := copy(s.waiting, s.waiting[n:])
+	clear(s.waiting[rest:])
+	return rest
+}
+
+// execRound executes one combiner round on shard: the ops of every
+// submission in segs, in order, under one shard-lock acquisition, with
+// every mutation among them logged by one write-ahead append first. It
+// returns the time that append took and the mutations it covered.
+func (p *Pool) execRound(shard int, segs [][]BatchOp) (walNanos int64, merged int) {
 	s := &p.shards[shard]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// The already-stored check below reads pre-batch engine state, so it
-	// is only valid for a put no earlier op of this batch shadows: a
-	// touched set guards that, allocated only when the batch has puts
-	// (client insert/delete batches never pay for it).
+	// The already-stored checks below read pre-round engine state, so they
+	// are only valid for a placement no earlier op of this round shadows: a
+	// touched set guards that, allocated only when the round has direct
+	// placements (client insert/delete batches never pay for it).
 	var touched map[ID]struct{}
-	for i := range ops {
-		if ops[i].Kind == BatchPut {
-			touched = make(map[ID]struct{}, len(ops))
-			break
+	total, placements := 0, false
+	for _, ops := range segs {
+		total += len(ops)
+		for i := range ops {
+			placements = placements || ops[i].Kind == BatchPut || ops[i].Kind == batchDrop
 		}
 	}
-	mutations := false
-	for i := range ops {
-		op := &ops[i]
-		op.Err = nil
-		if so := p.ShardOf(op.Key); so != shard {
-			op.Err = fmt.Errorf("discovery: batch op %d: key %v maps to shard %d, batch executes on shard %d", i, op.Key, so, shard)
-			continue
-		}
-		switch op.Kind {
-		case BatchInsert, BatchDelete:
-			if err := p.checkOwned(op.Key); err != nil {
-				op.Err = err
+	if placements {
+		touched = make(map[ID]struct{}, total)
+	}
+	mutations := 0
+	for _, ops := range segs {
+		for i := range ops {
+			op := &ops[i]
+			op.Err = nil
+			op.skip = false
+			if so := p.ShardOf(op.Key); so != shard {
+				op.Err = fmt.Errorf("discovery: batch op %d: key %v maps to shard %d, batch executes on shard %d", i, op.Key, so, shard)
 				continue
 			}
-			mutations = true
+			switch op.Kind {
+			case BatchInsert, BatchDelete:
+				if op.Err = p.checkOwned(op.Key); op.Err != nil {
+					continue
+				}
+			case BatchPut, batchDrop:
+				// Dropping skips the region check: handing off foreign keys
+				// is its purpose.
+				if op.Kind == BatchPut {
+					if op.Err = p.checkOwned(op.Key); op.Err != nil {
+						continue
+					}
+				}
+				if op.Node < 0 || op.Node >= p.ov.N() {
+					op.Err = fmt.Errorf("discovery: batch op %d: replica node %d out of range (overlay has %d nodes)", i, op.Node, p.ov.N())
+					continue
+				}
+				if _, shadowed := touched[op.Key]; !shadowed {
+					// A byte-identical replica already stored (and durably
+					// logged when it first landed), or nothing to drop:
+					// succeed with no write-ahead record and no engine write.
+					r, ok := s.svc.eng.Stored(op.Node, op.Key)
+					if op.Kind == BatchPut {
+						op.skip = ok && r.Origin == op.Origin && bytes.Equal(r.Value, op.Value)
+					} else {
+						op.skip = !ok
+					}
+					if op.skip {
+						continue
+					}
+				}
+			case BatchLookup:
+				continue
+			default:
+				op.Err = fmt.Errorf("discovery: batch op %d: unknown kind %d", i, op.Kind)
+				continue
+			}
+			mutations++
 			if touched != nil {
 				touched[op.Key] = struct{}{}
 			}
-		case BatchPut:
-			if err := p.checkOwned(op.Key); err != nil {
-				op.Err = err
-				continue
-			}
-			if op.Node < 0 || op.Node >= p.ov.N() {
-				op.Err = fmt.Errorf("discovery: batch op %d: import node %d out of range (overlay has %d nodes)", i, op.Node, p.ov.N())
-				continue
-			}
-			op.skip = false
-			if _, shadowed := touched[op.Key]; !shadowed {
-				if r, ok := s.svc.eng.Stored(op.Node, op.Key); ok &&
-					r.Origin == op.Origin && bytes.Equal(r.Value, op.Value) {
-					// Byte-identical replica already stored (and already
-					// durably logged when it first landed): succeed with
-					// no write-ahead record and no engine write.
-					op.skip = true
-					continue
-				}
-			}
-			mutations = true
-			touched[op.Key] = struct{}{}
-		case BatchLookup:
-		default:
-			op.Err = fmt.Errorf("discovery: batch op %d: unknown kind %d", i, op.Kind)
 		}
 	}
-	if mutations && s.batch != nil {
+	if mutations > 0 && s.dur != nil {
+		merged = mutations
 		walStart := time.Now()
-		err := s.batch(ops)
+		err := s.dur.commit(segs)
 		walNanos = int64(time.Since(walStart))
 		if err != nil {
-			for i := range ops {
-				op := &ops[i]
-				if op.Err == nil && op.Kind != BatchLookup {
-					op.Err = err
+			for _, ops := range segs {
+				for i := range ops {
+					if op := &ops[i]; op.Err == nil && op.Kind != BatchLookup {
+						op.Err = err
+					}
 				}
 			}
 		}
 	}
-	for i := range ops {
-		op := &ops[i]
-		if op.Err != nil {
-			continue
-		}
-		switch op.Kind {
-		case BatchInsert:
-			s.inserts.Inc()
-			op.Insert = s.svc.Insert(op.Origin, op.Key, op.Value)
-		case BatchLookup:
-			s.lookups.Inc()
-			op.Lookup = s.svc.Lookup(op.Origin, op.Key)
-			if op.Lookup.Found {
-				s.lookupsFound.Inc()
-				s.replyHops.Add(uint64(op.Lookup.FirstReplyHops))
+	for _, ops := range segs {
+		for i := range ops {
+			op := &ops[i]
+			if op.Err != nil || op.skip {
+				continue
 			}
-		case BatchDelete:
-			s.deletes.Inc()
-			op.Removed = s.svc.Delete(op.Origin, op.Key)
-		case BatchPut:
-			if op.skip {
-				continue // identical replica already stored and durable
+			switch op.Kind {
+			case BatchInsert:
+				s.inserts.Inc()
+				op.Insert = s.svc.Insert(op.Origin, op.Key, op.Value)
+			case BatchLookup:
+				s.lookups.Inc()
+				op.Lookup = s.svc.Lookup(op.Origin, op.Key)
+				if op.Lookup.Found {
+					s.lookupsFound.Inc()
+					s.replyHops.Add(uint64(op.Lookup.FirstReplyHops))
+				}
+			case BatchDelete:
+				s.deletes.Inc()
+				op.Removed = s.svc.Delete(op.Origin, op.Key)
+			case BatchPut:
+				// Direct placements are transfer and anti-entropy traffic,
+				// not client requests, so they skip the counters.
+				op.Err = s.svc.eng.PutReplica(op.Node, mpil.Replica{Key: op.Key, Value: op.Value, Origin: op.Origin})
+			case batchDrop:
+				if s.svc.eng.RemoveReplica(op.Node, op.Key) {
+					op.Removed = 1
+				}
 			}
-			// Direct placements are anti-entropy traffic, not client
-			// requests, so like ImportReplica they skip the counters.
-			op.Err = s.svc.eng.PutReplica(op.Node, mpil.Replica{Key: op.Key, Value: op.Value, Origin: op.Origin})
 		}
 	}
-	return walNanos
+	return walNanos, merged
 }
 
 // ImportReplica places a replica directly at engine node without routing,
-// write-ahead logged on durable pools. It is the receive half of a
-// cluster replica transfer (internal/p2p): the sender exports its exact
-// placements and the receiver reproduces them, so lookups route to the
-// same holders they did on the sender. The key must belong to this
-// pool's region, and the pool retains value.
+// write-ahead logged on durable pools: a batch of one BatchPut. It is the
+// receive half of a cluster replica transfer (internal/p2p): the sender
+// exports its exact placements and the receiver reproduces them, so
+// lookups route to the same holders they did on the sender. The key must
+// belong to this pool's region, and the pool retains value.
 func (p *Pool) ImportReplica(node int, origin uint32, key ID, value []byte) error {
-	if err := p.checkOwned(key); err != nil {
-		return err
-	}
-	if node < 0 || node >= p.ov.N() {
-		return fmt.Errorf("discovery: import node %d out of range (overlay has %d nodes)", node, p.ov.N())
-	}
-	s := &p.shards[p.ShardOf(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.hook != nil {
-		if err := s.hook(opPut, uint32(node), origin, key, value); err != nil {
-			return err
-		}
-	}
-	return s.svc.eng.PutReplica(node, mpil.Replica{Key: key, Value: value, Origin: int(origin)})
+	op := [1]BatchOp{{Kind: BatchPut, Node: node, Origin: int(origin), Key: key, Value: value}}
+	p.submit(p.ShardOf(key), op[:])
+	return op[0].Err
 }
 
 // ReplicaEntry is one direct replica placement applied by ImportBatch:
@@ -501,21 +599,9 @@ func (p *Pool) ImportBatch(entries []ReplicaEntry) (accepted, fresh int, firstEr
 // it deliberately skips the region check — handing off foreign keys is
 // its purpose.
 func (p *Pool) DropReplica(node int, key ID) (bool, error) {
-	if node < 0 || node >= p.ov.N() {
-		return false, fmt.Errorf("discovery: drop node %d out of range (overlay has %d nodes)", node, p.ov.N())
-	}
-	s := &p.shards[p.ShardOf(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.svc.eng.Stored(node, key); !ok {
-		return false, nil
-	}
-	if s.hook != nil {
-		if err := s.hook(opDrop, uint32(node), 0, key, nil); err != nil {
-			return false, err
-		}
-	}
-	return s.svc.eng.RemoveReplica(node, key), nil
+	op := [1]BatchOp{{Kind: batchDrop, Node: node, Key: key}}
+	p.submit(p.ShardOf(key), op[:])
+	return op[0].Removed == 1, op[0].Err
 }
 
 // ForEachReplica visits every stored replica across all shards, locking
