@@ -52,8 +52,6 @@ func run() int {
 		shards      = flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 128, "per-shard request queue depth")
 		batch       = flag.Int("batch", 64, "max requests one shard worker executes per batch (shared WAL commit)")
-		coFrames    = flag.Int("coalesce-frames", 64, "max response frames per vectored write")
-		coBytes     = flag.Int("coalesce-bytes", 256<<10, "approximate max bytes per vectored write")
 		seed        = flag.Int64("seed", 1, "base engine seed (shard i uses seed+i)")
 		maxFlows    = flag.Int("maxflows", 10, "max_flows per request")
 		replicas    = flag.Int("replicas", 5, "per-flow replicas")
@@ -141,16 +139,14 @@ func run() int {
 	}
 
 	srv, err := server.New(server.Config{
-		Pool:           pool,
-		QueueDepth:     *queue,
-		MaxBatch:       *batch,
-		CoalesceFrames: *coFrames,
-		CoalesceBytes:  *coBytes,
-		Store:          store,
-		Logf:           log.Printf,
-		Metrics:        reg,
-		Tracer:         tracer,
-		SlowThreshold:  *traceSlow,
+		Pool:          pool,
+		QueueDepth:    *queue,
+		MaxBatch:      *batch,
+		Store:         store,
+		Logf:          log.Printf,
+		Metrics:       reg,
+		Tracer:        tracer,
+		SlowThreshold: *traceSlow,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "discoveryd:", err)

@@ -532,31 +532,6 @@ func manifestFor(p *Pool) string {
 	)
 }
 
-// v2ManifestFor renders the v2 manifest (pre-replication). A v2
-// directory is semantically identical to v3 with replication 1, so
-// unreplicated pools accept and upgrade it.
-func v2ManifestFor(p *Pool) string {
-	c := p.base
-	return fmt.Sprintf(
-		"discovery-manifest v2\nshards %d\nseed %d\ndigitbits %d\nmaxflows %d\nreplicas %d\ndupsupp %t\nmaxhops %d\nregion %d/%d\noverlay %016x\n",
-		len(p.shards), c.seed, c.digitBits, c.maxFlows, c.perFlowReplicas, c.duplicateSuppression, c.maxHops,
-		c.regionIndex, c.regionCount,
-		overlayFingerprint(p.ov),
-	)
-}
-
-// legacyManifestFor renders the v1 manifest (pre-region). A v1 directory
-// is semantically identical to v2 with the unrestricted region 0/1, so
-// unrestricted pools accept and upgrade it.
-func legacyManifestFor(p *Pool) string {
-	c := p.base
-	return fmt.Sprintf(
-		"discovery-manifest v1\nshards %d\nseed %d\ndigitbits %d\nmaxflows %d\nreplicas %d\ndupsupp %t\nmaxhops %d\noverlay %016x\n",
-		len(p.shards), c.seed, c.digitBits, c.maxFlows, c.perFlowReplicas, c.duplicateSuppression, c.maxHops,
-		overlayFingerprint(p.ov),
-	)
-}
-
 // writeManifest atomically and durably writes the manifest file
 // (tmp + fsync + rename + dirsync, the internal/snapshot discipline): a
 // torn MANIFEST would refuse recovery of an intact data directory.
@@ -597,16 +572,6 @@ func checkManifest(dir string, p *Pool) error {
 	}
 	if string(got) == want {
 		return nil
-	}
-	// Migrations: a v2 directory opened by an unreplicated pool
-	// (replication 1, the only replication semantics v2 could have) is
-	// compatible, as is a v1 directory opened by an unrestricted pool
-	// (region 0/1). Upgrade the manifest in place.
-	if p.base.replication == 1 && string(got) == v2ManifestFor(p) {
-		return writeManifest(path, want)
-	}
-	if p.base.regionCount == 1 && p.base.replication == 1 && string(got) == legacyManifestFor(p) {
-		return writeManifest(path, want)
 	}
 	return fmt.Errorf("discovery: %s was created with different parameters:\n--- stored\n%s--- this pool\n%s", dir, got, want)
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -323,51 +324,11 @@ func TestDurablePoolManifestMismatch(t *testing.T) {
 	dp2.Close()
 }
 
-func TestDurablePoolAcceptsLegacyV1Manifest(t *testing.T) {
-	// A pre-region (v1) data directory is semantically a v2 directory
-	// with the unrestricted region 0/1: an unrestricted pool must accept
-	// and upgrade it; a region-restricted pool must refuse it.
-	ov := newDurableTestOverlay(t)
-	dir := t.TempDir()
-	dp, _ := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncOff})
-	if _, err := dp.Insert(0, NewID("legacy-key"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	dp.Close()
-
-	// Rewrite the manifest as the previous release wrote it.
-	legacy := legacyManifestFor(dp.Pool)
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	dp2, _ := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncOff})
-	if res := dp2.Lookup(1, NewID("legacy-key")); !res.Found {
-		t.Fatal("state behind a v1 manifest not recovered")
-	}
-	dp2.Close()
-	// The manifest was upgraded in place.
-	got, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != manifestFor(dp.Pool) {
-		t.Fatalf("manifest not upgraded to v2:\n%s", got)
-	}
-
-	// Regioned pools refuse v1 directories outright.
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir}, WithSeed(1), WithMaxHops(8), WithRegion(0, 2)); err == nil {
-		t.Fatal("region-restricted pool accepted a v1 manifest")
-	}
-}
-
-func TestDurablePoolAcceptsV2Manifest(t *testing.T) {
-	// A pre-replication (v2) data directory is semantically a v3
-	// directory with replication 1: an unreplicated pool must accept and
-	// upgrade it; a replicated pool must refuse it.
+// TestDurablePoolRefusesOldManifest pins what a data directory from an
+// earlier release meets: its v2 MANIFEST names the same parameters as
+// this pool but is not the text this release writes, so it gets the
+// ordinary mismatch refusal — no upgrade in place, the file untouched.
+func TestDurablePoolRefusesOldManifest(t *testing.T) {
 	ov := newDurableTestOverlay(t)
 	dir := t.TempDir()
 	dp, _ := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncOff})
@@ -376,45 +337,22 @@ func TestDurablePoolAcceptsV2Manifest(t *testing.T) {
 	}
 	dp.Close()
 
-	v2 := v2ManifestFor(dp.Pool)
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(v2), 0o644); err != nil {
+	// v2 is v3 without the replication line.
+	v2 := strings.Replace(manifestFor(dp.Pool), "discovery-manifest v3\n", "discovery-manifest v2\n", 1)
+	v2 = strings.Replace(v2, "replication 1\n", "", 1)
+	if v2 == manifestFor(dp.Pool) || strings.Contains(v2, "replication") {
+		t.Fatalf("test did not build a v2 manifest:\n%s", v2)
+	}
+	path := filepath.Join(dir, manifestName)
+	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	dp2, _ := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncOff})
-	if res := dp2.Lookup(1, NewID("v2-key")); !res.Found {
-		t.Fatal("state behind a v2 manifest not recovered")
+	_, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir, Fsync: FsyncOff}, WithSeed(1), WithMaxHops(8))
+	if err == nil || !strings.Contains(err.Error(), "different parameters") {
+		t.Fatalf("v2 manifest: %v, want the mismatch refusal", err)
 	}
-	dp2.Close()
-	got, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != manifestFor(dp.Pool) {
-		t.Fatalf("manifest not upgraded to v3:\n%s", got)
-	}
-
-	// Replicated pools refuse v2 directories: a directory populated
-	// under replication 1 may lack the extra regions this node now
-	// replicates, so convergence must go through anti-entropy, not a
-	// silent manifest upgrade.
-	ovR, err := CompleteOverlay(16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirR := t.TempDir()
-	dpR, _, err := OpenDurablePool(ovR, 2, DurableConfig{Dir: dirR, Fsync: FsyncOff},
-		WithRegion(0, 3), WithReplication(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dpR.Close()
-	if err := os.WriteFile(filepath.Join(dirR, manifestName), []byte(v2ManifestFor(dpR.Pool)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenDurablePool(ovR, 2, DurableConfig{Dir: dirR, Fsync: FsyncOff},
-		WithRegion(0, 3), WithReplication(2)); err == nil {
-		t.Fatal("replicated pool accepted a v2 manifest")
+	if got, rerr := os.ReadFile(path); rerr != nil || string(got) != v2 {
+		t.Fatalf("refused manifest was rewritten (%v):\n%s", rerr, got)
 	}
 }
 

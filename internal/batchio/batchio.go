@@ -1,15 +1,16 @@
-// Package batchio coalesces queued response frames into vectored
-// writes: the shared mechanics behind discoveryd's connection writers
-// (internal/server) and the peer listener's response writers
-// (internal/p2p).
+// Package batchio coalesces queued frames into vectored writes: the one
+// writer loop behind every connection in the serving stack — the client
+// listener's response writers (internal/server), the peer listener's
+// response writers (internal/p2p) and the request writer of every
+// outbound connection (internal/rpc).
 //
 // A producer encodes each frame into a pooled buffer and sends the
 // pointer down a channel. The consumer blocks for the first frame, then
 // greedily drains whatever else is already queued — bounded by a frame
 // count and a byte budget — and hands the whole run to the kernel as one
-// writev(2) via net.Buffers. A pipelining peer's responses therefore
-// cost about one syscall per batch instead of one per response, and the
-// caps keep a single flush from monopolizing the socket (or pinning an
+// writev(2) via net.Buffers. A pipelining peer's frames therefore cost
+// about one syscall per batch instead of one per frame, and the caps
+// keep a single flush from monopolizing the socket (or pinning an
 // unbounded amount of pooled memory) when the queue is deep.
 //
 // Collect appends into caller-owned slices, so a writer loop that
@@ -24,15 +25,23 @@ import (
 	"discovery/internal/metrics"
 )
 
-// Default coalescing budgets: at most DefaultMaxFrames frames and
-// roughly DefaultMaxBytes bytes per vectored write. 64 frames comfortably
-// covers a deep pipelining burst, and 256 KiB stays well under typical
-// socket buffer sizes so one batch rarely blocks mid-write. Both are
-// overridable per connection (server.Config.CoalesceFrames/Bytes).
+// The coalescing budget: at most MaxFrames frames and roughly MaxBytes
+// bytes per vectored write. 64 frames comfortably covers a deep
+// pipelining burst, and 256 KiB stays well under typical socket buffer
+// sizes so one batch rarely blocks mid-write.
 const (
-	DefaultMaxFrames = 64
-	DefaultMaxBytes  = 256 << 10
+	MaxFrames = 64
+	MaxBytes  = 256 << 10
 )
+
+// ReadBufferSize sizes the buffered reader on every connection, so a
+// pipelined burst decodes several frames per read(2) — the read-side
+// twin of the coalesced writer.
+const ReadBufferSize = 32 << 10
+
+// DefaultWriteTimeout bounds one vectored response write on the two
+// listeners. A peer that stops reading trips it and is disconnected.
+const DefaultWriteTimeout = 30 * time.Second
 
 // Stats meters a WriteLoop's coalescing: vectored writes issued, frames
 // and bytes flushed, and the frames-per-write distribution (the
@@ -60,31 +69,78 @@ func (st *Stats) observe(frames int, n int) {
 
 // Collect gathers one coalesced write batch from ch: it blocks until a
 // first frame arrives, then drains already-queued frames without
-// blocking, stopping at maxFrames frames or once maxBytes bytes have
+// blocking, stopping at MaxFrames frames or once MaxBytes bytes have
 // been gathered (the first frame always counts, so a single oversized
 // frame still forms a batch of one). Frame pointers are appended to
 // *slots — for returning buffers to their pool after the write — and
-// the byte slices to *bufs, the writev argument. Zero or negative caps
-// select the defaults.
+// the byte slices to *bufs, the writev argument.
 //
-// It reports false when ch is closed and nothing was collected. A close
-// that lands mid-drain still returns the partial batch; the next call
-// then reports false.
-// WriteLoop is the coalescing writer both transports run: it drains ch
-// batch by batch (Collect) until ch closes, flushing each batch as one
-// vectored write with a fresh write deadline, and hands every frame
-// pointer to put for recycling. The first failed or timed-out write
-// calls onBroken exactly once — the hook severs the connection — and
-// the loop keeps draining (and recycling) without writing, so producers
-// never block on a dead peer. WriteLoop returns when ch is closed and
-// drained; closing ch is the caller's job, after the last producer is
-// done. st, when non-nil, meters each successful flush (see Stats).
-func WriteLoop(nc net.Conn, ch <-chan *[]byte, maxFrames, maxBytes int, timeout time.Duration, put func(*[]byte), onBroken func(error), st *Stats) {
-	WriteLoopFunc(nc, ch, maxFrames, maxBytes, timeout, deref, put, onBroken, nil, st)
+// A queue ends one of two ways. A listener's response queue has one
+// owner who closes ch after the last producer is done (dead is nil).
+// An outbound connection's request queue has any number of racing
+// producers, so ch is never closed; dead is closed instead, producers
+// stop offering, and whatever they queued the instant before is still
+// collected. Either way Collect reports false when the queue has ended
+// and nothing was collected; an end that lands mid-drain still returns
+// the partial batch, and the next call then reports false.
+func Collect(ch <-chan *[]byte, dead <-chan struct{}, slots *[]*[]byte, bufs *net.Buffers) bool {
+	return CollectFunc(ch, dead, slots, bufs, deref)
 }
 
 // deref is the frame accessor for the plain pooled-buffer instantiation.
 func deref(bp *[]byte) []byte { return *bp }
+
+// CollectFunc is Collect generalized over the queued frame type; buf
+// extracts each frame's encoded bytes for the writev argument.
+func CollectFunc[F any](ch <-chan F, dead <-chan struct{}, slots *[]F, bufs *net.Buffers, buf func(F) []byte) bool {
+	var f F
+	var ok bool
+	select {
+	case f, ok = <-ch:
+	case <-dead:
+		// One more non-blocking look: a producer that won the race may
+		// have queued a frame the instant before death.
+		select {
+		case f, ok = <-ch:
+		default:
+		}
+	}
+	if !ok {
+		return false
+	}
+	b := buf(f)
+	*slots = append(*slots, f)
+	*bufs = append(*bufs, b)
+	total := len(b)
+	for len(*slots) < MaxFrames && total < MaxBytes {
+		select {
+		case f, ok := <-ch:
+			if !ok {
+				return true
+			}
+			b := buf(f)
+			*slots = append(*slots, f)
+			*bufs = append(*bufs, b)
+			total += len(b)
+		default:
+			return true
+		}
+	}
+	return true
+}
+
+// WriteLoop is the coalescing writer every connection runs: it drains ch
+// batch by batch (Collect) until the queue ends, flushing each batch as
+// one vectored write with a fresh write deadline, and hands every frame
+// pointer to put for recycling. The first failed or timed-out write
+// calls onBroken exactly once — the hook severs the connection — and
+// the loop keeps draining (and recycling) without writing, so producers
+// never block on a dead peer. WriteLoop returns when the queue has ended
+// (see Collect) and is drained. st, when non-nil, meters each successful
+// flush (see Stats).
+func WriteLoop(nc net.Conn, ch <-chan *[]byte, dead <-chan struct{}, timeout time.Duration, put func(*[]byte), onBroken func(error), st *Stats) {
+	WriteLoopFunc(nc, ch, dead, timeout, deref, put, onBroken, nil, st)
+}
 
 // WriteLoopFunc is WriteLoop generalized over the queued frame type:
 // producers may send any record F that carries its encoded bytes
@@ -93,14 +149,14 @@ func deref(bp *[]byte) []byte { return *bp }
 // after its successful vectored write and before the frames are
 // recycled, which is where enqueue→flush spans are measured. It is not
 // called for batches discarded on a broken connection.
-func WriteLoopFunc[F any](nc net.Conn, ch <-chan F, maxFrames, maxBytes int, timeout time.Duration, buf func(F) []byte, put func(F), onBroken func(error), onFlushed func([]F), st *Stats) {
+func WriteLoopFunc[F any](nc net.Conn, ch <-chan F, dead <-chan struct{}, timeout time.Duration, buf func(F) []byte, put func(F), onBroken func(error), onFlushed func([]F), st *Stats) {
 	broken := false
 	var slots []F
 	var backing net.Buffers
 	for {
 		slots = slots[:0]
 		bufs := backing[:0]
-		if !CollectFunc(ch, &slots, &bufs, maxFrames, maxBytes, buf) {
+		if !CollectFunc(ch, dead, &slots, &bufs, buf) {
 			return
 		}
 		// WriteTo consumes the bufs header as it flushes; keep the grown
@@ -128,42 +184,4 @@ func WriteLoopFunc[F any](nc net.Conn, ch <-chan F, maxFrames, maxBytes int, tim
 			put(f)
 		}
 	}
-}
-
-func Collect(ch <-chan *[]byte, slots *[]*[]byte, bufs *net.Buffers, maxFrames, maxBytes int) bool {
-	return CollectFunc(ch, slots, bufs, maxFrames, maxBytes, deref)
-}
-
-// CollectFunc is Collect generalized over the queued frame type; buf
-// extracts each frame's encoded bytes for the writev argument.
-func CollectFunc[F any](ch <-chan F, slots *[]F, bufs *net.Buffers, maxFrames, maxBytes int, buf func(F) []byte) bool {
-	if maxFrames <= 0 {
-		maxFrames = DefaultMaxFrames
-	}
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
-	}
-	f, ok := <-ch
-	if !ok {
-		return false
-	}
-	b := buf(f)
-	*slots = append(*slots, f)
-	*bufs = append(*bufs, b)
-	total := len(b)
-	for len(*slots) < maxFrames && total < maxBytes {
-		select {
-		case f, ok := <-ch:
-			if !ok {
-				return true
-			}
-			b := buf(f)
-			*slots = append(*slots, f)
-			*bufs = append(*bufs, b)
-			total += len(b)
-		default:
-			return true
-		}
-	}
-	return true
 }

@@ -25,7 +25,7 @@ func TestCollectDrainsQueuedFrames(t *testing.T) {
 	}
 	var slots []*[]byte
 	var bufs net.Buffers
-	if !Collect(ch, &slots, &bufs, 64, 1<<20) {
+	if !Collect(ch, nil, &slots, &bufs) {
 		t.Fatal("Collect reported a closed channel")
 	}
 	if len(slots) != 5 || len(bufs) != 5 {
@@ -39,21 +39,21 @@ func TestCollectDrainsQueuedFrames(t *testing.T) {
 }
 
 func TestCollectFrameCap(t *testing.T) {
-	ch := make(chan *[]byte, 16)
-	for i := 0; i < 10; i++ {
+	ch := make(chan *[]byte, MaxFrames+6)
+	for i := 0; i < MaxFrames+6; i++ {
 		ch <- frame(10, 0)
 	}
 	var slots []*[]byte
 	var bufs net.Buffers
-	if !Collect(ch, &slots, &bufs, 4, 1<<20) {
+	if !Collect(ch, nil, &slots, &bufs) {
 		t.Fatal("Collect reported a closed channel")
 	}
-	if len(slots) != 4 {
-		t.Fatalf("frame cap 4 collected %d frames", len(slots))
+	if len(slots) != MaxFrames {
+		t.Fatalf("frame cap %d collected %d frames", MaxFrames, len(slots))
 	}
 	// The rest stays queued for the next batch.
 	slots, bufs = slots[:0], bufs[:0]
-	if !Collect(ch, &slots, &bufs, 64, 1<<20) || len(slots) != 6 {
+	if !Collect(ch, nil, &slots, &bufs) || len(slots) != 6 {
 		t.Fatalf("second batch collected %d frames, want 6", len(slots))
 	}
 }
@@ -61,14 +61,14 @@ func TestCollectFrameCap(t *testing.T) {
 func TestCollectByteBudget(t *testing.T) {
 	ch := make(chan *[]byte, 16)
 	for i := 0; i < 6; i++ {
-		ch <- frame(100, 0)
+		ch <- frame(100<<10, 0)
 	}
 	var slots []*[]byte
 	var bufs net.Buffers
-	// 250 bytes: the first frame (100) is under budget, the second makes
-	// 200 (still under), the third reaches 300 >= 250 after collection —
+	// 256 KiB: the first frame (100 KiB) is under budget, the second makes
+	// 200 (still under), the third reaches 300 >= 256 after collection —
 	// the budget is a stop condition checked before each extra receive.
-	if !Collect(ch, &slots, &bufs, 64, 250) {
+	if !Collect(ch, nil, &slots, &bufs) {
 		t.Fatal("Collect reported a closed channel")
 	}
 	if len(slots) != 3 {
@@ -78,15 +78,15 @@ func TestCollectByteBudget(t *testing.T) {
 
 func TestCollectOversizeFirstFrame(t *testing.T) {
 	ch := make(chan *[]byte, 4)
-	ch <- frame(5000, 0)
+	ch <- frame(MaxBytes+1, 0)
 	ch <- frame(10, 0)
 	var slots []*[]byte
 	var bufs net.Buffers
 	// A first frame above the byte budget still forms a batch of one.
-	if !Collect(ch, &slots, &bufs, 64, 100) {
+	if !Collect(ch, nil, &slots, &bufs) {
 		t.Fatal("Collect reported a closed channel")
 	}
-	if len(slots) != 1 || len(bufs[0]) != 5000 {
+	if len(slots) != 1 || len(bufs[0]) != MaxBytes+1 {
 		t.Fatalf("oversize first frame batch: %d frames", len(slots))
 	}
 }
@@ -99,7 +99,7 @@ func TestCollectClosedChannel(t *testing.T) {
 	var slots []*[]byte
 	var bufs net.Buffers
 	// The queued frames drain as one final batch...
-	if !Collect(ch, &slots, &bufs, 64, 1<<20) || len(slots) != 2 {
+	if !Collect(ch, nil, &slots, &bufs) || len(slots) != 2 {
 		t.Fatalf("final batch: %d frames", len(slots))
 	}
 	// ...then the closed channel reports done, without blocking.
@@ -107,7 +107,7 @@ func TestCollectClosedChannel(t *testing.T) {
 	go func() {
 		var s []*[]byte
 		var b net.Buffers
-		done <- Collect(ch, &s, &b, 64, 1<<20)
+		done <- Collect(ch, nil, &s, &b)
 	}()
 	select {
 	case ok := <-done:
@@ -125,7 +125,7 @@ func TestCollectBlocksForFirstFrame(t *testing.T) {
 	go func() {
 		var s []*[]byte
 		var b net.Buffers
-		Collect(ch, &s, &b, 64, 1<<20)
+		Collect(ch, nil, &s, &b)
 		got <- len(s)
 	}()
 	select {
@@ -159,7 +159,7 @@ func TestCollectZeroAllocs(t *testing.T) {
 	for _, f := range frames {
 		ch <- f
 	}
-	Collect(ch, &slots, &bufs, 64, 1<<20)
+	Collect(ch, nil, &slots, &bufs)
 	backing := bufs[:0]
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, f := range frames {
@@ -167,7 +167,7 @@ func TestCollectZeroAllocs(t *testing.T) {
 		}
 		slots = slots[:0]
 		bufs = backing
-		if !Collect(ch, &slots, &bufs, 64, 1<<20) || len(slots) != 32 {
+		if !Collect(ch, nil, &slots, &bufs) || len(slots) != 32 {
 			t.Fatal("collect failed")
 		}
 	})
@@ -194,7 +194,7 @@ func TestWriteLoopFlushesAndRecycles(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		WriteLoop(srv, ch, 0, 0, time.Second,
+		WriteLoop(srv, ch, nil, time.Second,
 			func(bp *[]byte) { recycled <- bp },
 			func(error) { srv.Close() }, st)
 	}()
@@ -247,7 +247,7 @@ func TestWriteLoopSurvivesBrokenPeer(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		WriteLoop(srv, ch, 0, 0, 50*time.Millisecond,
+		WriteLoop(srv, ch, nil, 50*time.Millisecond,
 			func(*[]byte) { rec <- struct{}{} },
 			func(err error) { broke <- err; srv.Close() }, nil)
 	}()

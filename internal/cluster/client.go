@@ -37,26 +37,29 @@
 //
 // # Connections
 //
-// The client keeps one pipelined connection per node, multiplexing
-// concurrent requests by reqID, mirroring the peer transport: each
-// connection has a writer goroutine that drains an out-queue into
-// vectored writes and a reader goroutine that delivers responses by
-// correlator. The Client is safe for concurrent use; goroutines
-// pipeline onto the shared per-node connections.
+// The client keeps one pipelined connection per node on the peer
+// transport's own connection engine (internal/rpc): lazily dialed, one
+// dial in flight per node however many callers are waiting, requests
+// multiplexed by reqID and coalesced into vectored writes, replies
+// delivered by the connection's reader, lost replies reported by one
+// sweeper between one and one and a quarter call timeouts after the
+// send. A dial that timed out makes further calls to that node fail fast
+// for a short window (so failover is immediate); a refused dial does
+// not, so a restarted node is reachable at once. The Client is safe for
+// concurrent use; goroutines pipeline onto the shared per-node
+// connections.
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	discovery "discovery"
-	"discovery/internal/batchio"
 	"discovery/internal/idspace"
 	"discovery/internal/metrics"
+	"discovery/internal/rpc"
 	"discovery/internal/wire"
 )
 
@@ -108,16 +111,13 @@ type Stats struct {
 // Client routes requests directly to owning nodes. Safe for concurrent
 // use. Create with Dial, stop with Close.
 type Client struct {
-	dialTimeout time.Duration
-	callTimeout time.Duration
-	logf        func(format string, args ...any)
-	seeds       []string
+	logf  func(format string, args ...any)
+	seeds []string
+	mux   *rpc.Mux // one connection per node address
 
 	mu     sync.Mutex
 	view   *view
 	anchor string // last address that served the member table
-	conns  map[string]*nodeConn
-	closed bool
 
 	// Registry-backed counters: Stats and a /metrics scrape of the same
 	// registry read the same atomics, so they can never disagree.
@@ -125,8 +125,6 @@ type Client struct {
 	relayed   *metrics.Counter
 	refreshes *metrics.Counter
 	failovers *metrics.Counter
-
-	bufs sync.Pool // *[]byte outbound frame buffers
 }
 
 // Dial bootstraps a Client: it fetches the member table from the first
@@ -134,12 +132,6 @@ type Client struct {
 func Dial(cfg Config) (*Client, error) {
 	if len(cfg.Seeds) == 0 {
 		return nil, errors.New("cluster: Config.Seeds is required")
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 500 * time.Millisecond
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 5 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -149,19 +141,13 @@ func Dial(cfg Config) (*Client, error) {
 		reg = metrics.NewRegistry()
 	}
 	c := &Client{
-		dialTimeout: cfg.DialTimeout,
-		callTimeout: cfg.CallTimeout,
-		logf:        cfg.Logf,
-		seeds:       append([]string(nil), cfg.Seeds...),
-		conns:       make(map[string]*nodeConn),
-		routed:      reg.Counter("cluster.routed"),
-		relayed:     reg.Counter("cluster.relayed"),
-		refreshes:   reg.Counter("cluster.refreshes"),
-		failovers:   reg.Counter("cluster.failovers"),
-	}
-	c.bufs.New = func() any {
-		b := make([]byte, 0, 512)
-		return &b
+		logf:      cfg.Logf,
+		seeds:     append([]string(nil), cfg.Seeds...),
+		mux:       rpc.New(rpc.Config{Name: "cluster", DialTimeout: cfg.DialTimeout, CallTimeout: cfg.CallTimeout, Logf: cfg.Logf}),
+		routed:    reg.Counter("cluster.routed"),
+		relayed:   reg.Counter("cluster.relayed"),
+		refreshes: reg.Counter("cluster.refreshes"),
+		failovers: reg.Counter("cluster.failovers"),
 	}
 	if err := c.Refresh(); err != nil {
 		c.Close()
@@ -388,218 +374,11 @@ func (c *Client) do(typ wire.Type, key idspace.ID, origin uint32, value []byte, 
 	}
 }
 
-// Close severs every node connection and fails in-flight calls.
-func (c *Client) Close() {
-	c.mu.Lock()
-	c.closed = true
-	conns := make([]*nodeConn, 0, len(c.conns))
-	for _, nc := range c.conns {
-		conns = append(conns, nc)
-	}
-	c.mu.Unlock()
-	for _, nc := range conns {
-		c.teardown(nc)
-	}
-}
-
-// nodeConn is one pipelined connection to one node: requests multiplex
-// by reqID, a writer goroutine drains the out-queue into vectored
-// writes, a reader goroutine delivers responses to waiting calls.
-type nodeConn struct {
-	addr string
-	nc   net.Conn
-	out  chan *[]byte
-	dead chan struct{}
-	once sync.Once
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan *wire.Msg
-}
-
-func (nc *nodeConn) kill() { nc.once.Do(func() { close(nc.dead) }) }
-
-// conn returns the live connection to addr, dialing under the lock if
-// needed (concurrent callers to one cold node serialize on the dial;
-// everyone else proceeds).
-func (c *Client) conn(addr string) (*nodeConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errors.New("cluster: client closed")
-	}
-	if nc := c.conns[addr]; nc != nil {
-		c.mu.Unlock()
-		return nc, nil
-	}
-	c.mu.Unlock()
-
-	raw, err := net.DialTimeout("tcp", addr, c.dialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
-	}
-	nc := &nodeConn{
-		addr:    addr,
-		nc:      raw,
-		out:     make(chan *[]byte, 64),
-		dead:    make(chan struct{}),
-		pending: make(map[uint64]chan *wire.Msg),
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		raw.Close()
-		return nil, errors.New("cluster: client closed")
-	}
-	if existing := c.conns[addr]; existing != nil {
-		// A concurrent dial won; use its connection.
-		c.mu.Unlock()
-		raw.Close()
-		return existing, nil
-	}
-	c.conns[addr] = nc
-	c.mu.Unlock()
-	go c.readLoop(nc)
-	go c.writeLoop(nc)
-	return nc, nil
-}
-
 // call sends m to the node at addr and waits for its response.
 func (c *Client) call(addr string, m *wire.Msg) (*wire.Msg, error) {
-	nc, err := c.conn(addr)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan *wire.Msg, 1)
-	nc.mu.Lock()
-	nc.nextID++
-	id := nc.nextID
-	nc.pending[id] = ch
-	nc.mu.Unlock()
-	m.ReqID = id
-	bp := c.bufs.Get().(*[]byte)
-	frame, err := m.Append((*bp)[:0])
-	if err != nil {
-		nc.mu.Lock()
-		delete(nc.pending, id)
-		nc.mu.Unlock()
-		c.bufs.Put(bp)
-		return nil, err
-	}
-	*bp = frame
-	select {
-	case nc.out <- bp:
-	case <-nc.dead:
-		nc.mu.Lock()
-		delete(nc.pending, id)
-		nc.mu.Unlock()
-		c.bufs.Put(bp)
-		return nil, fmt.Errorf("cluster: %s: connection lost before send", addr)
-	}
-	timer := time.NewTimer(c.callTimeout)
-	defer timer.Stop()
-	select {
-	case resp := <-ch:
-		if resp == nil {
-			return nil, fmt.Errorf("cluster: %s: connection lost awaiting reply", addr)
-		}
-		return resp, nil
-	case <-timer.C:
-		nc.mu.Lock()
-		delete(nc.pending, id)
-		nc.mu.Unlock()
-		return nil, fmt.Errorf("cluster: %s: no reply within %s", addr, c.callTimeout)
-	}
+	return c.mux.Conn(addr, addr, nil).Call(m)
 }
 
-// writeLoop drains the out-queue into vectored writes until the
-// connection dies, mirroring the peer transport's writer.
-func (c *Client) writeLoop(nc *nodeConn) {
-	slots := make([]*[]byte, 0, batchio.DefaultMaxFrames)
-	backing := make(net.Buffers, 0, batchio.DefaultMaxFrames)
-	broken := false
-	for {
-		slots = slots[:0]
-		bufs := backing[:0]
-		var first *[]byte
-		select {
-		case first = <-nc.out:
-		case <-nc.dead:
-			select {
-			case first = <-nc.out:
-			default:
-				return
-			}
-		}
-		slots = append(slots, first)
-		bufs = append(bufs, *first)
-		total := len(*first)
-	drain:
-		for len(slots) < batchio.DefaultMaxFrames && total < batchio.DefaultMaxBytes {
-			select {
-			case bp := <-nc.out:
-				slots = append(slots, bp)
-				bufs = append(bufs, *bp)
-				total += len(*bp)
-			default:
-				break drain
-			}
-		}
-		backing = bufs
-		if !broken {
-			nc.nc.SetWriteDeadline(time.Now().Add(c.callTimeout)) //nolint:errcheck // surfaced by WriteTo
-			if _, err := bufs.WriteTo(nc.nc); err != nil {
-				broken = true
-				c.logf("cluster: write to %s: %v", nc.addr, err)
-				c.teardown(nc)
-			}
-		}
-		for _, bp := range slots {
-			c.bufs.Put(bp)
-		}
-	}
-}
-
-// readLoop delivers responses to waiting calls by reqID. Each response
-// gets a fresh Msg: it crosses goroutines to its caller.
-func (c *Client) readLoop(nc *nodeConn) {
-	br := bufio.NewReaderSize(nc.nc, 32<<10)
-	var scratch []byte
-	for {
-		body, err := wire.ReadFrame(br, &scratch)
-		if err != nil {
-			break
-		}
-		m := new(wire.Msg)
-		if err := m.Decode(body); err != nil {
-			c.logf("cluster: %s: bad response frame: %v", nc.addr, err)
-			break
-		}
-		nc.mu.Lock()
-		ch := nc.pending[m.ReqID]
-		delete(nc.pending, m.ReqID)
-		nc.mu.Unlock()
-		if ch != nil {
-			ch <- m
-		}
-	}
-	c.teardown(nc)
-}
-
-// teardown severs one node connection and fails its pending calls. The
-// next request to that node redials.
-func (c *Client) teardown(nc *nodeConn) {
-	nc.kill()
-	nc.nc.Close()
-	c.mu.Lock()
-	if c.conns[nc.addr] == nc {
-		delete(c.conns, nc.addr)
-	}
-	c.mu.Unlock()
-	nc.mu.Lock()
-	for id, ch := range nc.pending {
-		delete(nc.pending, id)
-		ch <- nil // buffered; never blocks
-	}
-	nc.mu.Unlock()
-}
+// Close severs every node connection and fails in-flight and future
+// calls.
+func (c *Client) Close() { c.mux.Close() }

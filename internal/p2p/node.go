@@ -13,6 +13,7 @@ import (
 	"discovery/internal/idspace"
 	"discovery/internal/metrics"
 	"discovery/internal/ratelog"
+	"discovery/internal/rpc"
 	"discovery/internal/trace"
 	"discovery/internal/wire"
 )
@@ -86,10 +87,7 @@ type Node struct {
 	// store must quiesce before shutdown seals it.
 	quit chan struct{}
 
-	mu     sync.Mutex
-	lis    net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
+	ln rpc.Listener
 
 	// addrMu guards clientAddrs: slot i is member i's client-serving
 	// address, learned from probe exchanges (both directions piggyback
@@ -136,7 +134,6 @@ func NewNode(cfg Config) (*Node, error) {
 		repairLogf:  ratelog.New(4, 2).Wrap(cfg.Logf),
 		fwdSem:      make(chan struct{}, cfg.MaxForwards),
 		quit:        make(chan struct{}),
-		conns:       make(map[net.Conn]struct{}),
 		clientAddrs: make([]string, cfg.Cluster.N()),
 	}
 	n.tr.tracer = cfg.Tracer
@@ -357,38 +354,18 @@ func (n *Node) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		lis.Close()
+	if !n.ln.Bind(lis) {
 		return nil, errors.New("p2p: node closed")
 	}
-	n.lis = lis
-	n.mu.Unlock()
 	n.wg.Add(1)
-	go n.acceptLoop(lis)
+	go func() {
+		defer n.wg.Done()
+		n.ln.Serve(func(nc net.Conn) { //nolint:errcheck // an accept error ends serving, as it always has
+			n.wg.Add(1)
+			go n.handleConn(nc)
+		})
+	}()
 	return lis.Addr(), nil
-}
-
-// acceptLoop hands each inbound peer connection to a handler goroutine.
-func (n *Node) acceptLoop(lis net.Listener) {
-	defer n.wg.Done()
-	for {
-		nc, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			nc.Close()
-			return
-		}
-		n.conns[nc] = struct{}{}
-		n.mu.Unlock()
-		n.wg.Add(1)
-		go n.handleConn(nc)
-	}
 }
 
 // StopServing closes the peer listener and inbound connections and waits
@@ -397,21 +374,8 @@ func (n *Node) acceptLoop(lis net.Listener) {
 // sealed, but outbound forwarding must keep working while the client
 // side drains.
 func (n *Node) StopServing() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		n.wg.Wait()
-		return
-	}
-	n.closed = true
-	close(n.quit)
-	lis := n.lis
-	for nc := range n.conns {
-		nc.Close()
-	}
-	n.mu.Unlock()
-	if lis != nil {
-		lis.Close()
+	if n.ln.Close() {
+		close(n.quit)
 	}
 	n.wg.Wait()
 }
@@ -451,9 +415,7 @@ func (n *Node) handleConn(nc net.Conn) {
 		reqWg.Wait()
 		close(out)
 		<-writerDone
-		n.mu.Lock()
-		delete(n.conns, nc)
-		n.mu.Unlock()
+		n.ln.Forget(nc)
 	}()
 	sem := make(chan struct{}, inboundWorkers)
 	// The reader parks when a lane is full, with later frames — another
@@ -471,7 +433,7 @@ func (n *Node) handleConn(nc net.Conn) {
 	// Sized buffered reader: a pipelined burst from a peer decodes
 	// several frames per read(2), the symmetric twin of the coalesced
 	// writer on the other side.
-	br := bufio.NewReaderSize(nc, peerReadBuffer)
+	br := bufio.NewReaderSize(nc, batchio.ReadBufferSize)
 	var scratch []byte
 	for {
 		body, err := wire.ReadFrame(br, &scratch)
@@ -524,7 +486,7 @@ func (n *Node) handleConn(nc net.Conn) {
 // draining so response producers never block on a dead peer.
 func (n *Node) connWriter(nc net.Conn, out <-chan *[]byte, done chan<- struct{}) {
 	defer close(done)
-	batchio.WriteLoop(nc, out, 0, 0, 30*time.Second,
+	batchio.WriteLoop(nc, out, nil, batchio.DefaultWriteTimeout,
 		func(bp *[]byte) { n.bufs.Put(bp) },
 		func(err error) {
 			n.cfg.Logf("p2p: write to %v: %v", nc.RemoteAddr(), err)

@@ -1,41 +1,27 @@
 package p2p
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"discovery/internal/batchio"
 	"discovery/internal/metrics"
+	"discovery/internal/rpc"
 	"discovery/internal/trace"
 	"discovery/internal/wire"
 )
 
-// Transport is the outbound half of the peer protocol: one lazily-dialed,
-// automatically-redialed TCP connection per peer, multiplexing concurrent
-// requests by reqID. A call completes through a callback (Go), invoked
-// by the connection's reader when the reply lands; Call wraps that in a
-// wait for callers that want the reply in hand. Either way calls
-// pipeline freely over the shared connection.
-//
-// Outbound writes are coalesced, mirroring the inbound response writers:
-// a Call encodes its frame into a pooled buffer and queues it on the
-// peer's out-queue, and the connection's writer goroutine drains the
-// queue into vectored writes (net.Buffers) bounded by the batchio
-// budgets. Concurrent callers therefore cost about one write(2) per
-// batch instead of one per call, while reqID multiplexing and per-call
-// timeouts are untouched.
+// Transport is the outbound half of the peer protocol: one multiplexed,
+// coalescing connection per peer (internal/rpc does the dialing, reqID
+// correlation, timeouts and vectored writes) plus what is peer policy —
+// DialVia indirection, the overlay's Alive flags, the peer_call span,
+// the p2p.* metrics, and membership probes.
 type Transport struct {
-	cluster       *Cluster
-	overlay       *RemoteOverlay
-	dialTimeout   time.Duration
-	callTimeout   time.Duration
-	redialBackoff time.Duration
-	logf          func(format string, args ...any)
-	peers         []*peerConn
+	cluster *Cluster
+	overlay *RemoteOverlay
+	mux     *rpc.Mux
+	peers   []*rpc.Conn
 
 	mu      sync.Mutex
 	closed  bool
@@ -48,8 +34,7 @@ type Transport struct {
 	selfClientAddr string
 	peerAddrFn     func(i int, addr string)
 
-	// proberQuit stops the transport's background goroutines — the health
-	// prober and the call-timeout sweeper — and proberWg waits for them.
+	// proberQuit stops the health prober and proberWg waits for it.
 	proberQuit chan struct{}
 	proberWg   sync.WaitGroup
 
@@ -57,46 +42,24 @@ type Transport struct {
 	// and WriteStats read the same atomics. writes counts vectored
 	// write(2) calls, framesOut the frames they carried — frames/writes
 	// is the coalescing ratio, with p2p.frames_per_write holding its
-	// distribution. calls/callErrors/callNanos meter Call round trips,
-	// dials/redials the connection churn.
-	writes         *metrics.Counter
-	framesOut      *metrics.Counter
-	framesPerWrite *metrics.Histogram
-	calls          *metrics.Counter
-	callErrors     *metrics.Counter
-	callNanos      *metrics.Histogram
-	dials          *metrics.Counter
-	redials        *metrics.Counter
+	// distribution. calls/callErrors/callNanos meter Call round trips.
+	writes     *metrics.Counter
+	framesOut  *metrics.Counter
+	calls      *metrics.Counter
+	callErrors *metrics.Counter
+	callNanos  *metrics.Histogram
 
 	// tracer records the outbound hop span of traced calls (set by
 	// NewNode from Config.Tracer; nil disables — Record is nil-safe).
 	tracer *trace.Tracer
-
-	bufs sync.Pool // *[]byte outbound frame buffers
 }
-
-// errTransportClosed fails calls after Close.
-var errTransportClosed = errors.New("p2p: transport closed")
-
-// peerReadBuffer sizes the buffered reader on peer response connections,
-// so a burst of pipelined responses decodes several frames per read(2).
-const peerReadBuffer = 32 << 10
 
 // Transport retry/timeout defaults, shared with the cmd flag layer so
 // flag help and behavior can never drift apart.
 const (
-	// DefaultDialTimeout bounds one TCP connect to a peer.
-	DefaultDialTimeout = 500 * time.Millisecond
-	// DefaultCallTimeout bounds one peer request round trip.
-	DefaultCallTimeout = 5 * time.Second
-	// DefaultRedialBackoff is how long after a SLOW dial failure (a
-	// timeout — e.g. a blackholed peer) further calls fail fast instead
-	// of queueing up behind serial dial attempts, each burning its own
-	// dial timeout. Fast failures (connection refused, as on a
-	// crashed-but-routable peer) never arm the backoff: retrying them is
-	// nearly free, and a peer that just restarted must be reachable
-	// immediately.
-	DefaultRedialBackoff = 250 * time.Millisecond
+	DefaultDialTimeout   = rpc.DefaultDialTimeout
+	DefaultCallTimeout   = rpc.DefaultCallTimeout
+	DefaultRedialBackoff = rpc.DefaultRedialBackoff
 )
 
 // TransportConfig parameterizes NewTransport. The zero value selects
@@ -124,55 +87,39 @@ type TransportConfig struct {
 
 // NewTransport builds the peer-connection table.
 func NewTransport(c *Cluster, ov *RemoteOverlay, cfg TransportConfig) *Transport {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = DefaultCallTimeout
-	}
-	if cfg.RedialBackoff <= 0 {
-		cfg.RedialBackoff = DefaultRedialBackoff
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	t := &Transport{
-		cluster:        c,
-		overlay:        ov,
-		dialTimeout:    cfg.DialTimeout,
-		callTimeout:    cfg.CallTimeout,
-		redialBackoff:  cfg.RedialBackoff,
-		logf:           logf,
-		peers:          make([]*peerConn, c.N()),
-		proberQuit:     make(chan struct{}),
-		writes:         reg.Counter("p2p.writes"),
-		framesOut:      reg.Counter("p2p.frames"),
-		framesPerWrite: reg.Histogram("p2p.frames_per_write", 1),
-		calls:          reg.Counter("p2p.calls"),
-		callErrors:     reg.Counter("p2p.call_errors"),
-		callNanos:      reg.Histogram("p2p.call_seconds", 1e-9),
-		dials:          reg.Counter("p2p.dials"),
-		redials:        reg.Counter("p2p.redials"),
+		cluster:    c,
+		overlay:    ov,
+		peers:      make([]*rpc.Conn, c.N()),
+		proberQuit: make(chan struct{}),
+		writes:     reg.Counter("p2p.writes"),
+		framesOut:  reg.Counter("p2p.frames"),
+		calls:      reg.Counter("p2p.calls"),
+		callErrors: reg.Counter("p2p.call_errors"),
+		callNanos:  reg.Histogram("p2p.call_seconds", 1e-9),
 	}
-	t.bufs.New = func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	}
+	t.mux = rpc.New(rpc.Config{
+		Name:          "p2p",
+		DialTimeout:   cfg.DialTimeout,
+		CallTimeout:   cfg.CallTimeout,
+		RedialBackoff: cfg.RedialBackoff,
+		Logf:          cfg.Logf,
+		Writes:        &batchio.Stats{Writes: t.writes, Frames: t.framesOut, FramesPerWrite: reg.Histogram("p2p.frames_per_write", 1)},
+		Dials:         reg.Counter("p2p.dials"),
+		Redials:       reg.Counter("p2p.redials"),
+	})
 	for i := range t.peers {
 		addr := c.Addr(i)
 		dialAddr := addr
 		if via, ok := cfg.DialVia[addr]; ok && via != "" {
 			dialAddr = via
 		}
-		t.peers[i] = &peerConn{t: t, idx: i, addr: addr, dialAddr: dialAddr, pending: make(map[uint64]*call)}
+		t.peers[i] = t.mux.Conn(addr, dialAddr, func(up bool) { ov.SetAlive(i, up) })
 	}
-	t.proberWg.Add(1)
-	go t.sweep()
 	return t
 }
 
@@ -204,71 +151,8 @@ func (t *Transport) WriteStats() (writes, frames uint64) {
 	return t.writes.Value(), t.framesOut.Value()
 }
 
-// connState is one live connection: the socket, its out-queue, and the
-// death signal that tells producers to stop offering frames. A peerConn
-// replaces its connState wholesale on reconnect, so the writer and
-// reader goroutines of a dead connection never touch the new one.
-type connState struct {
-	nc   net.Conn
-	out  chan *[]byte  // encoded request frames (pooled)
-	dead chan struct{} // closed when the connection is torn down
-	once sync.Once
-}
-
-// kill marks the connection dead so producers stop offering frames.
-func (cs *connState) kill() { cs.once.Do(func() { close(cs.dead) }) }
-
-// peerConn is the connection state for one peer. cur is nil when
-// disconnected; the next call redials.
-//
-// Two locks with distinct jobs: wmu serializes the slow path (dialing)
-// among callers, while mu guards only the cheap shared state (cur, the
-// pending map, the reqID counter). The socket itself is written by the
-// connection's writer goroutine alone, so no caller ever blocks on a
-// peer's socket — it blocks, at worst, on the out-queue (backpressure).
-type peerConn struct {
-	t        *Transport
-	idx      int
-	addr     string // the peer's cluster (protocol-identity) address
-	dialAddr string // where to actually connect (DialVia indirection)
-
-	wmu sync.Mutex // dial serialization
-
-	mu            sync.Mutex
-	cur           *connState
-	nextID        uint64
-	pending       map[uint64]*call
-	lastFail      time.Time // last failed dial, for redialBackoff
-	everConnected bool      // a later dial is a redial, not a first dial
-}
-
-// call is one request awaiting its reply.
-type call struct {
-	peer     int
-	trace    uint64 // the request's trace ID; 0 = untraced
-	start    time.Time
-	deadline time.Time
-	done     func(*wire.Msg, error)
-}
-
-// finish completes c exactly once — its pending entry, if it had one, is
-// already gone — recording the hop's span and metrics.
-func (t *Transport) finish(c *call, resp *wire.Msg, err error) {
-	if c.trace != 0 {
-		// The peer_call span covers encode → reply (or failure) for this
-		// hop; the responder's own spans nest inside it under the same ID.
-		t.tracer.Record(c.trace, trace.KindPeerCall, c.start, time.Since(c.start), uint64(c.peer))
-	}
-	if err != nil {
-		t.callErrors.Inc()
-	} else {
-		t.callNanos.Observe(int64(time.Since(c.start)))
-	}
-	c.done(resp, err)
-}
-
 // Call sends m to peer i and waits for its response, dialing or redialing
-// as needed. m.ReqID is assigned by the transport. The returned message
+// as needed. m.ReqID is assigned by the connection. The returned message
 // is owned by the caller. Transport health (RemoteOverlay.Alive) is
 // updated as a side effect.
 func (t *Transport) Call(i int, m *wire.Msg) (*wire.Msg, error) {
@@ -283,324 +167,34 @@ func (t *Transport) Call(i int, m *wire.Msg) (*wire.Msg, error) {
 }
 
 // Go is Call without the wait: it sends m to peer i and returns, and done
-// is invoked exactly once with the reply or the failure. With the
-// connection up and room in its out-queue — the steady state — the frame
-// is queued on the caller's goroutine and done runs on the connection's
-// reader; a call that must first dial, or wait for queue room, does so on
-// a goroutine of its own, so Go never blocks on a slow or dead peer. done
-// must not block either: it may run on that reader (every other reply
-// from the peer waits behind it), on the timeout sweeper, on whoever tore
-// the connection down, or on the calling goroutine before Go returns.
+// is invoked exactly once with the reply or the failure, after the hop's
+// span and metrics are recorded. It never blocks on a slow or dead peer,
+// and done must not block either — see rpc.Conn.Go for where it may run.
 func (t *Transport) Go(i int, m *wire.Msg, done func(*wire.Msg, error)) {
 	t.calls.Inc()
-	c := &call{peer: i, start: time.Now(), done: done}
-	c.deadline = c.start.Add(t.callTimeout)
+	start := time.Now()
+	var trc uint64
 	if m.Traced {
-		c.trace = m.Trace
+		trc = m.Trace
+	}
+	finish := func(resp *wire.Msg, err error) {
+		if trc != 0 {
+			// The peer_call span covers encode → reply (or failure) for this
+			// hop; the responder's own spans nest inside it under the same ID.
+			t.tracer.Record(trc, trace.KindPeerCall, start, time.Since(start), uint64(i))
+		}
+		if err != nil {
+			t.callErrors.Inc()
+		} else {
+			t.callNanos.Observe(int64(time.Since(start)))
+		}
+		done(resp, err)
 	}
 	if i == t.cluster.Self() {
-		t.finish(c, nil, fmt.Errorf("p2p: call to self (index %d)", i))
+		finish(nil, fmt.Errorf("p2p: call to self (index %d)", i))
 		return
 	}
-	pc := t.peers[i]
-	pc.mu.Lock()
-	cs := pc.cur
-	pc.mu.Unlock()
-	if cs != nil {
-		if queued, err := pc.post(cs, m, c, false); queued {
-			return
-		} else if err != nil {
-			t.finish(c, nil, err)
-			return
-		}
-	}
-	go func() {
-		cs, err := pc.conn()
-		if err != nil {
-			t.overlay.SetAlive(i, false)
-			t.finish(c, nil, err)
-			return
-		}
-		if _, err := pc.post(cs, m, c, true); err != nil {
-			t.finish(c, nil, err)
-		}
-	}()
-}
-
-// post registers c as pending and queues m's frame on cs. With block it
-// waits for room in the out-queue (backpressure); without, a full queue
-// reports (false, nil) with c no longer registered. An error means the
-// call will not be sent and is the caller's to finish: the frame did not
-// encode, or the connection died first.
-func (pc *peerConn) post(cs *connState, m *wire.Msg, c *call, block bool) (queued bool, err error) {
-	t := pc.t
-	pc.mu.Lock()
-	pc.nextID++
-	id := pc.nextID
-	pc.pending[id] = c
-	pc.mu.Unlock()
-	m.ReqID = id
-	bp := t.bufs.Get().(*[]byte)
-	frame, err := m.Append((*bp)[:0])
-	full := false
-	if err == nil {
-		*bp = frame
-		if block {
-			select {
-			case cs.out <- bp:
-				return true, nil
-			case <-cs.dead:
-			}
-		} else {
-			select {
-			case cs.out <- bp:
-				return true, nil
-			case <-cs.dead:
-			default:
-				full = true
-			}
-		}
-	}
-	t.bufs.Put(bp)
-	pc.mu.Lock()
-	_, mine := pc.pending[id]
-	delete(pc.pending, id)
-	pc.mu.Unlock()
-	switch {
-	case !mine:
-		// A teardown racing this send failed every pending call, this one
-		// included: whoever removes the entry finishes the call.
-		return true, nil
-	case err != nil || full:
-		return false, err
-	}
-	t.overlay.SetAlive(pc.idx, false)
-	return false, fmt.Errorf("p2p: %s: connection lost before send", pc.addr)
-}
-
-// sweep fails every call whose reply is overdue, until Close. One
-// sweeper per transport, ticking at a quarter of the call timeout, stands
-// in for a timer per call: a lost reply is reported between one and one
-// and a quarter timeouts after the send.
-func (t *Transport) sweep() {
-	defer t.proberWg.Done()
-	ticker := time.NewTicker(t.callTimeout / 4)
-	defer ticker.Stop()
-	var overdue []*call
-	for {
-		select {
-		case <-t.proberQuit:
-			return
-		case now := <-ticker.C:
-			for _, pc := range t.peers {
-				overdue = overdue[:0]
-				pc.mu.Lock()
-				for id, c := range pc.pending {
-					if now.After(c.deadline) {
-						delete(pc.pending, id)
-						overdue = append(overdue, c)
-					}
-				}
-				pc.mu.Unlock()
-				for _, c := range overdue {
-					t.overlay.SetAlive(pc.idx, false)
-					t.finish(c, nil, fmt.Errorf("p2p: %s: no reply within %s", pc.addr, t.callTimeout))
-				}
-			}
-		}
-	}
-}
-
-// conn returns the live connection state, dialing if needed. wmu is held
-// across the dial so at most one dial is in flight per peer; pc.mu is
-// taken only around shared-state reads and writes. A dial that fails
-// arms a short backoff so bursts of calls to a dead peer fail fast
-// instead of each burning a dial timeout in turn.
-func (pc *peerConn) conn() (*connState, error) {
-	t := pc.t
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
-	pc.mu.Lock()
-	cs := pc.cur
-	backoff := !pc.lastFail.IsZero() && time.Since(pc.lastFail) < t.redialBackoff
-	pc.mu.Unlock()
-	if cs != nil {
-		return cs, nil
-	}
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		return nil, errTransportClosed
-	}
-	if backoff {
-		return nil, fmt.Errorf("p2p: %s: unreachable (in redial backoff)", pc.addr)
-	}
-	dialStart := time.Now()
-	nc, err := net.DialTimeout("tcp", pc.dialAddr, t.dialTimeout)
-	if err != nil {
-		if time.Since(dialStart) >= t.dialTimeout/2 {
-			pc.mu.Lock()
-			pc.lastFail = time.Now()
-			pc.mu.Unlock()
-		}
-		if pc.dialAddr != pc.addr {
-			return nil, fmt.Errorf("p2p: dial %s (via %s): %w", pc.addr, pc.dialAddr, err)
-		}
-		return nil, fmt.Errorf("p2p: dial %s: %w", pc.addr, err)
-	}
-	cs = &connState{nc: nc, out: make(chan *[]byte, 64), dead: make(chan struct{})}
-	pc.mu.Lock()
-	// Re-check closed under pc.mu: Close tears peers down under this
-	// lock, so either we see closed here, or Close runs after us and
-	// severs the connection we just installed.
-	t.mu.Lock()
-	closed = t.closed
-	t.mu.Unlock()
-	if closed {
-		pc.mu.Unlock()
-		nc.Close()
-		return nil, errTransportClosed
-	}
-	pc.cur = cs
-	pc.lastFail = time.Time{}
-	redial := pc.everConnected
-	pc.everConnected = true
-	pc.mu.Unlock()
-	t.dials.Inc()
-	if redial {
-		t.redials.Inc()
-	}
-	go pc.readLoop(cs)
-	go pc.writeLoop(cs)
-	return cs, nil
-}
-
-// collectOut gathers one coalesced write batch from cs: it blocks until
-// a first frame arrives (or the connection dies), then drains
-// already-queued frames without blocking, bounded by the batchio
-// budgets. Frame pointers land in *slots, byte slices in *bufs — both
-// caller-owned and reused, so the steady-state drain allocates nothing.
-// It reports false when the connection died with nothing collected; a
-// death that lands mid-drain still returns the partial batch.
-func collectOut(cs *connState, slots *[]*[]byte, bufs *net.Buffers) bool {
-	var first *[]byte
-	select {
-	case first = <-cs.out:
-	case <-cs.dead:
-		// One more non-blocking look: a producer that won the race may
-		// have queued a frame the instant before death.
-		select {
-		case first = <-cs.out:
-		default:
-			return false
-		}
-	}
-	*slots = append(*slots, first)
-	*bufs = append(*bufs, *first)
-	total := len(*first)
-	for len(*slots) < batchio.DefaultMaxFrames && total < batchio.DefaultMaxBytes {
-		select {
-		case bp := <-cs.out:
-			*slots = append(*slots, bp)
-			*bufs = append(*bufs, *bp)
-			total += len(*bp)
-		default:
-			return true
-		}
-	}
-	return true
-}
-
-// writeLoop drains the connection's out-queue into vectored writes until
-// the connection dies. Each batch carries a write deadline; the first
-// failed or timed-out write tears the connection down, and the loop
-// keeps draining (recycling buffers) so producers never block on a dead
-// peer.
-func (pc *peerConn) writeLoop(cs *connState) {
-	t := pc.t
-	slots := make([]*[]byte, 0, batchio.DefaultMaxFrames)
-	backing := make(net.Buffers, 0, batchio.DefaultMaxFrames)
-	broken := false
-	for {
-		slots = slots[:0]
-		bufs := backing[:0]
-		if !collectOut(cs, &slots, &bufs) {
-			return
-		}
-		// WriteTo consumes the bufs header as it flushes; keep the grown
-		// backing array so the next batch reuses its capacity.
-		backing = bufs
-		if !broken {
-			n := len(slots)
-			cs.nc.SetWriteDeadline(time.Now().Add(t.callTimeout)) //nolint:errcheck // surfaced by WriteTo
-			if _, err := bufs.WriteTo(cs.nc); err != nil {
-				broken = true
-				t.logf("p2p: write to %s: %v", pc.addr, err)
-				pc.teardown(cs)
-			} else {
-				t.writes.Inc()
-				t.framesOut.Add(uint64(n))
-				t.framesPerWrite.Observe(int64(n))
-			}
-		}
-		for _, bp := range slots {
-			t.bufs.Put(bp)
-		}
-	}
-}
-
-// readLoop decodes responses off one connection and completes the
-// pending calls they answer, by reqID, on this goroutine. The socket is
-// wrapped in a sized buffered reader, so a pipelined burst of responses
-// decodes several frames per read(2). Each response gets a fresh Msg: it
-// is owned by the call it completes.
-func (pc *peerConn) readLoop(cs *connState) {
-	br := bufio.NewReaderSize(cs.nc, peerReadBuffer)
-	var scratch []byte
-	for {
-		body, err := wire.ReadFrame(br, &scratch)
-		if err != nil {
-			break
-		}
-		m := new(wire.Msg)
-		if err := m.Decode(body); err != nil {
-			pc.t.logf("p2p: %s: bad response frame: %v", pc.addr, err)
-			break
-		}
-		pc.mu.Lock()
-		c := pc.pending[m.ReqID]
-		delete(pc.pending, m.ReqID)
-		pc.mu.Unlock()
-		if c != nil {
-			pc.t.overlay.SetAlive(pc.idx, true)
-			pc.t.finish(c, m, nil)
-		}
-	}
-	pc.teardown(cs)
-}
-
-// teardown severs cs: the socket closes, producers are told to stop
-// (dead), and — if cs is still the peer's current connection — every
-// pending call fails and the peer is marked dead. A stale connState
-// (already replaced by a redial) only cleans up after itself.
-func (pc *peerConn) teardown(cs *connState) {
-	cs.kill()
-	cs.nc.Close()
-	var lost []*call
-	pc.mu.Lock()
-	if pc.cur == cs {
-		pc.cur = nil
-		for id, c := range pc.pending {
-			delete(pc.pending, id)
-			lost = append(lost, c)
-		}
-		pc.t.overlay.SetAlive(pc.idx, false)
-	}
-	pc.mu.Unlock()
-	for _, c := range lost {
-		pc.t.finish(c, nil, fmt.Errorf("p2p: %s: connection lost awaiting reply", pc.addr))
-	}
+	t.peers[i].Go(m, finish)
 }
 
 // Probe checks peer i end to end: dial if needed, exchange membership
@@ -694,13 +288,8 @@ func (t *Transport) Close() {
 	if !already {
 		close(t.proberQuit)
 	}
+	// Connections first: a probe in flight fails at once instead of
+	// holding the prober (and this wait) until its reply or timeout.
+	t.mux.Close()
 	t.proberWg.Wait()
-	for _, pc := range t.peers {
-		pc.mu.Lock()
-		cs := pc.cur
-		pc.mu.Unlock()
-		if cs != nil {
-			pc.teardown(cs)
-		}
-	}
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package p2p
+package rpc
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package p2p
+package rpc
 
 // raceEnabled skips allocation gates under the race detector, which
 // deliberately bypasses sync.Pool caching and so allocates where

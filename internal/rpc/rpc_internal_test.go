@@ -1,4 +1,4 @@
-package p2p
+package rpc
 
 import (
 	"bufio"
@@ -8,34 +8,23 @@ import (
 	"testing"
 	"time"
 
+	"discovery/internal/batchio"
+	"discovery/internal/metrics"
 	"discovery/internal/wire"
 )
 
-func newInternalTransport(t *testing.T) *Transport {
-	t.Helper()
-	cluster, err := NewCluster("h1:1", []string{"h2:1"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov, err := NewRemoteOverlay(cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewTransport(cluster, ov, TransportConfig{Logf: t.Logf})
-}
-
 // TestCollectOutZeroAllocs pins the outbound drain path's allocation
-// discipline: the exact producer/consumer cycle between Call (encode
-// into a pooled buffer, enqueue) and the connection writer (collect
-// into reused writev slots, recycle) allocates nothing once the pool
-// and slices are warm. This is the out-queue twin of the serving
-// layer's response-path gate.
+// discipline: the exact producer/consumer cycle between Go (encode into a
+// pooled buffer, enqueue) and the connection writer (collect into reused
+// writev slots, recycle) allocates nothing once the pool and slices are
+// warm. This is the out-queue twin of the serving layer's response-path
+// gate.
 func TestCollectOutZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool does not cache under the race detector")
 	}
-	tr := newInternalTransport(t)
-	defer tr.Close()
+	x := New(Config{Name: "test", Logf: t.Logf})
+	defer x.Close()
 
 	const burst = 8
 	cs := &connState{out: make(chan *[]byte, burst), dead: make(chan struct{})}
@@ -45,17 +34,17 @@ func TestCollectOutZeroAllocs(t *testing.T) {
 
 	cycle := func() {
 		for i := 0; i < burst; i++ {
-			bp := tr.bufs.Get().(*[]byte)
+			bp := x.bufs.Get().(*[]byte)
 			*bp = append((*bp)[:0], frame...)
 			cs.out <- bp
 		}
 		slots = slots[:0]
 		bufs = bufs[:0]
-		if !collectOut(cs, &slots, &bufs) || len(slots) != burst {
+		if !batchio.Collect(cs.out, cs.dead, &slots, &bufs) || len(slots) != burst {
 			t.Fatal("collect failed")
 		}
 		for _, bp := range slots {
-			tr.bufs.Put(bp)
+			x.bufs.Put(bp)
 		}
 	}
 	cycle() // warm the buffer pool and the coalesce slices
@@ -67,12 +56,14 @@ func TestCollectOutZeroAllocs(t *testing.T) {
 
 // TestWriteLoopCoalescesQueuedFrames proves frames-per-write > 1
 // deterministically: frames queued before the writer starts must flush
-// in ONE vectored write, counted by WriteStats. This pins the syscall
-// shape itself; the e2e test proves the ratio emerges under live
-// pipelining too.
+// in ONE vectored write, counted by the Writes stats. This pins the
+// syscall shape itself; the p2p e2e test proves the ratio emerges under
+// live pipelining too.
 func TestWriteLoopCoalescesQueuedFrames(t *testing.T) {
-	tr := newInternalTransport(t)
-	defer tr.Close()
+	reg := metrics.NewRegistry()
+	st := &batchio.Stats{Writes: reg.Counter("writes"), Frames: reg.Counter("frames")}
+	x := New(Config{Name: "test", Logf: t.Logf, Writes: st})
+	defer x.Close()
 
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -97,7 +88,7 @@ func TestWriteLoopCoalescesQueuedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pc := &peerConn{t: tr, idx: 1, addr: lis.Addr().String(), pending: make(map[uint64]*call)}
+	c := x.Conn(lis.Addr().String(), lis.Addr().String(), nil)
 	cs := &connState{nc: nc, out: make(chan *[]byte, 64), dead: make(chan struct{})}
 
 	const queued = 32
@@ -106,11 +97,11 @@ func TestWriteLoopCoalescesQueuedFrames(t *testing.T) {
 		cs.out <- &b
 	}
 	done := make(chan struct{})
-	go func() { defer close(done); pc.writeLoop(cs) }()
+	go func() { defer close(done); c.writeLoop(cs) }()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		writes, frames := tr.WriteStats()
+		writes, frames := st.Writes.Value(), st.Frames.Value()
 		if frames == queued {
 			if writes != 1 {
 				t.Fatalf("%d pre-queued frames took %d writes, want 1 vectored write", queued, writes)
@@ -122,46 +113,35 @@ func TestWriteLoopCoalescesQueuedFrames(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	pc.teardown(cs)
+	c.teardown(cs)
 	<-done
 }
 
 // TestCallTimeoutLateReply audits the timed-out call path end to end: a
-// reply that lands AFTER the caller's timeout deleted its pending entry
-// must be dropped cleanly — no stray delivery, no pending-map leak, no
-// connection teardown — and the connection (plus the outbound frame
-// pool) must keep serving subsequent calls without a redial.
+// reply that lands AFTER the sweeper deleted its pending entry must be
+// dropped cleanly — no stray delivery, no pending-map leak, no connection
+// teardown — and the connection (plus the outbound frame pool) must keep
+// serving subsequent calls without a redial.
 func TestCallTimeoutLateReply(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	cluster, err := NewCluster("h1:1", []string{lis.Addr().String()}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov, err := NewRemoteOverlay(cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTransport(cluster, ov, TransportConfig{CallTimeout: 150 * time.Millisecond, Logf: t.Logf})
-	defer tr.Close()
+	reg := metrics.NewRegistry()
+	dials := reg.Counter("dials")
+	x := New(Config{Name: "test", CallTimeout: 150 * time.Millisecond, Logf: t.Logf, Dials: dials})
+	defer x.Close()
 	// Count trips through the pool's allocator: if the request-frame
 	// buffers round-trip (Get -> write -> Put), steady sequential calls
 	// reuse one buffer and the allocator runs a bounded number of times.
 	var fresh atomic.Int64
-	tr.bufs.New = func() any {
+	x.bufs.New = func() any {
 		fresh.Add(1)
 		b := make([]byte, 0, 512)
 		return &b
 	}
-	var peer int
-	for i := 0; i < cluster.N(); i++ {
-		if cluster.Addr(i) == lis.Addr().String() {
-			peer = i
-		}
-	}
+	c := x.Conn(lis.Addr().String(), lis.Addr().String(), nil)
 
 	// Stub peer: the FIRST request's reply is withheld until released
 	// (well past the call timeout); every later request is answered
@@ -206,17 +186,11 @@ func TestCallTimeoutLateReply(t *testing.T) {
 		}
 	}()
 
-	probe := func() *wire.Msg {
-		return &wire.Msg{Type: wire.TPeerProbe, Cluster: cluster.Hash(), Origin: uint32(cluster.Self())}
-	}
-	if _, err := tr.Call(peer, probe()); err == nil || !strings.Contains(err.Error(), "no reply within") {
+	probe := func() *wire.Msg { return &wire.Msg{Type: wire.TPeerProbe, Cluster: 7} }
+	if _, err := c.Call(probe()); err == nil || !strings.Contains(err.Error(), "no reply within") {
 		t.Fatalf("withheld reply did not time out: %v", err)
 	}
-	pc := tr.peers[peer]
-	pc.mu.Lock()
-	leaked := len(pc.pending)
-	pc.mu.Unlock()
-	if leaked != 0 {
+	if leaked := x.Pending(); leaked != 0 {
 		t.Fatalf("%d pending entries leaked after the timeout", leaked)
 	}
 
@@ -226,7 +200,7 @@ func TestCallTimeoutLateReply(t *testing.T) {
 	close(release)
 	<-lateSent
 	for i := 0; i < 20; i++ {
-		resp, err := tr.Call(peer, probe())
+		resp, err := c.Call(probe())
 		if err != nil {
 			t.Fatalf("call %d after the late reply: %v", i, err)
 		}
@@ -234,7 +208,7 @@ func TestCallTimeoutLateReply(t *testing.T) {
 			t.Fatalf("call %d got %v, want TPeerProbeOK", i, resp.Type)
 		}
 	}
-	if got := tr.dials.Value(); got != 1 {
+	if got := dials.Value(); got != 1 {
 		t.Fatalf("%d dials; the late reply should not cost a reconnect", got)
 	}
 	// Pool round-trip: 21 sequential calls needed far fewer fresh
@@ -260,20 +234,78 @@ func TestCollectOutDeath(t *testing.T) {
 	b := []byte("frame")
 	cs.out <- &b
 	cs.kill()
-	if !collectOut(cs, &slots, &bufs) || len(slots) != 1 {
+	if !batchio.Collect(cs.out, cs.dead, &slots, &bufs) || len(slots) != 1 {
 		t.Fatalf("racing frame lost at death: collected %d", len(slots))
 	}
 
 	// Dead and empty: the drain ends.
 	slots, bufs = slots[:0], bufs[:0]
 	done := make(chan bool, 1)
-	go func() { done <- collectOut(cs, &slots, &bufs) }()
+	go func() { done <- batchio.Collect(cs.out, cs.dead, &slots, &bufs) }()
 	select {
 	case got := <-done:
 		if got {
-			t.Fatal("collectOut reported a batch from a dead, empty queue")
+			t.Fatal("Collect reported a batch from a dead, empty queue")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("collectOut blocked on a dead connection")
+		t.Fatal("Collect blocked on a dead connection")
+	}
+}
+
+// TestSeveredConnectionCompletesEachCallOnce: the reader, the teardown
+// and the sweeper can all reach a call whose connection is cut; exactly
+// one of them may finish it.
+func TestSeveredConnectionCompletesEachCallOnce(t *testing.T) {
+	const inflight = 64
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		nc, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close() // cut once every request has been read
+		br := bufio.NewReader(nc)
+		var scratch []byte
+		for i := 0; i < inflight; i++ {
+			if _, err := wire.ReadFrame(br, &scratch); err != nil {
+				return
+			}
+		}
+	}()
+	x := New(Config{Name: "test", CallTimeout: 200 * time.Millisecond, Logf: t.Logf})
+	c := x.Conn(lis.Addr().String(), lis.Addr().String(), nil)
+	var fired [inflight]atomic.Int32
+	finished := make(chan struct{}, 2*inflight)
+	for i := range fired {
+		c.Go(&wire.Msg{Type: wire.TPeerProbe}, func(_ *wire.Msg, err error) {
+			if err == nil {
+				t.Errorf("call %d completed without an error", i)
+			}
+			fired[i].Add(1)
+			finished <- struct{}{}
+		})
+	}
+	for i := 0; i < inflight; i++ {
+		select {
+		case <-finished:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d calls never completed", inflight-i, inflight)
+		}
+	}
+	// Give the sweeper a full period over the emptied map, then close:
+	// neither may complete anything a second time.
+	time.Sleep(300 * time.Millisecond)
+	x.Close()
+	for i := range fired {
+		if n := fired[i].Load(); n != 1 {
+			t.Fatalf("call %d completed %d times", i, n)
+		}
+	}
+	if n := x.Pending(); n != 0 {
+		t.Fatalf("%d calls still pending", n)
 	}
 }

@@ -48,7 +48,7 @@ func TestResponsePathZeroAllocs(t *testing.T) {
 		}
 		slots = slots[:0]
 		bufs = bufs[:0]
-		if !batchio.CollectFunc(c.out, &slots, &bufs, burst, 1<<20, func(f outFrame) []byte { return *f.bp }) || len(slots) != burst {
+		if !batchio.CollectFunc(c.out, nil, &slots, &bufs, func(f outFrame) []byte { return *f.bp }) || len(slots) != burst {
 			t.Fatal("collect failed")
 		}
 		for _, f := range slots {

@@ -124,9 +124,7 @@ func TestServerForgetsClosedConns(t *testing.T) {
 	// poll briefly for the set to empty.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		srv.mu.Lock()
-		n := len(srv.conns)
-		srv.mu.Unlock()
+		n := srv.ln.Len()
 		if n == 0 {
 			return
 		}

@@ -25,8 +25,8 @@
 // repair pages) — acks are only sent after that shared sync returns, so
 // the write-ahead contract is per-response intact. A
 // connection writer likewise blocks for one encoded response, drains the
-// rest of its queue (up to CoalesceFrames/CoalesceBytes), and hands the
-// run to the kernel as one writev(2) via net.Buffers, so a pipelining
+// rest of its queue (up to batchio's fixed frame and byte budget), and hands
+// the run to the kernel as one writev(2) via net.Buffers, so a pipelining
 // client costs about one syscall per batch instead of one per response.
 // Under light load every batch has size one and behavior is identical to
 // the unbatched path; batches emerge exactly when queues are non-empty,
@@ -55,6 +55,7 @@ import (
 	"discovery/internal/idspace"
 	"discovery/internal/metrics"
 	"discovery/internal/ratelog"
+	"discovery/internal/rpc"
 	"discovery/internal/trace"
 	"discovery/internal/wire"
 )
@@ -70,13 +71,6 @@ type Config struct {
 	// QueueDepth+1 since a drain can never observe more). Mutations in a
 	// batch share one write-ahead append and one fsync on durable pools.
 	MaxBatch int
-	// CoalesceFrames and CoalesceBytes bound one vectored response
-	// write: a connection writer drains at most CoalesceFrames queued
-	// responses (default batchio.DefaultMaxFrames) or roughly
-	// CoalesceBytes bytes (default batchio.DefaultMaxBytes) into a
-	// single writev(2).
-	CoalesceFrames int
-	CoalesceBytes  int
 	// WriteTimeout bounds any single response write (default 30s). A
 	// client that stops reading responses trips it and is disconnected,
 	// which is what keeps one stalled connection from wedging a shard
@@ -169,16 +163,11 @@ type Server struct {
 	queues       []chan task
 	writeTimeout time.Duration
 	maxBatch     int
-	coFrames     int
-	coBytes      int
 	readBuffer   int
 	clusterHash  uint64
 	members      func() []string
 
-	mu     sync.Mutex
-	lis    net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
+	ln rpc.Listener
 
 	done     chan struct{}
 	readerWg sync.WaitGroup // connection readers
@@ -340,7 +329,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	wt := cfg.WriteTimeout
 	if wt <= 0 {
-		wt = 30 * time.Second
+		wt = batchio.DefaultWriteTimeout
 	}
 	maxBatch := cfg.MaxBatch
 	if maxBatch <= 0 {
@@ -362,12 +351,9 @@ func New(cfg Config) (*Server, error) {
 		queues:       make([]chan task, cfg.Pool.NumShards()),
 		writeTimeout: wt,
 		maxBatch:     maxBatch,
-		coFrames:     cfg.CoalesceFrames,
-		coBytes:      cfg.CoalesceBytes,
 		readBuffer:   cfg.ReadBuffer,
 		clusterHash:  cfg.ClusterHash,
 		members:      cfg.Members,
-		conns:        make(map[net.Conn]struct{}),
 		done:         make(chan struct{}),
 	}
 	if s.replication == 0 {
@@ -403,11 +389,7 @@ func New(cfg Config) (*Server, error) {
 			Bytes:          reg.Counter("server.write_bytes"),
 			FramesPerWrite: reg.Histogram("server.frames_per_write", 1),
 		}
-		reg.GaugeFunc("server.connections", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.conns))
-		})
+		reg.GaugeFunc("server.connections", func() float64 { return float64(s.ln.Len()) })
 	}
 	for i := range s.queues {
 		s.queues[i] = make(chan task, depth)
@@ -437,64 +419,29 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // Serve accepts connections on lis until Close. It returns nil after a
 // clean shutdown and the accept error otherwise.
 func (s *Server) Serve(lis net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		lis.Close()
+	if !s.ln.Bind(lis) {
 		return errors.New("server: already closed")
 	}
-	s.lis = lis
-	s.mu.Unlock()
-
-	for {
-		nc, err := lis.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return nil
-			default:
-				return err
-			}
-		}
+	return s.ln.Serve(func(nc net.Conn) {
 		c := &conn{
 			nc:   nc,
 			out:  make(chan outFrame, 64),
 			dead: make(chan struct{}),
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			nc.Close()
-			return nil
-		}
-		s.conns[nc] = struct{}{}
-		s.mu.Unlock()
-
 		s.connWg.Add(1)
 		go s.writeLoop(c)
 		s.readerWg.Add(1)
 		go s.readLoop(c)
-	}
+	})
 }
 
 // Close shuts the server down: stop accepting, sever connections, drain
 // the shard queues, and wait for every goroutine. Safe to call once.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.ln.Close() {
 		return nil
 	}
-	s.closed = true
-	lis := s.lis
 	close(s.done)
-	for nc := range s.conns {
-		nc.Close()
-	}
-	s.mu.Unlock()
-	if lis != nil {
-		lis.Close()
-	}
 	// Readers stop (their sockets are closed), so no new tasks enter the
 	// queues; then workers drain what remains; then writers finish.
 	s.readerWg.Wait()
@@ -534,7 +481,7 @@ func (s *Server) readLoop(c *conn) {
 	if s.readBuffer >= 0 {
 		size := s.readBuffer
 		if size == 0 {
-			size = defaultReadBuffer
+			size = batchio.ReadBufferSize
 		}
 		r = bufio.NewReaderSize(c.nc, size)
 	}
@@ -603,10 +550,6 @@ func (s *Server) readLoop(c *conn) {
 		}
 	}
 }
-
-// defaultReadBuffer sizes connection read buffering when Config leaves
-// ReadBuffer zero.
-const defaultReadBuffer = 32 << 10
 
 // dispatchKeyed validates one keyed request and hands it to its shard
 // queue or the forwarder. typ is the operation (TInsert/TLookup/TDelete)
@@ -974,7 +917,7 @@ func (s *Server) offer(c *conn, f outFrame) {
 // block on a dead connection.
 func (s *Server) writeLoop(c *conn) {
 	defer s.connWg.Done()
-	defer s.forgetConn(c.nc)
+	defer s.ln.Forget(c.nc)
 	defer c.nc.Close()
 	defer c.kill()
 	var onFlushed func([]outFrame)
@@ -994,7 +937,7 @@ func (s *Server) writeLoop(c *conn) {
 			}
 		}
 	}
-	batchio.WriteLoopFunc(c.nc, c.out, s.coFrames, s.coBytes, s.writeTimeout,
+	batchio.WriteLoopFunc(c.nc, c.out, nil, s.writeTimeout,
 		func(f outFrame) []byte { return *f.bp },
 		func(f outFrame) { s.bufs.Put(f.bp) },
 		func(err error) {
@@ -1003,11 +946,4 @@ func (s *Server) writeLoop(c *conn) {
 			c.kill()
 			c.nc.Close()
 		}, onFlushed, &s.wstats)
-}
-
-// forgetConn drops a finished connection from the shutdown set.
-func (s *Server) forgetConn(nc net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, nc)
-	s.mu.Unlock()
 }
