@@ -35,8 +35,8 @@ import (
 //   - the restarted node recovers its region with zero acked-insert
 //     loss.
 //
-// It is the cluster-shaped sibling of cmd/discoveryd's crash_test.go and
-// runs under -race in CI (the race detector instruments the client side;
+// It is the cluster-shaped sibling of crash_test.go and runs under -race
+// in CI (the race detector instruments the client side;
 // the daemons are separate processes).
 
 // buildNode compiles the discoverynode binary once per test run.

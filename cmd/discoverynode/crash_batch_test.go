@@ -28,9 +28,11 @@ import (
 // and been logged (only its ack died with the process), so keys with an
 // unacknowledged delete outstanding are asserted on neither side.
 func TestCrashRecoveryBatchedWrites(t *testing.T) {
-	bin := buildDaemon(t)
+	bin := buildNode(t)
 	dataDir := t.TempDir()
-	daemon, addr, _ := startDaemon(t, bin, dataDir)
+	peer := reservePeerAddrs(t, 1)[0]
+	daemon := startSingle(t, bin, peer, dataDir)
+	addr := daemon.clientAddr
 
 	const workers = 3
 	const burst = 16
@@ -136,14 +138,14 @@ func TestCrashRecoveryBatchedWrites(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if err := daemon.Process.Kill(); err != nil { // SIGKILL mid-batch
+	if err := daemon.cmd.Process.Kill(); err != nil { // SIGKILL mid-batch
 		t.Fatal(err)
 	}
 	wg.Wait()
-	daemon.Wait() //nolint:errcheck // killed on purpose
+	daemon.cmd.Wait() //nolint:errcheck // killed on purpose
 
-	_, addr2, _ := startDaemon(t, bin, dataDir)
-	c, err := server.Dial(addr2)
+	daemon2 := startSingle(t, bin, peer, dataDir)
+	c, err := server.Dial(daemon2.clientAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

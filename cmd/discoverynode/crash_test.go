@@ -1,12 +1,9 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net/http"
-	"os/exec"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"sync"
@@ -19,99 +16,27 @@ import (
 	"discovery/internal/server"
 )
 
-// buildDaemon compiles the discoveryd binary once per test run.
-func buildDaemon(t *testing.T) string {
-	t.Helper()
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skipf("go toolchain not on PATH: %v", err)
-	}
-	bin := filepath.Join(t.TempDir(), "discoveryd")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
-}
-
-var addrRe = regexp.MustCompile(` on (127\.0\.0\.1:\d+) with `)
-
-var metricsRe = regexp.MustCompile(`metrics on http://(127\.0\.0\.1:\d+)/metrics`)
-
-// startDaemon launches the built daemon on an ephemeral port over a
-// small complete overlay (structural lookup success) with durable
-// storage in dataDir, and returns the bound client and metrics
-// addresses.
-func startDaemon(t *testing.T, bin, dataDir string) (*exec.Cmd, string, string) {
-	t.Helper()
-	cmd := exec.Command(bin,
-		"-listen", "127.0.0.1:0",
-		"-topology", "complete", "-nodes", "128", "-maxhops", "8",
-		"-shards", "4",
-		"-data-dir", dataDir, "-fsync", "batch", "-snapshot-every", "64",
-		"-metrics-listen", "127.0.0.1:0",
-	)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	addrCh := make(chan string, 1)
-	metricsCh := make(chan string, 1)
-	scanDone := make(chan struct{})
-	go func() {
-		defer close(scanDone)
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			t.Logf("daemon: %s", line)
-			if m := addrRe.FindStringSubmatch(line); m != nil {
-				select {
-				case addrCh <- m[1]:
-				default:
-				}
-			}
-			if m := metricsRe.FindStringSubmatch(line); m != nil {
-				select {
-				case metricsCh <- m[1]:
-				default:
-				}
-			}
-		}
-	}()
-	// Reap the process and drain its log scanner no matter how the test
-	// exits. Kill/Wait on an already-finished daemon just error, which
-	// is fine; the scanner ends once the pipe closes.
-	t.Cleanup(func() {
-		cmd.Process.Kill() //nolint:errcheck
-		cmd.Wait()         //nolint:errcheck
-		<-scanDone
-	})
-	var addr, maddr string
-	deadline := time.After(30 * time.Second)
-	for addr == "" || maddr == "" {
-		select {
-		case addr = <-addrCh:
-		case maddr = <-metricsCh:
-		case <-deadline:
-			t.Fatalf("daemon never reported its addresses (client %q, metrics %q)", addr, maddr)
-		}
-	}
-	return cmd, addr, maddr
+// startSingle launches a one-member cluster (-replication 1) with its
+// durable store in dataDir: every key is this node's, so nothing is
+// forwarded or replicated and the test exercises the WAL and recovery
+// alone.
+func startSingle(t *testing.T, bin, peerAddr, dataDir string) *nodeProc {
+	return startNode(t, bin, peerAddr, []string{peerAddr}, dataDir, "-replication", "1")
 }
 
 // TestCrashRecovery is the end-to-end durability proof: drive a real
-// discoveryd process over loopback, SIGKILL it mid-traffic, restart it
+// discoverynode process over loopback, SIGKILL it mid-traffic, restart it
 // on the same data directory, and verify every insert that was
 // acknowledged before the kill is findable. Run under -race in CI (the
 // race detector instruments this test binary's client side; the daemon
 // is a separate process).
 func TestCrashRecovery(t *testing.T) {
-	bin := buildDaemon(t)
+	bin := buildNode(t)
 	dataDir := t.TempDir()
+	peer := reservePeerAddrs(t, 1)[0]
 
-	daemon, addr, _ := startDaemon(t, bin, dataDir)
+	daemon := startSingle(t, bin, peer, dataDir)
+	addr := daemon.clientAddr
 
 	// Concurrent inserters record every acknowledged key. The main
 	// goroutine SIGKILLs the daemon once enough acks are in, while the
@@ -158,17 +83,17 @@ func TestCrashRecovery(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := daemon.Process.Kill(); err != nil { // SIGKILL: no drain, no final snapshot
+	if err := daemon.cmd.Process.Kill(); err != nil { // SIGKILL: no drain, no final snapshot
 		t.Fatal(err)
 	}
 	wg.Wait()
-	daemon.Wait() //nolint:errcheck // killed on purpose
+	daemon.cmd.Wait() //nolint:errcheck // killed on purpose
 
 	// Restart on the same directory: recovery must replay the log over
 	// whatever snapshots the background snapshotter managed to land.
-	daemon2, addr2, maddr2 := startDaemon(t, bin, dataDir)
+	daemon2 := startSingle(t, bin, peer, dataDir)
 
-	c, err := server.Dial(addr2)
+	c, err := server.Dial(daemon2.clientAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +120,7 @@ func TestCrashRecovery(t *testing.T) {
 	// The restarted daemon's /metrics must expose what recovery did: the
 	// SIGKILL skipped the final snapshot, so snapshots plus replayed WAL
 	// records account for a nonzero amount of restored state.
-	resp, err := http.Get("http://" + maddr2 + "/metrics")
+	resp, err := http.Get("http://" + daemon2.metricsAddr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +146,10 @@ func TestCrashRecovery(t *testing.T) {
 
 	// A graceful SIGTERM must drain cleanly and exit 0 (containers stop
 	// daemons this way).
-	if err := daemon2.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := daemon2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := daemon2.Wait(); err != nil {
+	if err := daemon2.cmd.Wait(); err != nil {
 		t.Fatalf("daemon exit after SIGTERM: %v", err)
 	}
 }

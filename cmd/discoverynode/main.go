@@ -74,15 +74,9 @@ func run() int {
 		aeEvery     = flag.Duration("anti-entropy-every", 0, "re-run anti-entropy on this interval so healed partitions re-converge without a restart (0 = once after join only)")
 		chaosFsync  = flag.Bool("chaos-fsync-fail", false, "chaos hook: SIGUSR1 permanently arms injected fsync failures on the WAL append path (requires -data-dir)")
 		probeEvery  = flag.Duration("probe-interval", 2*time.Second, "background peer health probe interval (0 = lazy health only)")
-		shards      = flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
+		shards      = flag.Int("shards", 0, "store shards (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 128, "per-shard request queue depth")
 		batch       = flag.Int("batch", 64, "max requests one shard worker executes per batch (shared WAL commit)")
-		seed        = flag.Int64("seed", 1, "base engine seed (shard i uses seed+i)")
-		maxFlows    = flag.Int("maxflows", 10, "max_flows per request")
-		replicas    = flag.Int("replicas", 5, "per-flow replicas")
-		digitB      = flag.Int("b", 4, "digit width in bits (1, 2, 4, 8)")
-		ds          = flag.Bool("ds", false, "duplicate suppression")
-		maxHops     = flag.Int("maxhops", 0, "per-flow hop bound (0 = member count)")
 		dataDir     = flag.String("data-dir", "", "durable storage directory (empty = in-memory only)")
 		fsync       = flag.String("fsync", "batch", "wal fsync policy: always, batch, off")
 		snapEvery   = flag.Int("snapshot-every", 10000, "snapshot a shard after N logged mutations (0 = only on shutdown)")
@@ -142,16 +136,8 @@ func run() int {
 
 	opts := []discovery.Option{
 		discovery.WithMetrics(reg),
-		discovery.WithSeed(*seed),
-		discovery.WithMaxFlows(*maxFlows),
-		discovery.WithPerFlowReplicas(*replicas),
-		discovery.WithDigitBits(*digitB),
-		discovery.WithDuplicateSuppression(*ds),
 		discovery.WithRegion(cluster.Self(), cluster.N()),
 		discovery.WithReplication(cluster.R()),
-	}
-	if *maxHops > 0 {
-		opts = append(opts, discovery.WithMaxHops(*maxHops))
 	}
 
 	// Chaos fsync injection: inert until SIGUSR1 arms it, then every

@@ -61,7 +61,7 @@ func TestCombinerMatchesLoggedOrder(t *testing.T) {
 			for j := 0; j < perBatch; j++ {
 				n++
 				// Origin g tags every record with its submitter; values are
-				// unique so no placement is ever an identical replay.
+				// unique so no copied entry is ever an identical replay.
 				val := []byte(fmt.Sprintf("g%d-op%d", g, n))
 				key := shared[(g+n)%len(shared)]
 				if n%3 == 0 {
@@ -71,7 +71,7 @@ func TestCombinerMatchesLoggedOrder(t *testing.T) {
 				case 0, 1:
 					ops = append(ops, BatchOp{Kind: BatchInsert, Origin: g, Key: key, Value: val})
 				case 2:
-					ops = append(ops, BatchOp{Kind: BatchPut, Origin: g, Node: (g*7 + n) % ov.N(), Key: key, Value: val})
+					ops = append(ops, BatchOp{Kind: BatchPut, Origin: g, Key: key, Value: val})
 				case 3:
 					ops = append(ops, BatchOp{Kind: BatchDelete, Origin: g, Key: key})
 				case 4:
@@ -95,7 +95,7 @@ func TestCombinerMatchesLoggedOrder(t *testing.T) {
 	wg.Wait()
 
 	// The reference applies one op at a time, in log order.
-	ref, err := NewPool(ov, 4, WithSeed(1), WithMaxHops(8))
+	ref, err := NewPool(ov, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCombinerMatchesLoggedOrder(t *testing.T) {
 		case BatchDelete:
 			want.Removed, want.Err = ref.Delete(got.Origin, got.Key)
 		case BatchPut:
-			want.Err = ref.ImportReplica(got.Node, uint32(got.Origin), got.Key, got.Value)
+			want.Err = ref.ImportReplica(0, uint32(got.Origin), got.Key, got.Value)
 		case BatchLookup:
 			want.Lookup = ref.Lookup(got.Origin, got.Key)
 		}
@@ -136,7 +136,7 @@ func TestCombinerMatchesLoggedOrder(t *testing.T) {
 	}
 	records := 0
 	err = dp.log.Replay(1, func(_ uint64, payload []byte) error {
-		_, kind, node, origin, key, value, err := decodeOp(payload)
+		_, kind, origin, key, value, err := decodeOp(payload)
 		if err != nil {
 			return err
 		}
@@ -149,7 +149,7 @@ func TestCombinerMatchesLoggedOrder(t *testing.T) {
 		op := flat[g][next[g]]
 		next[g]++
 		wantKind := map[BatchKind]opKind{BatchInsert: opInsert, BatchDelete: opDelete, BatchPut: opPut}[op.Kind]
-		if kind != wantKind || key != op.Key || !bytes.Equal(value, op.Value) || (kind == opPut && int(node) != op.Node) {
+		if kind != wantKind || key != op.Key || !bytes.Equal(value, op.Value) {
 			return fmt.Errorf("worker %d's records are out of program order: logged kind %d key %v, submitted %+v", g, kind, key, *op)
 		}
 		apply(op)
@@ -257,8 +257,8 @@ func goid() string {
 // TestCombinerLoneSubmissionIsInline pins the uncontended path: a batch
 // of one runs on the caller's goroutine (the fsync hook sees the caller's
 // id) and allocates what it did before there was a combiner — nothing for
-// a logged delete, the touched set for a placement, the engine's own
-// routing for a lookup.
+// a logged delete, the touched set for a copied entry, what a direct
+// Lookup does for a lookup.
 func TestCombinerLoneSubmissionIsInline(t *testing.T) {
 	ov := newDurableTestOverlay(t)
 	var syncedOn atomic.Value
@@ -273,7 +273,7 @@ func TestCombinerLoneSubmissionIsInline(t *testing.T) {
 		},
 	})
 	defer dp.Close()
-	mem, err := NewPool(ov, 4, WithSeed(1), WithMaxHops(8))
+	mem, err := NewPool(ov, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestCombinerLoneSubmissionIsInline(t *testing.T) {
 	}
 	record.Store(false)
 
-	k := keys[1] // never inserted: the engine has nothing to walk for it
+	k := keys[1] // never inserted
 	one := make([]BatchOp, 1)
 	for name, p := range map[string]*Pool{"in-memory": mem, "durable": dp.Pool} {
 		direct := testing.AllocsPerRun(100, func() { p.Lookup(3, k) })
@@ -298,7 +298,7 @@ func TestCombinerLoneSubmissionIsInline(t *testing.T) {
 			what string
 		}{
 			{BatchOp{Kind: BatchDelete, Origin: 3, Key: k}, 0, "delete"},
-			{BatchOp{Kind: BatchPut, Origin: 3, Node: 5, Key: k, Value: []byte("v")}, 1, "put"},
+			{BatchOp{Kind: BatchPut, Origin: 3, Key: k, Value: []byte("v")}, 1, "put"},
 			{BatchOp{Kind: BatchLookup, Origin: 3, Key: k}, direct, "lookup"},
 		} {
 			got := testing.AllocsPerRun(100, func() {

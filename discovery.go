@@ -118,11 +118,8 @@ func New(ov Overlay, opts ...Option) (*Service, error) {
 	for _, opt := range opts {
 		opt(&c)
 	}
-	if c.regionCount < 1 || c.regionIndex < 0 || c.regionIndex >= c.regionCount {
-		return nil, fmt.Errorf("discovery: region %d of %d is not a valid ownership slice", c.regionIndex, c.regionCount)
-	}
-	if c.replication < 1 || c.replication > c.regionCount {
-		return nil, fmt.Errorf("discovery: replication %d is not in [1, %d regions]", c.replication, c.regionCount)
+	if err := c.checkPlacement(); err != nil {
+		return nil, err
 	}
 	space, err := idspace.NewSpace(c.digitBits)
 	if err != nil {
@@ -139,6 +136,17 @@ func New(ov Overlay, opts ...Option) (*Service, error) {
 		return nil, fmt.Errorf("discovery: %w", err)
 	}
 	return &Service{eng: eng}, nil
+}
+
+// checkPlacement validates the region and replication options.
+func (c *config) checkPlacement() error {
+	if c.regionCount < 1 || c.regionIndex < 0 || c.regionIndex >= c.regionCount {
+		return fmt.Errorf("discovery: region %d of %d is not a valid ownership slice", c.regionIndex, c.regionCount)
+	}
+	if c.replication < 1 || c.replication > c.regionCount {
+		return fmt.Errorf("discovery: replication %d is not in [1, %d regions]", c.replication, c.regionCount)
+	}
+	return nil
 }
 
 // Insert publishes an object pointer into the overlay from the given

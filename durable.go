@@ -21,7 +21,7 @@ import (
 //
 // # Data directory layout
 //
-//	MANIFEST                      pool parameters + overlay fingerprint
+//	MANIFEST                      shard count, region and replication
 //	wal-<firstSeq>.seg            write-ahead log segments (internal/wal)
 //	snap-<shard>-<seq>.snap       per-shard state snapshots (internal/snapshot)
 //
@@ -36,29 +36,15 @@ import (
 //     durable snapshot seq, so recovery always finds every record it
 //     needs: restore each shard's snapshot, then replay the log once,
 //     applying each record to its shard iff seq > that shard's snapshot.
-//
-// # Replay determinism
-//
-// Replay re-executes logical operations through the engine. From an
-// empty directory state (no snapshots) this is bit-exact: each shard
-// sees the same operations in the same order from the same seed, so
-// replicas land exactly where they did before the crash. Replaying a
-// log tail OVER a snapshot is exact on overlays where routing never
-// samples ties (e.g. complete overlays within the flow quota), but on
-// tie-heavy overlays the tail's inserts re-sample tie-breaks with a
-// fresh RNG: the recovered placement is then a different — equally
-// valid — MPIL outcome for those inserts, statistically identical for
-// lookups. Deployments that require bit-exact recovery can set
-// SnapshotEvery to 0 (snapshot only on graceful Close, replay the
-// whole log after a crash).
+//     Replay re-executes each record against the shard's store, so
+//     recovery reproduces the pre-crash state exactly.
 
 // opKind tags one logged mutation.
 type opKind uint8
 
-// Logged operation kinds. opInsert/opDelete are routed operations
-// re-executed through the engine on replay; opPut/opDrop are direct
-// replica placements (cluster transfers, internal/p2p) that name the
-// engine node explicitly.
+// Logged operation kinds. opInsert/opDelete are client mutations
+// (Delete is origin-checked); opPut/opDrop are entries copied in from or
+// handed off to a peer (internal/p2p).
 const (
 	opInsert opKind = 1
 	opDelete opKind = 2
@@ -68,60 +54,45 @@ const (
 
 // op record payload layout (inside one wal record):
 //
-//	| u16 shard | u8 kind | u32 origin | key[20] | rest |
+//	| u16 shard | u8 kind | u32 origin | key[20] | value |
 //
-// where rest is, per kind: opInsert — value bytes; opDelete — empty;
-// opPut — u32 node | value bytes; opDrop — u32 node. Strict, canonical,
-// never panics — the internal/wire discipline.
+// where value is empty for opDelete and opDrop. Strict, canonical, never
+// panics — the internal/wire discipline.
 const opHdrLen = 2 + 1 + 4 + idspace.Bytes
 
 // errOpRecord rejects malformed op payloads without allocating.
 var errOpRecord = errors.New("discovery: malformed wal op record")
 
 // appendOp encodes one mutation onto dst.
-func appendOp(dst []byte, shard uint16, kind opKind, node, origin uint32, key ID, value []byte) []byte {
+func appendOp(dst []byte, shard uint16, kind opKind, origin uint32, key ID, value []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, shard)
 	dst = append(dst, byte(kind))
 	dst = binary.BigEndian.AppendUint32(dst, origin)
 	dst = append(dst, key[:]...)
-	if kind == opPut || kind == opDrop {
-		dst = binary.BigEndian.AppendUint32(dst, node)
-	}
 	return append(dst, value...)
 }
 
 // decodeOp parses one mutation payload. value aliases payload.
-func decodeOp(payload []byte) (shard uint16, kind opKind, node, origin uint32, key ID, value []byte, err error) {
+func decodeOp(payload []byte) (shard uint16, kind opKind, origin uint32, key ID, value []byte, err error) {
 	if len(payload) < opHdrLen {
-		return 0, 0, 0, 0, ID{}, nil, errOpRecord
+		return 0, 0, 0, ID{}, nil, errOpRecord
 	}
 	shard = binary.BigEndian.Uint16(payload[0:2])
 	kind = opKind(payload[2])
 	origin = binary.BigEndian.Uint32(payload[3:7])
-	copy(key[:], payload[7:7+idspace.Bytes])
-	rest := payload[opHdrLen:]
+	copy(key[:], payload[7:opHdrLen])
+	value = payload[opHdrLen:]
 	switch kind {
-	case opInsert:
-		value = rest
-	case opDelete:
-		if len(rest) != 0 {
-			return 0, 0, 0, 0, ID{}, nil, errOpRecord
+	case opInsert, opPut:
+	case opDelete, opDrop:
+		if len(value) != 0 {
+			return 0, 0, 0, ID{}, nil, errOpRecord
 		}
-	case opPut, opDrop:
-		if len(rest) < 4 {
-			return 0, 0, 0, 0, ID{}, nil, errOpRecord
-		}
-		node = binary.BigEndian.Uint32(rest[:4])
-		rest = rest[4:]
-		if kind == opPut {
-			value = rest
-		} else if len(rest) != 0 {
-			return 0, 0, 0, 0, ID{}, nil, errOpRecord
-		}
+		value = nil
 	default:
-		return 0, 0, 0, 0, ID{}, nil, errOpRecord
+		return 0, 0, 0, ID{}, nil, errOpRecord
 	}
-	return shard, kind, node, origin, key, value, nil
+	return shard, kind, origin, key, value, nil
 }
 
 // FsyncPolicy re-exports the write-ahead log's durability policies under
@@ -171,7 +142,7 @@ type DurableConfig struct {
 
 // RecoveryStats reports what reopening a data directory recovered.
 type RecoveryStats struct {
-	// SnapshotEntries is the number of replicas restored from snapshots.
+	// SnapshotEntries is the number of entries restored from snapshots.
 	SnapshotEntries int
 	// Replayed is the number of write-ahead log records re-executed.
 	Replayed int
@@ -215,8 +186,8 @@ type durableShard struct {
 // OpenDurablePool builds a Pool over ov backed by the data directory in
 // cfg. A fresh directory starts empty; an existing one is recovered:
 // each shard's newest snapshot is restored, then the write-ahead log is
-// replayed over it. The pool parameters and overlay must match the ones
-// the directory was created with (checked via MANIFEST).
+// replayed over it. The shard count, region and replication must match
+// the ones the directory was created with (checked via MANIFEST).
 func OpenDurablePool(ov Overlay, shards int, cfg DurableConfig, opts ...Option) (*DurablePool, RecoveryStats, error) {
 	var stats RecoveryStats
 	start := time.Now()
@@ -260,10 +231,7 @@ func OpenDurablePool(ov Overlay, shards int, cfg DurableConfig, opts ...Option) 
 				errs[i] = err
 				return
 			}
-			if err := p.restoreShard(i, entries); err != nil {
-				errs[i] = err
-				return
-			}
+			p.restoreShard(i, entries)
 			dp.snapSeq[i] = seq
 			dp.dsh[i].seq = seq
 			entryCounts[i] = len(entries)
@@ -319,7 +287,7 @@ func OpenDurablePool(ov Overlay, shards int, cfg DurableConfig, opts ...Option) 
 		from = first
 	}
 	err = log.Replay(from, func(seq uint64, payload []byte) error {
-		shard, kind, node, origin, key, value, err := decodeOp(payload)
+		shard, kind, origin, key, value, err := decodeOp(payload)
 		if err != nil {
 			return fmt.Errorf("record %d: %w", seq, err)
 		}
@@ -330,13 +298,11 @@ func OpenDurablePool(ov Overlay, shards int, cfg DurableConfig, opts ...Option) 
 			return nil // already covered by that shard's snapshot
 		}
 		if kind == opInsert || kind == opPut {
-			// The engine retains inserted values; the replay payload
+			// The store retains inserted values; the replay payload
 			// buffer is reused per record.
 			value = append([]byte(nil), value...)
 		}
-		if err := p.applyShard(int(shard), kind, node, origin, key, value); err != nil {
-			return fmt.Errorf("record %d: %w", seq, err)
-		}
+		p.applyShard(int(shard), kind, origin, key, value)
 		dp.dsh[shard].seq = seq
 		stats.Replayed++
 		return nil
@@ -396,7 +362,7 @@ func (ds *durableShard) commit(segs [][]BatchOp) error {
 			default:
 				continue
 			}
-			ds.buf = appendOp(ds.buf, uint16(ds.idx), kind, uint32(op.Node), uint32(op.Origin), op.Key, value)
+			ds.buf = appendOp(ds.buf, uint16(ds.idx), kind, uint32(op.Origin), op.Key, value)
 			ds.offs = append(ds.offs, len(ds.buf))
 		}
 	}
@@ -485,7 +451,7 @@ func (dp *DurablePool) Sync() error { return dp.log.Sync() }
 
 // Close stops the background snapshotter, snapshots every shard (so the
 // next open replays nothing), truncates the log accordingly, and closes
-// it. The caller must have stopped issuing mutations — in discoveryd,
+// it. The caller must have stopped issuing mutations — in discoverynode,
 // the server drains its shard queues first and then closes the store.
 func (dp *DurablePool) Close() error {
 	dp.closeOnce.Do(func() {
@@ -520,16 +486,12 @@ func (dp *DurablePool) Close() error {
 const manifestName = "MANIFEST"
 
 // manifestFor renders the parameters that must match across opens of one
-// data directory: logical replay is only valid against the same overlay,
-// shard mapping, and engine configuration.
+// data directory: snapshots and log records are filed by shard, and the
+// region and replication decide which keys the directory may hold.
 func manifestFor(p *Pool) string {
 	c := p.base
-	return fmt.Sprintf(
-		"discovery-manifest v3\nshards %d\nseed %d\ndigitbits %d\nmaxflows %d\nreplicas %d\ndupsupp %t\nmaxhops %d\nregion %d/%d\nreplication %d\noverlay %016x\n",
-		len(p.shards), c.seed, c.digitBits, c.maxFlows, c.perFlowReplicas, c.duplicateSuppression, c.maxHops,
-		c.regionIndex, c.regionCount, c.replication,
-		overlayFingerprint(p.ov),
-	)
+	return fmt.Sprintf("discovery-manifest v4\nshards %d\nregion %d/%d\nreplication %d\n",
+		len(p.shards), c.regionIndex, c.regionCount, c.replication)
 }
 
 // writeManifest atomically and durably writes the manifest file
@@ -574,33 +536,4 @@ func checkManifest(dir string, p *Pool) error {
 		return nil
 	}
 	return fmt.Errorf("discovery: %s was created with different parameters:\n--- stored\n%s--- this pool\n%s", dir, got, want)
-}
-
-// overlayFingerprint hashes the overlay's structure — node count, IDs,
-// and neighbor lists — with FNV-1a, pinning a data directory to the
-// overlay it was populated on.
-func overlayFingerprint(ov Overlay) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xFF
-			h *= prime64
-		}
-	}
-	n := ov.N()
-	mix(uint64(n))
-	for i := 0; i < n; i++ {
-		id := ov.ID(i)
-		for _, b := range id {
-			h ^= uint64(b)
-			h *= prime64
-		}
-		nbs := ov.Neighbors(i)
-		mix(uint64(len(nbs)))
-		for _, nb := range nbs {
-			mix(uint64(nb))
-		}
-	}
-	return h
 }

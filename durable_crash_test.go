@@ -23,11 +23,10 @@ const importCrashBatch = 32
 // importCrashEntries derives batch n's entries. Parent and child build
 // them from the same pure function, so the parent can verify recovered
 // state without any channel besides the acked batch numbers.
-func importCrashEntries(n, overlayN int) []ReplicaEntry {
+func importCrashEntries(n int) []ReplicaEntry {
 	entries := make([]ReplicaEntry, importCrashBatch)
 	for i := range entries {
 		entries[i] = ReplicaEntry{
-			Node:   (n + i) % overlayN,
 			Origin: uint32(i % 7),
 			Key:    NewID(fmt.Sprintf("xfer-crash-%d-%d", n, i)),
 			Value:  []byte(fmt.Sprintf("payload-%d-%d", n, i)),
@@ -48,7 +47,7 @@ func TestImportBatchCrashChild(t *testing.T) {
 	ov := newDurableTestOverlay(t)
 	dp, _ := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncBatch})
 	for n := 0; ; n++ {
-		entries := importCrashEntries(n, ov.N())
+		entries := importCrashEntries(n)
 		accepted, _, err := dp.ImportBatch(entries)
 		if err != nil || accepted != len(entries) {
 			t.Fatalf("batch %d: accepted %d, err %v", n, accepted, err)
@@ -133,8 +132,8 @@ func TestImportBatchCrashNoTornBatch(t *testing.T) {
 	torn := 0
 	for _, n := range acked {
 		missing := 0
-		for _, e := range importCrashEntries(n, ov.N()) {
-			if v, ok := dp.Value(e.Node, e.Key); !ok || string(v) != string(e.Value) {
+		for _, e := range importCrashEntries(n) {
+			if v, ok := dp.Value(e.Key); !ok || string(v) != string(e.Value) {
 				missing++
 			}
 		}

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -15,9 +16,8 @@ import (
 	"discovery/internal/snapshot"
 )
 
-// newDurableTestOverlay is the complete-overlay setup the concurrent
-// pool tests use: lookup success is structural, so "every acked insert
-// is findable" holds for any interleaving (see pool_test.go).
+// newDurableTestOverlay is the overlay the durable pool tests build
+// over; it sizes the origin space (128 origins).
 func newDurableTestOverlay(t testing.TB) *StaticOverlay {
 	t.Helper()
 	ov, err := CompleteOverlay(128, 1)
@@ -33,7 +33,7 @@ func openDurable(t testing.TB, ov Overlay, dir string, cfg DurableConfig) (*Dura
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
 	}
-	dp, stats, err := OpenDurablePool(ov, 4, cfg, WithSeed(1), WithMaxHops(8))
+	dp, stats, err := OpenDurablePool(ov, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,8 @@ func TestDurablePoolCrashReplay(t *testing.T) {
 
 func TestDurablePoolTransferOpsSurviveCrash(t *testing.T) {
 	// ImportReplica/DropReplica (the cluster replica-transfer primitives,
-	// internal/p2p) are write-ahead logged as direct placements: replay
-	// must reproduce them exactly without re-routing.
+	// internal/p2p) are write-ahead logged: replay must reproduce them
+	// exactly.
 	ov := newDurableTestOverlay(t)
 	dir := t.TempDir()
 	dp, _ := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncBatch})
@@ -141,7 +141,7 @@ func TestDurablePoolTransferOpsSurviveCrash(t *testing.T) {
 	// Drop a few, including one that was never stored (a no-op that must
 	// not log anything).
 	for i := 0; i < keys; i += 5 {
-		dropped, err := dp.DropReplica(i%ov.N(), NewID(fmt.Sprintf("xfer-%d", i)))
+		dropped, err := dp.DropReplica(NewID(fmt.Sprintf("xfer-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,11 +149,11 @@ func TestDurablePoolTransferOpsSurviveCrash(t *testing.T) {
 			t.Fatalf("drop %d reported absent", i)
 		}
 	}
-	if dropped, err := dp.DropReplica(0, NewID("never-stored")); err != nil || dropped {
+	if dropped, err := dp.DropReplica(NewID("never-stored")); err != nil || dropped {
 		t.Fatalf("phantom drop: %v %v", dropped, err)
 	}
 	want := exportAll(dp.Pool)
-	// Crash: no Close. Replay must rebuild placements and drops alone.
+	// Crash: no Close. Replay must rebuild imports and drops alone.
 	dp2, stats := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncBatch})
 	defer dp2.Close()
 	if wantReplay := keys + keys/5; stats.Replayed != wantReplay {
@@ -162,15 +162,14 @@ func TestDurablePoolTransferOpsSurviveCrash(t *testing.T) {
 	if got := exportAll(dp2.Pool); !reflect.DeepEqual(got, want) {
 		t.Fatal("transferred state after crash replay differs")
 	}
-	// The direct placements are now first-class state: findable via
-	// routed lookups (the complete overlay reaches every holder).
+	// The imported entries are now first-class state.
 	for i := 1; i < keys; i++ {
 		if i%5 == 0 {
 			continue
 		}
 		key := NewID(fmt.Sprintf("xfer-%d", i))
-		if v, ok := dp2.Value(i%ov.N(), key); !ok || string(v) != fmt.Sprintf("payload-%d", i) {
-			t.Errorf("imported replica %d missing after replay (ok=%v v=%q)", i, ok, v)
+		if v, ok := dp2.Value(key); !ok || string(v) != fmt.Sprintf("payload-%d", i) {
+			t.Errorf("imported entry %d missing after replay (ok=%v v=%q)", i, ok, v)
 		}
 	}
 }
@@ -298,26 +297,18 @@ func TestDurablePoolManifestMismatch(t *testing.T) {
 	dp, _ := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncOff})
 	dp.Close()
 
-	// Different seed.
-	if _, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir}, WithSeed(2), WithMaxHops(8)); err == nil {
-		t.Fatal("mismatched seed accepted")
-	}
-	// Different shard count.
-	if _, _, err := OpenDurablePool(ov, 8, DurableConfig{Dir: dir}, WithSeed(1), WithMaxHops(8)); err == nil {
+	// Different shard count: records and snapshots are filed by shard.
+	if _, _, err := OpenDurablePool(ov, 8, DurableConfig{Dir: dir}); err == nil {
 		t.Fatal("mismatched shard count accepted")
-	}
-	// Different overlay.
-	ov2, err := CompleteOverlay(64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenDurablePool(ov2, 4, DurableConfig{Dir: dir}, WithSeed(1), WithMaxHops(8)); err == nil {
-		t.Fatal("mismatched overlay accepted")
 	}
 	// A different region slice is a mismatch too: recovering another
 	// region's data into this node would strand it.
-	if _, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir}, WithSeed(1), WithMaxHops(8), WithRegion(1, 3)); err == nil {
+	if _, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir}, WithRegion(1, 3)); err == nil {
 		t.Fatal("mismatched region accepted")
+	}
+	// So is a different replica-set layout.
+	if _, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir}, WithRegion(0, 3), WithReplication(2)); err == nil {
+		t.Fatal("mismatched replication accepted")
 	}
 	// The original parameters still open fine.
 	dp2, _ := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncOff})
@@ -325,33 +316,30 @@ func TestDurablePoolManifestMismatch(t *testing.T) {
 }
 
 // TestDurablePoolRefusesOldManifest pins what a data directory from an
-// earlier release meets: its v2 MANIFEST names the same parameters as
-// this pool but is not the text this release writes, so it gets the
-// ordinary mismatch refusal — no upgrade in place, the file untouched.
+// earlier release meets: its v3 MANIFEST names the same shards, region
+// and replication as this pool but is not the text this release writes,
+// so it gets the ordinary mismatch refusal — no upgrade in place, the
+// file untouched.
 func TestDurablePoolRefusesOldManifest(t *testing.T) {
 	ov := newDurableTestOverlay(t)
 	dir := t.TempDir()
 	dp, _ := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncOff})
-	if _, err := dp.Insert(0, NewID("v2-key"), []byte("v")); err != nil {
+	if _, err := dp.Insert(0, NewID("v3-key"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	dp.Close()
 
-	// v2 is v3 without the replication line.
-	v2 := strings.Replace(manifestFor(dp.Pool), "discovery-manifest v3\n", "discovery-manifest v2\n", 1)
-	v2 = strings.Replace(v2, "replication 1\n", "", 1)
-	if v2 == manifestFor(dp.Pool) || strings.Contains(v2, "replication") {
-		t.Fatalf("test did not build a v2 manifest:\n%s", v2)
-	}
+	// v3 also pinned the engine options and the overlay fingerprint.
+	const v3 = "discovery-manifest v3\nshards 4\nseed 1\ndigitbits 4\nmaxflows 10\nreplicas 5\ndupsupp false\nmaxhops 8\nregion 0/1\nreplication 1\noverlay 9e3d2b1f00c4a871\n"
 	path := filepath.Join(dir, manifestName)
-	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(v3), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir, Fsync: FsyncOff}, WithSeed(1), WithMaxHops(8))
+	_, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir, Fsync: FsyncOff})
 	if err == nil || !strings.Contains(err.Error(), "different parameters") {
-		t.Fatalf("v2 manifest: %v, want the mismatch refusal", err)
+		t.Fatalf("v3 manifest: %v, want the mismatch refusal", err)
 	}
-	if got, rerr := os.ReadFile(path); rerr != nil || string(got) != v2 {
+	if got, rerr := os.ReadFile(path); rerr != nil || string(got) != v3 {
 		t.Fatalf("refused manifest was rewritten (%v):\n%s", rerr, got)
 	}
 }
@@ -444,8 +432,7 @@ func TestDurablePoolExecBatchSharesOneAppend(t *testing.T) {
 
 // TestDurablePoolImportBatchCrashReplay pins the batched transfer-apply
 // durability contract: every entry of an acked ImportBatch is recovered
-// as the exact direct placement it was (no re-routing), from the log
-// alone after a crash.
+// exactly, from the log alone after a crash.
 func TestDurablePoolImportBatchCrashReplay(t *testing.T) {
 	ov := newDurableTestOverlay(t)
 	dir := t.TempDir()
@@ -454,7 +441,6 @@ func TestDurablePoolImportBatchCrashReplay(t *testing.T) {
 	var entries []ReplicaEntry
 	for i := 0; i < 48; i++ {
 		entries = append(entries, ReplicaEntry{
-			Node:   i % ov.N(),
 			Origin: uint32(i % 5),
 			Key:    NewID(fmt.Sprintf("import-crash-%d", i)),
 			Value:  []byte(fmt.Sprintf("payload-%d", i)),
@@ -476,8 +462,8 @@ func TestDurablePoolImportBatchCrashReplay(t *testing.T) {
 		t.Fatal("state after batched-import crash replay differs from the acked state")
 	}
 	for _, e := range entries {
-		if v, ok := dp2.Value(e.Node, e.Key); !ok || string(v) != string(e.Value) {
-			t.Fatalf("entry at node %d missing after replay (ok=%v v=%q)", e.Node, ok, v)
+		if v, ok := dp2.Value(e.Key); !ok || string(v) != string(e.Value) {
+			t.Fatalf("entry %v missing after replay (ok=%v v=%q)", e.Key, ok, v)
 		}
 	}
 }
@@ -498,7 +484,7 @@ func TestDurablePoolImportBatchSharesAppends(t *testing.T) {
 		if dp.ShardOf(k) != 0 {
 			continue
 		}
-		entries = append(entries, ReplicaEntry{Node: i % ov.N(), Origin: 1, Key: k, Value: []byte("v")})
+		entries = append(entries, ReplicaEntry{Origin: 1, Key: k, Value: []byte("v")})
 	}
 	before, _ := dp.log.Bounds()
 	if accepted, _, err := dp.ImportBatch(entries); err != nil || accepted != len(entries) {
@@ -514,7 +500,7 @@ func TestDurablePoolImportBatchSharesAppends(t *testing.T) {
 // contract end to end through DurablePool, on a batch the commit combiner
 // merged from several submitters: once the injected fsync failure fires,
 // every mutation of the merged batch — whoever submitted it — is rejected
-// (never acked) and never applied to the engine — the write-ahead append
+// (never acked) and never applied to the store — the write-ahead append
 // runs before apply — while the lookups riding in the same batch still
 // answer, and the log refuses every further append, even after the
 // injected fault is lifted. A fresh reopen without the hook recovers
@@ -541,7 +527,7 @@ func TestDurablePoolFsyncFailureNeverAcks(t *testing.T) {
 			return nil
 		},
 	}
-	dp, _, err := OpenDurablePool(ov, 4, cfg, WithSeed(1), WithMaxHops(8))
+	dp, _, err := OpenDurablePool(ov, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,11 +584,11 @@ func TestDurablePoolFsyncFailureNeverAcks(t *testing.T) {
 	// Write-ahead: the failed append aborted every mutation before apply.
 	for _, k := range lost[1:] {
 		if res := dp.Lookup(2, k); res.Found {
-			t.Fatal("failed-sync insert is visible in the engine")
+			t.Fatal("failed-sync insert is visible in the store")
 		}
 	}
 	if res := dp.Lookup(2, acked); !res.Found {
-		t.Fatal("failed-sync delete was applied to the engine")
+		t.Fatal("failed-sync delete was applied to the store")
 	}
 	// Poisoned log refuses further appends — including after the
 	// injected fault heals. Only a restart (recovery) clears it.
@@ -619,7 +605,7 @@ func TestDurablePoolFsyncFailureNeverAcks(t *testing.T) {
 	}
 	dp.Close()
 
-	dp2, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir, Fsync: FsyncAlways, Logf: t.Logf}, WithSeed(1), WithMaxHops(8))
+	dp2, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir, Fsync: FsyncAlways, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("reopen after poison: %v", err)
 	}
@@ -658,8 +644,7 @@ func TestDurablePoolImportBatchIdenticalReplayWritesNothing(t *testing.T) {
 	var entries []ReplicaEntry
 	for i := 0; i < 24; i++ {
 		entries = append(entries, ReplicaEntry{
-			Node: i % ov.N(), Origin: 1,
-			Key: NewID(fmt.Sprintf("replay-durable-%d", i)), Value: []byte(fmt.Sprintf("v-%d", i)),
+			Origin: 1, Key: NewID(fmt.Sprintf("replay-durable-%d", i)), Value: []byte(fmt.Sprintf("v-%d", i)),
 		})
 	}
 	if accepted, fresh, err := dp.ImportBatch(entries); err != nil || accepted != len(entries) || fresh != len(entries) {
@@ -680,11 +665,66 @@ func TestDurablePoolImportBatchIdenticalReplayWritesNothing(t *testing.T) {
 
 	// A changed entry DOES need an append, which must now fail — and
 	// the write-ahead contract holds: the failed entry is not applied.
-	changed := []ReplicaEntry{{Node: entries[5].Node, Origin: 1, Key: entries[5].Key, Value: []byte("new")}}
+	changed := []ReplicaEntry{{Origin: 1, Key: entries[5].Key, Value: []byte("new")}}
 	if _, _, err := dp.ImportBatch(changed); err == nil {
 		t.Fatal("changed import under failing fsync succeeded")
 	}
-	if v, ok := dp.Value(changed[0].Node, changed[0].Key); !ok || string(v) == "new" {
+	if v, ok := dp.Value(changed[0].Key); !ok || string(v) == "new" {
 		t.Fatalf("failed import applied anyway: ok=%v v=%q", ok, v)
+	}
+}
+
+// TestDurablePoolRecoveryExactOnAnyOverlay pins exact recovery over a
+// tie-heavy power-law overlay, where re-routing a replayed insert could
+// once land it elsewhere: a snapshot taken mid-run plus the log tail
+// after it, recovered after an abandoned (SIGKILL-equivalent) pool,
+// reproduce the pre-crash store entry for entry, byte for byte.
+func TestDurablePoolRecoveryExactOnAnyOverlay(t *testing.T) {
+	ov, err := PowerLawOverlay(300, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	dp, _ := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncBatch})
+	mutate := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			k := NewID(fmt.Sprintf("tie-%d", i%150))
+			var err error
+			switch i % 4 {
+			case 0, 1:
+				_, err = dp.Insert(i%ov.N(), k, []byte(fmt.Sprintf("v-%d", i)))
+			case 2:
+				_, err = dp.Delete((i-2)%ov.N(), k)
+			case 3:
+				err = dp.ImportReplica(0, uint32(i%ov.N()), k, []byte(fmt.Sprintf("x-%d", i)))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dump := func(p *Pool) []byte {
+		var b []byte
+		p.ForEachReplica(func(origin uint32, key ID, value []byte) {
+			b = fmt.Appendf(b, "%d %x %q\n", origin, key, value)
+		})
+		return b
+	}
+	mutate(0, 400)
+	for i := 0; i < dp.NumShards(); i++ {
+		if err := dp.snapshotShard(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mutate(400, 900)
+	want := dump(dp.Pool)
+
+	dp2, stats := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncBatch})
+	defer dp2.Close()
+	if stats.SnapshotEntries == 0 || stats.Replayed == 0 {
+		t.Fatalf("recovery used snapshots %d and replay %d, want both", stats.SnapshotEntries, stats.Replayed)
+	}
+	if got := dump(dp2.Pool); !bytes.Equal(got, want) {
+		t.Fatalf("recovered store differs from the pre-crash store:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 }

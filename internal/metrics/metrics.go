@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -97,67 +96,6 @@ func (r *Rate) Fraction() float64 {
 
 // Percent returns the success rate as a percentage.
 func (r *Rate) Percent() float64 { return 100 * r.Fraction() }
-
-// Distribution is an order-statistics accumulator: it keeps every
-// observation and answers percentile queries, which the load generator
-// and daemon stats use for latency reporting. The zero value is ready to
-// use. Unlike Sample it is O(n) in memory; use it where tails matter.
-type Distribution struct {
-	vals   []float64
-	sorted bool
-}
-
-// Add records one observation.
-func (d *Distribution) Add(v float64) {
-	d.vals = append(d.vals, v)
-	d.sorted = false
-}
-
-// Merge folds another distribution's observations into d.
-func (d *Distribution) Merge(other *Distribution) {
-	d.vals = append(d.vals, other.vals...)
-	d.sorted = false
-}
-
-// N returns the number of observations.
-func (d *Distribution) N() int { return len(d.vals) }
-
-// Mean returns the mean observation, or 0 when empty.
-func (d *Distribution) Mean() float64 {
-	if len(d.vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range d.vals {
-		sum += v
-	}
-	return sum / float64(len(d.vals))
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) using the
-// nearest-rank method, or 0 when empty. The first query after new
-// observations sorts once; repeated queries are O(1).
-func (d *Distribution) Percentile(p float64) float64 {
-	n := len(d.vals)
-	if n == 0 {
-		return 0
-	}
-	if !d.sorted {
-		sort.Float64s(d.vals)
-		d.sorted = true
-	}
-	if p <= 0 {
-		return d.vals[0]
-	}
-	if p >= 100 {
-		return d.vals[n-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	return d.vals[rank-1]
-}
 
 // Table renders fixed-width text tables in the style of the paper's
 // Tables 1-3. Build with NewTable, fill with AddRow, render with String.

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -106,125 +107,73 @@ func TestTableRowPadding(t *testing.T) {
 	}
 }
 
-func TestDistributionPercentiles(t *testing.T) {
-	var d Distribution
-	if d.Percentile(50) != 0 || d.N() != 0 || d.Mean() != 0 {
-		t.Fatal("empty distribution must report zeros")
+// exactPercentile is the nearest-rank p-th percentile (p in [0,100],
+// clamped) of vals, or 0 when vals is empty: the exact reference the
+// Histogram property test checks bucket placement against. It sorts vals
+// in place.
+func exactPercentile(vals []float64, p float64) float64 {
+	if len(vals) == 0 {
+		return 0
 	}
+	sort.Float64s(vals)
+	rank := int(math.Ceil(p / 100 * float64(len(vals))))
+	return vals[min(max(rank, 1), len(vals))-1]
+}
+
+func TestDistributionPercentiles(t *testing.T) {
 	// 1..100 out of order: percentiles are exact under nearest-rank.
+	var vals []float64
 	for i := 100; i >= 1; i-- {
-		d.Add(float64(i))
+		vals = append(vals, float64(i))
 	}
 	for _, tc := range []struct{ p, want float64 }{
 		{0, 1}, {1, 1}, {50, 50}, {95, 95}, {99, 99}, {100, 100},
 	} {
-		if got := d.Percentile(tc.p); got != tc.want {
+		if got := exactPercentile(vals, tc.p); got != tc.want {
 			t.Errorf("P%v = %v, want %v", tc.p, got, tc.want)
 		}
-	}
-	if got := d.Mean(); got != 50.5 {
-		t.Errorf("Mean = %v, want 50.5", got)
-	}
-	// Adding after a query re-sorts on the next query.
-	d.Add(1000)
-	if got := d.Percentile(100); got != 1000 {
-		t.Errorf("max after Add = %v, want 1000", got)
-	}
-}
-
-func TestDistributionMerge(t *testing.T) {
-	var a, b Distribution
-	for i := 1; i <= 50; i++ {
-		a.Add(float64(i))
-	}
-	for i := 51; i <= 100; i++ {
-		b.Add(float64(i))
-	}
-	a.Merge(&b)
-	if a.N() != 100 {
-		t.Fatalf("merged N = %d, want 100", a.N())
-	}
-	if got := a.Percentile(50); got != 50 {
-		t.Errorf("merged P50 = %v, want 50", got)
 	}
 }
 
 func TestDistributionEmpty(t *testing.T) {
-	var d Distribution
 	for _, p := range []float64{0, 1, 50, 99, 100} {
-		if got := d.Percentile(p); got != 0 {
+		if got := exactPercentile(nil, p); got != 0 {
 			t.Errorf("empty P%v = %v, want 0", p, got)
 		}
-	}
-	if d.N() != 0 || d.Mean() != 0 {
-		t.Errorf("empty N/Mean = %d/%v", d.N(), d.Mean())
-	}
-	// Merging two empties stays empty and queryable.
-	var e Distribution
-	d.Merge(&e)
-	if d.N() != 0 || d.Percentile(50) != 0 {
-		t.Error("merge of empties not empty")
 	}
 }
 
 func TestDistributionSingleSample(t *testing.T) {
-	var d Distribution
-	d.Add(-42.5)
 	for _, p := range []float64{0, 0.1, 50, 99.9, 100} {
-		if got := d.Percentile(p); got != -42.5 {
+		if got := exactPercentile([]float64{-42.5}, p); got != -42.5 {
 			t.Errorf("single-sample P%v = %v, want -42.5", p, got)
 		}
-	}
-	if d.Mean() != -42.5 || d.N() != 1 {
-		t.Errorf("single-sample Mean/N = %v/%d", d.Mean(), d.N())
 	}
 }
 
 func TestDistributionExactBoundaryQuantiles(t *testing.T) {
 	// Ten values: under nearest-rank, P(10k) must land exactly on the
 	// k-th order statistic, and a hair above it must step to the next.
-	var d Distribution
-	for _, v := range []float64{90, 10, 50, 30, 70, 20, 100, 60, 40, 80} {
-		d.Add(v)
-	}
+	d := []float64{90, 10, 50, 30, 70, 20, 100, 60, 40, 80}
 	for k := 1; k <= 10; k++ {
 		p := float64(k) * 10
-		if got := d.Percentile(p); got != float64(k*10) {
+		if got := exactPercentile(d, p); got != float64(k*10) {
 			t.Errorf("P%v = %v, want %v", p, got, k*10)
 		}
 		if k < 10 {
-			if got := d.Percentile(p + 0.001); got != float64((k+1)*10) {
+			if got := exactPercentile(d, p+0.001); got != float64((k+1)*10) {
 				t.Errorf("P%v = %v, want %v", p+0.001, got, (k+1)*10)
 			}
 		}
 	}
 	// Out-of-range p clamps to the extremes.
-	if d.Percentile(-5) != 10 || d.Percentile(250) != 100 {
-		t.Errorf("clamped percentiles = %v/%v", d.Percentile(-5), d.Percentile(250))
+	if exactPercentile(d, -5) != 10 || exactPercentile(d, 250) != 100 {
+		t.Errorf("clamped percentiles = %v/%v", exactPercentile(d, -5), exactPercentile(d, 250))
 	}
 	// Duplicate-heavy data: quantiles sit on the repeated value.
-	var e Distribution
-	for i := 0; i < 9; i++ {
-		e.Add(5)
-	}
-	e.Add(9)
-	if e.Percentile(50) != 5 || e.Percentile(90) != 5 || e.Percentile(100) != 9 {
-		t.Errorf("duplicate data quantiles: P50=%v P90=%v P100=%v", e.Percentile(50), e.Percentile(90), e.Percentile(100))
-	}
-}
-
-func TestDistributionMergeEmptySides(t *testing.T) {
-	var full, empty Distribution
-	for i := 1; i <= 4; i++ {
-		full.Add(float64(i))
-	}
-	full.Merge(&empty) // right side empty: nothing changes
-	if full.N() != 4 || full.Percentile(100) != 4 {
-		t.Fatalf("merge with empty changed data: N=%d", full.N())
-	}
-	empty.Merge(&full) // left side empty: adopts everything
-	if empty.N() != 4 || empty.Percentile(0) != 1 || empty.Percentile(100) != 4 {
-		t.Fatalf("empty.Merge(full): N=%d", empty.N())
+	e := []float64{5, 5, 5, 5, 5, 5, 5, 5, 5, 9}
+	if exactPercentile(e, 50) != 5 || exactPercentile(e, 90) != 5 || exactPercentile(e, 100) != 9 {
+		t.Errorf("duplicate data quantiles: P50=%v P90=%v P100=%v", exactPercentile(e, 50), exactPercentile(e, 90), exactPercentile(e, 100))
 	}
 }
 

@@ -95,8 +95,8 @@ func TestHistogramBucketGeometry(t *testing.T) {
 }
 
 // TestHistogramQuantileMatchesDistribution is the property test pinning
-// the bounded histogram against the exact order-statistics
-// Distribution: on random workloads of several shapes, every queried
+// the bounded histogram against the exact nearest-rank reference
+// (exactPercentile): on random workloads of several shapes, every queried
 // percentile must land in the same log₂ bucket as the exact
 // nearest-rank answer.
 func TestHistogramQuantileMatchesDistribution(t *testing.T) {
@@ -111,23 +111,23 @@ func TestHistogramQuantileMatchesDistribution(t *testing.T) {
 	for name, gen := range shapes {
 		for trial := 0; trial < 5; trial++ {
 			var h Histogram
-			var d Distribution
+			var d []float64
 			n := 100 + rng.Intn(10000)
 			for i := 0; i < n; i++ {
 				v := gen()
 				h.Observe(int64(v))
-				d.Add(float64(v))
+				d = append(d, float64(v))
 			}
 			for _, q := range quantiles {
-				exact := uint64(d.Percentile(q * 100))
+				exact := uint64(exactPercentile(d, q*100))
 				approx := uint64(h.Quantile(q))
 				if histBucketOf(exact) != histBucketOf(approx) {
 					t.Fatalf("%s trial %d q=%v: histogram %d (bucket %d) vs exact %d (bucket %d)",
 						name, trial, q, approx, histBucketOf(approx), exact, histBucketOf(exact))
 				}
 			}
-			if h.Max() != uint64(d.Percentile(100)) {
-				t.Fatalf("%s: max %d != exact %v", name, h.Max(), d.Percentile(100))
+			if h.Max() != uint64(exactPercentile(d, 100)) {
+				t.Fatalf("%s: max %d != exact %v", name, h.Max(), exactPercentile(d, 100))
 			}
 			if uint64(h.Quantile(1)) != h.Max() {
 				t.Fatalf("%s: Quantile(1)=%v must equal exact max %d", name, h.Quantile(1), h.Max())

@@ -1,5 +1,5 @@
 // Package p2p is the node-to-node transport that turns the discovery
-// engine into a multi-process cluster: separate OS processes, each owning
+// pool into a multi-process cluster: separate OS processes, each owning
 // one contiguous region of the 160-bit keyspace, exchanging internal/wire
 // peer frames (route, probe, repair, replica-transfer) over TCP.
 //
@@ -13,7 +13,7 @@
 // member list agree on every key's owner with no coordination protocol.
 //
 // A client may talk to any node. Requests for keys the node owns execute
-// on its local engine pool; everything else is wrapped in a TRoute frame
+// on its local pool; everything else is wrapped in a TRoute frame
 // and relayed to the owner over a multiplexed peer connection, with the
 // owner's reply relayed back byte-for-byte. There is exactly one routing
 // hop — every node knows the full member list — so there are no forward
@@ -34,9 +34,8 @@
 // Forwarded writes are at-least-once, not at-most-once: a routed request
 // that times out may still have been applied by the owner (the reply was
 // just late), so a client that retries after an error may re-execute the
-// write. MPIL replica placement makes this benign — re-inserting a key
-// overwrites the same per-node replica slots — but counters and stats on
-// the owner count both executions.
+// write. The store makes this benign — re-inserting a key overwrites its
+// one entry — but counters and stats on the owner count both executions.
 package p2p
 
 import (

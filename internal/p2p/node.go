@@ -69,7 +69,7 @@ type Config struct {
 
 // Node is the per-process cluster runtime: the inbound peer listener, the
 // outbound transport, and the glue that multiplexes peer and client
-// traffic onto one engine pool. Wire Owns and Forward into
+// traffic onto one pool. Wire Owns and Forward into
 // server.Config; peer traffic flows through Start's listener.
 type Node struct {
 	cfg    Config
@@ -206,8 +206,8 @@ func (n *Node) Owns(key idspace.ID) bool { return n.cfg.Cluster.Owns(key) }
 //
 // Failover makes forwarded writes at-least-once in one more way: a
 // timed-out call to one replica may have committed before the retry
-// executes on the next, which MPIL placement tolerates (re-inserting a
-// key overwrites the same per-node replica slots).
+// executes on the next, which the store tolerates: re-inserting a key
+// overwrites its one entry.
 func (n *Node) Forward(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64, respond func(*wire.Msg)) {
 	replicas := n.cfg.Cluster.ReplicasOf(key)
 	n.fwdSem <- struct{}{}
@@ -603,7 +603,7 @@ func (n *Node) handleRoute(m, reply *wire.Msg, release func()) {
 	switch m.RouteKind {
 	case wire.TInsert:
 		// Each inbound request decodes into its own Msg, so m.Value is a
-		// private allocation the engine may retain directly.
+		// private allocation the store may retain directly.
 		res, err := pool.Insert(int(origin), m.Key, m.Value)
 		if err != nil {
 			reply.Type = wire.TError
@@ -693,18 +693,15 @@ func (n *Node) handleReplicate(m, reply *wire.Msg) {
 const repairBudget = wire.MaxFrame / 2
 
 // handleRepair answers one page of a pull-style anti-entropy request:
-// replicas this node holds whose keys belong to the asked-for region,
-// streamed in the store's stable (shard, node, key) order starting at
-// the request's cursor, up to the page byte budget. When the budget cuts
-// the page, the reply carries More plus the cursor of the first withheld
-// replica, and iteration stops right there: the walk never visits (or
-// locks) the shards past the stop point. Within the resume shard, the
-// engine re-collects and re-sorts the resume node's remaining keys each
-// page (stores are hash maps; see Engine.ForEachReplicaFrom), so one
-// pathologically huge single-node store still costs O(remaining) per
-// page — an ordered index would remove that term (ROADMAP). Entry
-// values alias engine storage, which never mutates stored bytes, so
-// encoding after the scan is safe.
+// entries this node holds whose keys belong to the asked-for region,
+// streamed in the store's stable (shard, key) order starting at the
+// request's cursor, up to the page byte budget. When the budget cuts the
+// page, the reply carries More plus the cursor of the first withheld
+// entry, and iteration stops right there: the walk never visits (or
+// locks) the shards past the stop point, and the next page seeks
+// straight to the cursor, so a page costs O(log n + page). Entry values
+// alias store memory, which never mutates stored bytes, so encoding
+// after the scan is safe.
 func (n *Node) handleRepair(m, reply *wire.Msg) {
 	if !n.checkCluster(m, reply) {
 		return
@@ -723,24 +720,24 @@ func (n *Node) handleRepair(m, reply *wire.Msg) {
 	}
 	var entries []wire.TransferEntry
 	size, oversize := 0, 0
-	cur := discovery.ReplicaCursor{Shard: m.Cursor.Shard, Node: m.Cursor.Node, Key: m.Cursor.Key}
-	next, done := n.cfg.Pool.ForEachReplicaFrom(cur, func(node int, origin uint32, key idspace.ID, value []byte) bool {
+	cur := discovery.ReplicaCursor{Shard: m.Cursor.Shard, Key: m.Cursor.Key}
+	next, done := n.cfg.Pool.ForEachReplicaFrom(cur, func(origin uint32, key idspace.ID, value []byte) bool {
 		if n.cfg.Cluster.OwnerOf(key) != int(m.Region) {
 			return true // foreign region: skip, keep walking
 		}
 		if len(value) > wire.MaxValue {
 			// Cannot ride any page — only a direct library placement can
 			// produce such a value (the serving layer caps inserts at
-			// MaxValue). Count it and keep walking: a skipped replica
+			// MaxValue). Count it and keep walking: a skipped entry
 			// must be loud, never a silent repair gap.
 			oversize++
 			return true
 		}
 		cost := wire.EntryOverhead + len(value)
 		if len(entries) > 0 && size+cost > repairBudget {
-			return false // page full: stop the walk at this replica
+			return false // page full: stop the walk at this entry
 		}
-		entries = append(entries, wire.TransferEntry{Node: uint32(node), Origin: origin, Key: key, Value: value})
+		entries = append(entries, wire.TransferEntry{Origin: origin, Key: key, Value: value})
 		size += cost
 		return true
 	})
@@ -752,15 +749,14 @@ func (n *Node) handleRepair(m, reply *wire.Msg) {
 	reply.Entries = entries
 	if !done {
 		reply.More = true
-		reply.Cursor = wire.RepairCursor{Shard: next.Shard, Node: next.Node, Key: next.Key}
+		reply.Cursor = wire.RepairCursor{Shard: next.Shard, Key: next.Key}
 		n.repairLogf("p2p: repair of region %d paged at budget: %d entries (%d bytes) sent, cursor handed back", m.Region, len(entries), size)
 	}
 }
 
-// handleTransfer applies pushed replicas for regions this node owns,
-// reproducing the sender's exact placements. Entries for other regions
-// are refused by not counting them: the sender keeps anything the
-// accepted count does not cover. The owned entries of a batch are
+// handleTransfer stores pushed entries for regions this node owns.
+// Entries for other regions are refused by not counting them: the sender
+// keeps anything the accepted count does not cover. The owned entries of a batch are
 // imported together (Pool.ImportBatch): per shard, one lock acquisition
 // and one group-committed WAL append cover the whole batch, instead of
 // a lock-log-fsync cycle per entry.
@@ -775,7 +771,7 @@ func (n *Node) handleTransfer(m, reply *wire.Msg) {
 		}()
 	}
 	// Decoded entry values are freshly allocated (see wire), safe for the
-	// engine to retain.
+	// store to retain.
 	batch := make([]discovery.ReplicaEntry, 0, len(m.Entries))
 	for i := range m.Entries {
 		e := &m.Entries[i]
@@ -783,7 +779,7 @@ func (n *Node) handleTransfer(m, reply *wire.Msg) {
 			n.cfg.Logf("p2p: transfer refused: key %v not owned here", e.Key)
 			continue
 		}
-		batch = append(batch, discovery.ReplicaEntry{Node: int(e.Node), Origin: e.Origin, Key: e.Key, Value: e.Value})
+		batch = append(batch, discovery.ReplicaEntry{Origin: e.Origin, Key: e.Key, Value: e.Value})
 	}
 	// accepted (not fresh) is what the sender needs: it may drop its
 	// copy of every entry this pool now holds, whether or not the import
@@ -851,7 +847,7 @@ func (n *Node) Join(timeout time.Duration) error {
 // encodable within wire.MaxFrame.
 const transferBatch = 128
 
-// Handoff pushes every locally-held replica whose key this node does
+// Handoff pushes every locally-held entry whose key this node does
 // not replicate to the key's primary owner, dropping the local copy
 // once the owner has acknowledged the whole batch. It is how a node
 // sheds data that became foreign — typically state recovered from a
@@ -863,12 +859,12 @@ const transferBatch = 128
 // (and ack) a batch under a conflicting ownership view.
 func (n *Node) Handoff() (moved int, err error) {
 	byOwner := make(map[int][]wire.TransferEntry)
-	n.cfg.Pool.ForEachReplica(func(node int, origin uint32, key idspace.ID, value []byte) {
+	n.cfg.Pool.ForEachReplica(func(origin uint32, key idspace.ID, value []byte) {
 		if n.cfg.Cluster.Owns(key) {
 			return // key lives here (owner or co-replica): nothing to shed
 		}
 		owner := n.cfg.Cluster.OwnerOf(key)
-		byOwner[owner] = append(byOwner[owner], wire.TransferEntry{Node: uint32(node), Origin: origin, Key: key, Value: value})
+		byOwner[owner] = append(byOwner[owner], wire.TransferEntry{Origin: origin, Key: key, Value: value})
 	})
 	var firstErr error
 	for owner, entries := range byOwner {
@@ -938,7 +934,7 @@ func (n *Node) Handoff() (moved int, err error) {
 				break
 			}
 			for i := range batch {
-				if _, derr := n.cfg.Pool.DropReplica(int(batch[i].Node), batch[i].Key); derr != nil && firstErr == nil {
+				if _, derr := n.cfg.Pool.DropReplica(batch[i].Key); derr != nil && firstErr == nil {
 					firstErr = derr
 				}
 			}
@@ -956,7 +952,7 @@ func (n *Node) Handoff() (moved int, err error) {
 // verbatim until the peer reports the walk complete — so any amount of
 // repairable state converges, not just the first frame's worth. It is
 // additive (the peer keeps its copies; Handoff on the peer is the
-// shedding side) and idempotent — a byte-identical placement is skipped
+// shedding side) and idempotent — a byte-identical entry is skipped
 // by the import with no write-ahead record, so applied counts only the
 // replicas this pull actually changed: 0 means the peer and this node
 // were already in sync for the region, however many pages were walked.
@@ -1028,7 +1024,7 @@ func (n *Node) PullRepair(i, region int) (applied int, err error) {
 			if !n.cfg.Cluster.Owns(e.Key) {
 				continue // a confused peer cannot plant foreign data here
 			}
-			batch = append(batch, discovery.ReplicaEntry{Node: int(e.Node), Origin: e.Origin, Key: e.Key, Value: e.Value})
+			batch = append(batch, discovery.ReplicaEntry{Origin: e.Origin, Key: e.Key, Value: e.Value})
 		}
 		// Count fresh imports only: a steady-state re-walk of an
 		// in-sync peer pulls pages but applies nothing, and must read

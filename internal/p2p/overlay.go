@@ -8,22 +8,17 @@ import (
 	"discovery/internal/mpil"
 )
 
-// RemoteOverlay adapts cluster membership to mpil.Overlay: engine node i
-// IS cluster member i, identified by the SHA-1 of its peer address, and
-// every member neighbors every other (the member list is fully known, so
-// the overlay is complete). Each process builds the identical overlay
-// from the identical member list, which is what lets a node execute
-// routed requests for its region with the same engine any other member
-// would have used — and what pins a durable data directory to its
-// cluster via the overlay fingerprint in the pool MANIFEST.
+// RemoteOverlay adapts cluster membership to the Overlay a pool is built
+// over: overlay node i IS cluster member i, identified by the SHA-1 of
+// its peer address, and every member neighbors every other (the member
+// list is fully known, so the overlay is complete). A pool routes
+// nothing over it; the member count sizes the origin space (client
+// origins and Pool.AutoOrigin name members). Every process builds the
+// identical overlay from the identical member list.
 //
-// Online always reports true, deliberately: the engine's simulated hops
-// all execute inside the owning process, so a remote peer being
-// unreachable must not drop messages inside another node's engine (that
-// would make recovery replay depend on the network weather at replay
-// time, breaking the durability contract). Remote availability is a
-// transport concern, tracked by the separate Alive flags that the
-// transport layer maintains and the runtime reports.
+// Online always reports true: remote availability is a transport
+// concern, tracked by the separate Alive flags that the transport layer
+// maintains and the runtime reports.
 type RemoteOverlay struct {
 	cluster   *Cluster
 	ids       []idspace.ID
@@ -33,8 +28,8 @@ type RemoteOverlay struct {
 
 var _ mpil.Overlay = (*RemoteOverlay)(nil)
 
-// NewRemoteOverlay builds the cluster overlay and validates the engine's
-// structural contract (distinct address hashes, in particular).
+// NewRemoteOverlay builds the cluster overlay and validates the overlay
+// contract (distinct address hashes, in particular).
 func NewRemoteOverlay(c *Cluster) (*RemoteOverlay, error) {
 	n := c.N()
 	ov := &RemoteOverlay{
@@ -72,13 +67,12 @@ func (o *RemoteOverlay) ID(i int) idspace.ID { return o.ids[i] }
 // Neighbors returns every other member. Callers must not mutate it.
 func (o *RemoteOverlay) Neighbors(i int) []int { return o.neighbors[i] }
 
-// Online always reports true — see the type comment for why engine
-// routing must not observe transport health.
+// Online always reports true — see the type comment.
 func (o *RemoteOverlay) Online(int, time.Duration) bool { return true }
 
 // Alive reports the transport-level health of member i, as last set by
 // the transport layer. It is advisory (a dead peer is rediscovered by
-// the next failed call), not consulted by engine routing.
+// the next failed call).
 func (o *RemoteOverlay) Alive(i int) bool { return o.alive[i].Load() }
 
 // SetAlive records member i's transport health.

@@ -52,7 +52,15 @@ type testNode struct {
 // handoff cleans up).
 func startTestNode(t testing.TB, selfAddr string, peerAddrs []string, regioned bool) *testNode {
 	t.Helper()
-	cluster, err := p2p.NewCluster(selfAddr, peerAddrs, 1)
+	return startReplicatedNode(t, selfAddr, peerAddrs, regioned, 1)
+}
+
+// startReplicatedNode is startTestNode for a cluster whose keys live on
+// repl regions; its server coordinates quorum writes when the quorum
+// needs more than itself.
+func startReplicatedNode(t testing.TB, selfAddr string, peerAddrs []string, regioned bool, repl int) *testNode {
+	t.Helper()
+	cluster, err := p2p.NewCluster(selfAddr, peerAddrs, repl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +68,9 @@ func startTestNode(t testing.TB, selfAddr string, peerAddrs []string, regioned b
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []discovery.Option{discovery.WithSeed(1)}
+	var opts []discovery.Option
 	if regioned {
-		opts = append(opts, discovery.WithRegion(cluster.Self(), cluster.N()))
+		opts = append(opts, discovery.WithRegion(cluster.Self(), cluster.N()), discovery.WithReplication(cluster.R()))
 	}
 	pool, err := discovery.NewPool(ov, 2, opts...)
 	if err != nil {
@@ -82,7 +90,11 @@ func startTestNode(t testing.TB, selfAddr string, peerAddrs []string, regioned b
 	if _, err := node.Start(selfAddr); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Pool: pool, Owns: node.Owns, Forward: node.Forward, Logf: t.Logf})
+	scfg := server.Config{Pool: pool, Owns: node.Owns, Forward: node.Forward, Logf: t.Logf}
+	if cluster.Quorum() > 1 {
+		scfg.Replicate = node.ReplicateAsync
+	}
+	srv, err := server.New(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,14 +448,13 @@ func TestHandoffAndPullRepair(t *testing.T) {
 	if moved != len(theirs) {
 		t.Fatalf("handoff moved %d replicas, want %d", moved, len(theirs))
 	}
-	// Foreign replicas now live on their owner, placed at the same
-	// engine nodes, and are gone locally.
-	for i, name := range theirs {
+	// Foreign entries now live on their owner and are gone locally.
+	for _, name := range theirs {
 		key := discovery.NewID(name)
-		if v, ok := n1.pool.Value(i%2, key); !ok || string(v) != name {
+		if v, ok := n1.pool.Value(key); !ok || string(v) != name {
 			t.Fatalf("handed-off key %s missing on owner (ok=%v)", name, ok)
 		}
-		if _, ok := n0.pool.Value(i%2, key); ok {
+		if _, ok := n0.pool.Value(key); ok {
 			t.Fatalf("handed-off key %s still held locally", name)
 		}
 	}
@@ -473,7 +484,7 @@ func TestHandoffAndPullRepair(t *testing.T) {
 		t.Fatalf("pull repair applied %d, want %d", applied, len(extra))
 	}
 	for _, name := range extra {
-		if v, ok := n1.pool.Value(0, discovery.NewID(name)); !ok || string(v) != name {
+		if v, ok := n1.pool.Value(discovery.NewID(name)); !ok || string(v) != name {
 			t.Fatalf("pulled key %s missing on owner", name)
 		}
 	}
@@ -526,9 +537,9 @@ func TestPullRepairPaginatesLargeState(t *testing.T) {
 		for j := range resp.Entries {
 			e := &resp.Entries[j]
 			size += wire.EntryOverhead + len(e.Value)
-			k := fmt.Sprintf("%d/%v", e.Node, e.Key)
+			k := e.Key.String()
 			if seen[k] {
-				t.Fatalf("replica %s delivered twice across pages", k)
+				t.Fatalf("entry %s delivered twice across pages", k)
 			}
 			seen[k] = true
 		}
@@ -553,8 +564,8 @@ func TestPullRepairPaginatesLargeState(t *testing.T) {
 		t.Fatalf("pages delivered %d distinct replicas, want %d", len(seen), count)
 	}
 
-	// Then the real puller: every replica lands on node 1 with its exact
-	// value and placement.
+	// Then the real puller: every entry lands on node 1 with its exact
+	// value.
 	applied, err := n1.node.PullRepair(r0, n1.cluster.Self())
 	if err != nil {
 		t.Fatalf("pull repair: %v", err)
@@ -562,8 +573,8 @@ func TestPullRepairPaginatesLargeState(t *testing.T) {
 	if applied != count {
 		t.Fatalf("pull repair applied %d replicas, want %d", applied, count)
 	}
-	for i, name := range names {
-		v, ok := n1.pool.Value(i%2, discovery.NewID(name))
+	for _, name := range names {
+		v, ok := n1.pool.Value(discovery.NewID(name))
 		if !ok || !bytes.Equal(v, values[name]) {
 			t.Fatalf("replica %s missing or corrupt after paginated repair (ok=%v)", name, ok)
 		}
@@ -696,4 +707,49 @@ func TestProberFlipsAliveEagerly(t *testing.T) {
 	// Revive it on the same address: the prober must notice that too.
 	startTestNode(t, peerAddrs[1], peerAddrs, true)
 	waitAlive(true, "the peer's recovery")
+}
+
+// TestReplicatedKeysStoreOneEntryPerReplica pins one entry per key across
+// the cluster: N distinct keys inserted through one member of a 3-member,
+// R=2 cluster leave exactly N·R entries, and overwriting every key from
+// another origin replaces those entries instead of adding to them.
+func TestReplicatedKeysStoreOneEntryPerReplica(t *testing.T) {
+	const keys, repl = 60, 2
+	peerAddrs := reserveAddrs(t, 3)
+	nodes := make([]*testNode, len(peerAddrs))
+	for i := range nodes {
+		nodes[i] = startReplicatedNode(t, peerAddrs[i], peerAddrs, true, repl)
+	}
+	c, err := server.Dial(nodes[0].clientAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	total := func() int {
+		n := 0
+		for _, tn := range nodes {
+			n += tn.pool.ReplicaCount()
+		}
+		return n
+	}
+	for round, origin := range []int{1, 2} {
+		for i := 0; i < keys; i++ {
+			key := discovery.NewID(fmt.Sprintf("one-entry-%d", i))
+			if _, err := c.Insert(origin, key, []byte(fmt.Sprintf("v%d-%d", round, i))); err != nil {
+				t.Fatalf("round %d insert %d: %v", round, i, err)
+			}
+		}
+		// R=2 of 3 has a quorum of 2: every ack waited for both replicas.
+		if got := total(); got != keys*repl {
+			t.Fatalf("round %d: %d entries cluster-wide, want %d (N·R)", round, got, keys*repl)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		key := discovery.NewID(fmt.Sprintf("one-entry-%d", i))
+		for _, tn := range nodes {
+			if v, ok := tn.pool.Value(key); ok && string(v) != fmt.Sprintf("v1-%d", i) {
+				t.Fatalf("key %d on %s holds %q after the overwrite", i, tn.cluster.Addr(tn.cluster.Self()), v)
+			}
+		}
+	}
 }

@@ -233,7 +233,7 @@ func TestAntiEntropyAccountsDeadPeer(t *testing.T) {
 	}
 	// Convergence despite the dead peer: every seeded key is now local.
 	for _, name := range seeded {
-		if _, ok := puller.pool.Value(0, discovery.NewID(name)); !ok {
+		if _, ok := puller.pool.Value(discovery.NewID(name)); !ok {
 			t.Fatalf("key %s did not converge while a peer was down", name)
 		}
 	}

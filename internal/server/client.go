@@ -9,7 +9,7 @@ import (
 	"discovery/internal/wire"
 )
 
-// Client is a discoveryd client over one TCP connection. It offers
+// Client is a discoverynode client over one TCP connection. It offers
 // synchronous per-call helpers (Insert, Lookup, Delete, Stats) and a
 // lower-level Send/Flush/Recv API for request pipelining. A Client is not
 // safe for concurrent use; open one per goroutine.
@@ -27,7 +27,7 @@ type Client struct {
 // server pick the entry node deterministically from the key.
 const OriginAuto = -1
 
-// Dial connects to a discoveryd server.
+// Dial connects to a discoverynode client listener.
 func Dial(addr string) (*Client, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -1,5 +1,5 @@
-// Package server is discoveryd's network layer: a TCP server speaking the
-// internal/wire binary protocol in front of a discovery.Pool.
+// Package server is discoverynode's client-facing layer: a TCP server
+// speaking the internal/wire binary protocol in front of a discovery.Pool.
 //
 // # Architecture
 //
@@ -7,8 +7,8 @@
 // The reader decodes frames and dispatches keyed requests to a bounded
 // per-shard queue; one worker goroutine per shard pops requests and
 // executes them on the shard that owns the key (the same key-hash mapping
-// discovery.Pool uses), so a single-threaded MPIL engine never sees two
-// requests at once. Responses carry the request's correlator back and are
+// discovery.Pool uses), so one shard's requests execute in queue order.
+// Responses carry the request's correlator back and are
 // handed to the connection's writer, which means a client may pipeline
 // requests freely — responses for different shards can complete out of
 // order, and the reqID is what ties them together.

@@ -1,4 +1,4 @@
-// Package snapshot persists a shard's full key→replica state as one
+// Package snapshot persists a shard's full key→entry state as one
 // atomic, checksummed file, enabling write-ahead-log truncation: once a
 // snapshot at sequence number S is durable, every log record with
 // seq <= S for that shard is redundant.
@@ -7,13 +7,13 @@
 //
 // A snapshot file is:
 //
-//	| magic "MPILSNP1" | u32 shard | u64 seq | u32 count |
+//	| magic "MPILSNP2" | u32 shard | u64 seq | u32 count |
 //	| entries... |
 //	| u32 crc32c |
 //
 // where each entry is:
 //
-//	| u32 node | u32 origin | key[20] | u32 valueLen | value |
+//	| u32 origin | key[20] | u32 valueLen | value |
 //
 // All integers are big-endian; the trailing CRC (Castagnoli) covers every
 // preceding byte. Decoding is strict — the advertised count must match
@@ -44,10 +44,10 @@ import (
 )
 
 const (
-	magic   = "MPILSNP1"
-	hdrLen  = 8 + 4 + 8 + 4 // magic | shard | seq | count
+	magic  = "MPILSNP2"
+	hdrLen = 8 + 4 + 8 + 4 // magic | shard | seq | count
 	// entryFixed is an entry's size excluding its value bytes.
-	entryFixed = 4 + 4 + idspace.Bytes + 4
+	entryFixed = 4 + idspace.Bytes + 4
 
 	// MaxValue bounds a single entry's value, mirroring wire.MaxFrame so
 	// any payload accepted over the wire snapshots cleanly.
@@ -65,9 +65,11 @@ var (
 	ErrValue    = errors.New("snapshot: entry value exceeds MaxValue")
 )
 
-// Entry is one stored replica: key's value held at Node on behalf of the
-// inserting Origin.
+// Entry is one stored key: its value, held on behalf of the inserting
+// Origin.
 type Entry struct {
+	// Node is neither written nor read back. It remains only because the
+	// benchmark's snapshot probe (bench/probes.go) still sets it.
 	Node   uint32
 	Origin uint32
 	Key    idspace.ID
@@ -84,7 +86,6 @@ func Append(dst []byte, shard uint32, seq uint64, entries []Entry) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(entries)))
 	for i := range entries {
 		e := &entries[i]
-		dst = binary.BigEndian.AppendUint32(dst, e.Node)
 		dst = binary.BigEndian.AppendUint32(dst, e.Origin)
 		dst = append(dst, e.Key[:]...)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.Value)))
@@ -122,10 +123,9 @@ func Decode(data []byte) (shard uint32, seq uint64, entries []Entry, err error) 
 			return 0, 0, nil, ErrShort
 		}
 		var e Entry
-		e.Node = binary.BigEndian.Uint32(rest[0:4])
-		e.Origin = binary.BigEndian.Uint32(rest[4:8])
-		copy(e.Key[:], rest[8:8+idspace.Bytes])
-		vlen := binary.BigEndian.Uint32(rest[8+idspace.Bytes:])
+		e.Origin = binary.BigEndian.Uint32(rest[0:4])
+		copy(e.Key[:], rest[4:4+idspace.Bytes])
+		vlen := binary.BigEndian.Uint32(rest[4+idspace.Bytes:])
 		if vlen > MaxValue {
 			return 0, 0, nil, ErrValue
 		}

@@ -15,7 +15,6 @@ func testEntries(n int) []Entry {
 	out := make([]Entry, n)
 	for i := range out {
 		out[i] = Entry{
-			Node:   uint32(i * 3),
 			Origin: uint32(i),
 			Key:    idspace.FromString(fmt.Sprintf("snap-key-%d", i)),
 			Value:  []byte(fmt.Sprintf("value-%d", i)),
@@ -39,7 +38,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("%d entries, want %d", len(got), len(entries))
 	}
 	for i := range entries {
-		if got[i].Node != entries[i].Node || got[i].Origin != entries[i].Origin ||
+		if got[i].Origin != entries[i].Origin ||
 			got[i].Key != entries[i].Key || !bytes.Equal(got[i].Value, entries[i].Value) {
 			t.Fatalf("entry %d mismatch: %+v vs %+v", i, got[i], entries[i])
 		}

@@ -1,5 +1,5 @@
 // Package wal is an append-only, segmented, checksummed write-ahead log:
-// the durability layer beneath discoveryd's in-memory shard engines.
+// the durability layer beneath discovery.Pool's in-memory shard stores.
 //
 // The log stores opaque payloads. Every record is assigned a dense,
 // monotonically increasing sequence number; the caller decides what a
@@ -38,7 +38,7 @@
 // SyncAlways fsyncs inline on every append. SyncBatch is group commit:
 // the append is written immediately, then the caller waits until some
 // fsync covers its record; one "leader" fsyncs on behalf of every append
-// that landed before it, so concurrent writers (discoveryd's shard
+// that landed before it, so concurrent writers (the pool's shard
 // workers) amortize syncs while keeping the acked ⇒ durable guarantee.
 // SyncOff never fsyncs: records still reach the kernel before the append
 // returns (surviving a process crash) but can be lost to a power failure.

@@ -82,7 +82,7 @@ func FuzzPeerDecode(f *testing.F) {
 		reused := Msg{
 			Value: append([]byte(nil), "stale-stale-stale"...),
 			Entries: []TransferEntry{
-				{Node: 9, Origin: 9, Value: []byte("stale")},
+				{Origin: 9, Value: []byte("stale")},
 			},
 		}
 		if err := reused.Decode(body); err != nil {
@@ -141,7 +141,6 @@ func FuzzPeerRoundTrip(f *testing.F) {
 		if m.Type == TTransfer || m.Type == TRepairOK {
 			for i := uint32(0); i < region%4; i++ {
 				m.Entries = append(m.Entries, TransferEntry{
-					Node:   origin + i,
 					Origin: origin,
 					Key:    idspace.FromBytes(append(keySrc, byte(i))),
 					Value:  value,
@@ -151,11 +150,11 @@ func FuzzPeerRoundTrip(f *testing.F) {
 		// Cursor-bearing combinations, kept canonical: a TRepair may
 		// carry any cursor; a TRepairOK carries one only with More set.
 		if m.Type == TRepair {
-			m.Cursor = RepairCursor{Shard: region % 8, Node: origin, Key: idspace.FromBytes(value)}
+			m.Cursor = RepairCursor{Shard: region % 8, Key: idspace.FromBytes(value)}
 		}
 		if m.Type == TRepairOK && kind%2 == 1 {
 			m.More = true
-			m.Cursor = RepairCursor{Shard: region % 8, Node: origin, Key: idspace.FromBytes(value)}
+			m.Cursor = RepairCursor{Shard: region % 8, Key: idspace.FromBytes(value)}
 		}
 		frame, err := m.Append(nil)
 		if err != nil {

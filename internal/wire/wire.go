@@ -1,4 +1,4 @@
-// Package wire is discoveryd's binary wire protocol: a compact
+// Package wire is discoverynode's binary wire protocol: a compact
 // length-prefixed framing with fixed-layout bodies for the four request
 // kinds (insert, lookup, delete, stats) and their responses.
 //
@@ -99,9 +99,9 @@
 // leaves on every node it touches (internal/trace); responses carry no
 // trailer because the reqID already correlates them to the request.
 //
-// where entry = u32 node | u32 origin | key[20] | u32 valueLen | value,
-// and cursor = u32 shard | u32 node | key[20] — a resume position in the
-// store's stable replica order. A TRepair's cursor is where the
+// where entry = u32 origin | key[20] | u32 valueLen | value, and
+// cursor = u32 shard | key[20] — a resume position in the store's stable
+// (shard, key) order. A TRepair's cursor is where the
 // responder should start (zero = the beginning); a TRepairOK whose reply
 // hit its byte budget sets more=1 and returns the cursor of the first
 // entry it withheld, which the puller sends back verbatim to stream the
@@ -135,10 +135,10 @@ const MaxFrame = 1 << 20
 // on the owner and then be unroutable or silently unrepairable. The
 // worst wrapper is the single-entry TRepairOK page:
 //
-//	header 9 + region 4 + more 1 + cursor 28 + count 4 + entry 32 = 78
+//	header 9 + region 4 + more 1 + cursor 24 + count 4 + entry 28 = 70
 //
 // (a traced TRoute or TReplicate needs 51 and a traced single-entry
-// TTransfer 62.)
+// TTransfer 58.)
 const MaxValue = MaxFrame - maxValueOverhead
 
 // maxValueOverhead is the single-entry TRepairOK wrapper cost derived
@@ -146,7 +146,7 @@ const MaxValue = MaxFrame - maxValueOverhead
 const maxValueOverhead = headerLen + 4 + 1 + cursorLen + 4 + EntryOverhead
 
 // cursorLen is the encoded size of a RepairCursor.
-const cursorLen = 4 + 4 + idspace.Bytes
+const cursorLen = 4 + idspace.Bytes
 
 // lenWords is the size of the frame length prefix.
 const lenWords = 4
@@ -289,7 +289,7 @@ type LookupReply struct {
 	Dropped        uint32
 }
 
-// InsertReplyFrom converts the engine's insertion statistics to the
+// InsertReplyFrom converts a pool's insertion statistics to the
 // wire reply. Shared by the client-serving path (internal/server) and
 // the peer-routing path (internal/p2p) so the field mapping cannot
 // drift between them.
@@ -303,7 +303,7 @@ func InsertReplyFrom(r mpil.InsertStats) InsertReply {
 	}
 }
 
-// LookupReplyFrom converts the engine's lookup statistics to the wire
+// LookupReplyFrom converts a pool's lookup statistics to the wire
 // reply; see InsertReplyFrom.
 func LookupReplyFrom(r mpil.LookupStats) LookupReply {
 	return LookupReply{
@@ -331,39 +331,33 @@ type StatsReply struct {
 	ShardRequests []uint64
 }
 
-// TransferEntry is one replica carried by a TTransfer or TRepairOK body:
-// a direct placement (engine node index + inserting origin) rather than a
-// routed operation, so the receiver reproduces the sender's placement
-// exactly. Decode allocates a fresh Value per entry — entries may be
-// retained by the receiver's engine.
+// TransferEntry is one stored entry carried by a TTransfer or TRepairOK
+// body: key, value and inserting origin, which the receiver stores as
+// they are. Decode allocates a fresh Value per entry — entries may be
+// retained by the receiver's store.
 type TransferEntry struct {
-	Node   uint32
 	Origin uint32
 	Key    idspace.ID
 	Value  []byte
 }
 
-// EntryOverhead is a transfer entry's fixed wire cost — node, origin,
-// key, and the value length word — exported so senders can budget entry
+// EntryOverhead is a transfer entry's fixed wire cost — origin, key,
+// and the value length word — exported so senders can budget entry
 // batches against MaxFrame with the codec's own arithmetic.
-const EntryOverhead = 4 + 4 + idspace.Bytes + 4
+const EntryOverhead = 4 + idspace.Bytes + 4
 
-// RepairCursor is a resume position in a store's stable replica
-// iteration order (shard, then engine node, then key, all ascending —
-// discovery.ReplicaCursor's wire twin). The zero cursor means the start
+// RepairCursor is a resume position in a store's stable iteration order
+// (shard, then key, both ascending — discovery.ReplicaCursor's wire
+// twin). The zero cursor means the start
 // of the store. A TRepair carries where the responder should resume; a
 // budget-limited TRepairOK carries where the next page begins.
 type RepairCursor struct {
 	Shard uint32
-	Node  uint32
 	Key   idspace.ID
 }
 
 // IsZero reports whether c is the start-of-store cursor.
 func (c RepairCursor) IsZero() bool { return c == RepairCursor{} }
-
-// entryHdrLen is EntryOverhead under its decode-side name.
-const entryHdrLen = EntryOverhead
 
 // Msg is one decoded message of any type. A single Msg is meant to be
 // reused across a connection's lifetime: Decode refills it in place and
@@ -404,7 +398,7 @@ type Msg struct {
 	// More reports that a TRepairOK was cut by its byte budget and
 	// Cursor resumes the remainder.
 	More bool
-	// Entries carries replicas (TTransfer, TRepairOK).
+	// Entries carries stored entries (TTransfer, TRepairOK).
 	Entries []TransferEntry
 	// Accepted is how many transferred entries the receiver applied
 	// (TTransferOK).
@@ -685,7 +679,6 @@ func (m *Msg) decodeTrace(b []byte) ([]byte, error) {
 // appendCursor encodes a repair cursor onto dst.
 func appendCursor(dst []byte, c RepairCursor) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, c.Shard)
-	dst = binary.BigEndian.AppendUint32(dst, c.Node)
 	return append(dst, c.Key[:]...)
 }
 
@@ -693,8 +686,7 @@ func appendCursor(dst []byte, c RepairCursor) []byte {
 func decodeCursor(b []byte) RepairCursor {
 	var c RepairCursor
 	c.Shard = binary.BigEndian.Uint32(b[0:])
-	c.Node = binary.BigEndian.Uint32(b[4:])
-	copy(c.Key[:], b[8:])
+	copy(c.Key[:], b[4:])
 	return c
 }
 
@@ -703,7 +695,6 @@ func appendEntries(dst []byte, entries []TransferEntry) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(entries)))
 	for i := range entries {
 		e := &entries[i]
-		dst = binary.BigEndian.AppendUint32(dst, e.Node)
 		dst = binary.BigEndian.AppendUint32(dst, e.Origin)
 		dst = append(dst, e.Key[:]...)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.Value)))
@@ -984,20 +975,19 @@ func (m *Msg) decodeEntries(b []byte) error {
 	}
 	count := binary.BigEndian.Uint32(b)
 	b = b[4:]
-	if uint64(count)*entryHdrLen > uint64(len(b)) {
+	if uint64(count)*EntryOverhead > uint64(len(b)) {
 		return ErrEntries
 	}
 	m.Entries = m.Entries[:0]
 	for i := uint32(0); i < count; i++ {
-		if len(b) < entryHdrLen {
+		if len(b) < EntryOverhead {
 			return ErrEntries
 		}
 		var e TransferEntry
-		e.Node = binary.BigEndian.Uint32(b[0:])
-		e.Origin = binary.BigEndian.Uint32(b[4:])
-		copy(e.Key[:], b[8:])
-		vlen := binary.BigEndian.Uint32(b[8+idspace.Bytes:])
-		b = b[entryHdrLen:]
+		e.Origin = binary.BigEndian.Uint32(b[0:])
+		copy(e.Key[:], b[4:])
+		vlen := binary.BigEndian.Uint32(b[4+idspace.Bytes:])
+		b = b[EntryOverhead:]
 		if uint64(vlen) > uint64(len(b)) {
 			return ErrEntries
 		}

@@ -47,20 +47,20 @@ func sampleMsgs() []Msg {
 		{Type: TRepair, ReqID: 15, Cluster: 0xA1, Region: 1},
 		{Type: TRepair, ReqID: 26, Cluster: 0xA1, Region: 3, Traced: true, Trace: 0x1122334455667788},
 		{Type: TRepair, ReqID: 18, Cluster: 0xA1, Region: 2,
-			Cursor: RepairCursor{Shard: 3, Node: 17, Key: idspace.FromString("resume-here")}},
+			Cursor: RepairCursor{Shard: 3, Key: idspace.FromString("resume-here")}},
 		{Type: TRepairOK, ReqID: 15, Region: 1, Entries: []TransferEntry{
-			{Node: 0, Origin: 2, Key: key, Value: []byte("v0")},
-			{Node: 1, Origin: 2, Key: idspace.FromString("object-8"), Value: nil},
+			{Origin: 2, Key: key, Value: []byte("v0")},
+			{Origin: 2, Key: idspace.FromString("object-8"), Value: nil},
 		}},
 		{Type: TRepairOK, ReqID: 18, Region: 2, More: true,
-			Cursor:  RepairCursor{Shard: 1, Node: 9, Key: idspace.FromString("next-page")},
-			Entries: []TransferEntry{{Node: 4, Origin: 1, Key: key, Value: []byte("paged")}}},
+			Cursor:  RepairCursor{Shard: 1, Key: idspace.FromString("next-page")},
+			Entries: []TransferEntry{{Origin: 1, Key: key, Value: []byte("paged")}}},
 		{Type: TTransfer, ReqID: 16, Cluster: 0xA1, Entries: []TransferEntry{
-			{Node: 2, Origin: 0, Key: key, Value: []byte("moved")},
+			{Origin: 0, Key: key, Value: []byte("moved")},
 		}},
 		{Type: TTransfer, ReqID: 17, Cluster: 0xA1, Entries: nil},
 		{Type: TTransfer, ReqID: 27, Cluster: 0xA1, Traced: true, Trace: 0xABCD,
-			Entries: []TransferEntry{{Node: 5, Origin: 1, Key: key, Value: []byte("traced")}}},
+			Entries: []TransferEntry{{Origin: 1, Key: key, Value: []byte("traced")}}},
 		{Type: TTransferOK, ReqID: 16, Accepted: 1},
 		{Type: TReplicate, ReqID: 28, RouteKind: TInsert, Cluster: 0xA1, Key: key, Origin: 1,
 			Value: []byte("tcp://node1:7700")},
@@ -78,7 +78,7 @@ func entriesEq(a, b []TransferEntry) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Node != b[i].Node || a[i].Origin != b[i].Origin ||
+		if a[i].Origin != b[i].Origin ||
 			a[i].Key != b[i].Key || !bytes.Equal(a[i].Value, b[i].Value) {
 			return false
 		}
@@ -315,19 +315,22 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"wrong-view short", append([]byte{byte(TWrongView)}, make([]byte, 8+4)...), ErrShort},
 		{"wrong-view trailing", append([]byte{byte(TWrongView)}, make([]byte, 8+9)...), ErrTrailing},
 		{"repair short", append([]byte{byte(TRepair)}, make([]byte, 8+8+1+5)...), ErrShort},
-		{"repair trailing", append([]byte{byte(TRepair)}, make([]byte, 8+8+1+4+28+2)...), ErrTrailing},
+		{"repair trailing", append([]byte{byte(TRepair)}, make([]byte, 8+8+1+4+24+2)...), ErrTrailing},
+		// A 28-byte cursor (u32 shard | u32 node | key[20]) is the layout
+		// from before entries lost their node: refused, never misparsed.
+		{"repair with node-bearing cursor", append([]byte{byte(TRepair)}, make([]byte, 8+8+1+4+28)...), ErrTrailing},
 		{"repair bad trace flags", func() []byte {
-			b := append([]byte{byte(TRepair)}, make([]byte, 8+8+1+4+28)...)
+			b := append([]byte{byte(TRepair)}, make([]byte, 8+8+1+4+24)...)
 			b[9+8] = 3 // trailer flags must be 0 or 1
 			return b
 		}(), ErrTrace},
 		{"repair-ok bad more byte", func() []byte {
-			b := append([]byte{byte(TRepairOK)}, make([]byte, 8+4+1+28+4)...)
+			b := append([]byte{byte(TRepairOK)}, make([]byte, 8+4+1+24+4)...)
 			b[9+4] = 7 // more must be 0 or 1
 			return b
 		}(), ErrBool},
 		{"repair-ok cursor without more", func() []byte {
-			b := append([]byte{byte(TRepairOK)}, make([]byte, 8+4+1+28+4)...)
+			b := append([]byte{byte(TRepairOK)}, make([]byte, 8+4+1+24+4)...)
 			b[9+4] = 0   // more = 0
 			b[9+4+1] = 9 // ...but a nonzero cursor shard
 			return b
@@ -339,13 +342,13 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		}(), ErrEntries},
 		{"transfer value overruns body", func() []byte {
 			// One entry whose value length claims more bytes than remain.
-			b := append([]byte{byte(TTransfer)}, make([]byte, 8+8+1+4+32)...)
+			b := append([]byte{byte(TTransfer)}, make([]byte, 8+8+1+4+28)...)
 			b[9+8+1+3] = 1      // one entry
-			b[9+8+1+4+31] = 200 // vlen = 200, but the body ends here
+			b[9+8+1+4+27] = 200 // vlen = 200, but the body ends here
 			return b
 		}(), ErrEntries},
 		{"transfer trailing", func() []byte {
-			b := append([]byte{byte(TTransfer)}, make([]byte, 8+8+1+4+32+2)...)
+			b := append([]byte{byte(TTransfer)}, make([]byte, 8+8+1+4+28+2)...)
 			b[9+8+1+3] = 1 // one entry with vlen 0, then 2 stray bytes
 			return b
 		}(), ErrTrailing},

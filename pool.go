@@ -4,31 +4,25 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"discovery/internal/metrics"
-	"discovery/internal/mpil"
 	"discovery/internal/snapshot"
 )
 
-// Pool is a concurrency-safe, shard-per-core wrapper around Service. A
-// Service is single-threaded by design (the MPIL engine keeps mutable
-// routing scratch and a deterministic RNG), so Pool partitions the key
-// space across a fixed set of shards, each owning one Service over the
-// shared read-only overlay. Every key maps to exactly one shard, so all
-// replicas, deletes, and lookups for a key agree on which engine owns it.
+// Pool is a concurrency-safe, sharded store of discovery pointers: each
+// key holds exactly one entry — its value and the origin that inserted
+// it — in the one shard its bytes hash to (ShardOf). Insert replaces the
+// entry; Delete removes it only for the origin that inserted it (paper
+// Section 4.4). Calls for different shards proceed in parallel; calls for
+// the same shard serialize on that shard's mutex, and the shard's state
+// after any sequence of operations depends on nothing but that sequence.
 //
-// Calls for different shards proceed in parallel; calls for the same
-// shard serialize on that shard's mutex. For a fixed seed and shard
-// count, each shard is as deterministic as a lone Service: the i-th
-// operation on a shard gives the same result in any run that delivers
-// the same operations to that shard in the same order.
-//
-// Pool is the library-side counterpart of the discoveryd daemon, which
-// adds bounded request queues and a wire protocol in front of the same
-// sharding scheme (see internal/server).
+// Unlike Service, a Pool routes nothing: the overlay only sizes the
+// origin space (AutoOrigin). Pool is what a cluster member serves
+// (internal/server, internal/p2p), where placement across processes is
+// region hashing plus R-way replication.
 //
 // A Pool is in-memory by default: a restart loses every stored replica.
 // OpenDurablePool builds a Pool whose mutations are logged to a
@@ -40,14 +34,14 @@ type Pool struct {
 	shards []poolShard
 }
 
-// poolShard is one engine plus its serialization lock, commit combiner
+// poolShard is one store plus its serialization lock, commit combiner
 // and counters. The counters live in the pool's metrics registry (a
 // private one unless WithMetrics supplied a shared registry), so a live
 // /metrics scrape and Pool.Stats read the same atomics; increments happen
 // while the shard executes a request under mu, reads are lock-free.
 type poolShard struct {
-	mu  sync.Mutex // the engine and dur: held by a combiner round and by readers
-	svc *Service
+	mu  sync.Mutex // st and dur: held by a combiner round and by readers
+	st  store
 	dur *durableShard // write-ahead state; nil for in-memory pools
 
 	// Commit combiner (see submit). cmu guards leading and waiting only
@@ -64,13 +58,21 @@ type poolShard struct {
 	lookups      *metrics.Counter
 	deletes      *metrics.Counter
 	lookupsFound *metrics.Counter
-	replyHops    *metrics.Counter // total first-reply hops over found lookups
 }
 
+// What a store operation reports in the engine-shaped result types:
+// every request is one message and one flow straight to the key's shard,
+// and there it finds (or stores) the key's one entry.
+var (
+	storedOne  = InsertResult{Replicas: 1, Messages: 1, Flows: 1}
+	lookupHit  = LookupResult{Found: true, Replies: 1, Messages: 1, Flows: 1}
+	lookupMiss = LookupResult{FirstReplyHops: -1, Messages: 1, Flows: 1}
+)
+
 // NewPool builds a pool of shards over one overlay. shards <= 0 selects
-// GOMAXPROCS. Options apply to every shard, except that each shard i
-// derives its tie-sampling seed as seed+i so shards draw independent
-// deterministic streams.
+// GOMAXPROCS. WithRegion, WithReplication and WithMetrics configure the
+// pool; the engine options (WithSeed, WithMaxFlows, ...) are accepted and
+// ignored, since a pool routes nothing.
 func NewPool(ov Overlay, shards int, opts ...Option) (*Pool, error) {
 	if ov == nil {
 		return nil, fmt.Errorf("discovery: nil overlay")
@@ -78,11 +80,12 @@ func NewPool(ov Overlay, shards int, opts ...Option) (*Pool, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	// Recover the base seed the caller configured (default 1) so the
-	// per-shard seeds are derived from it.
-	base := config{seed: 1, regionCount: 1, replication: 1}
+	base := config{regionCount: 1, replication: 1}
 	for _, opt := range opts {
 		opt(&base)
+	}
+	if err := base.checkPlacement(); err != nil {
+		return nil, err
 	}
 	// Counters always live in a registry so Stats works unmetered; a
 	// shared registry (WithMetrics) additionally exposes them process-wide.
@@ -93,17 +96,11 @@ func NewPool(ov Overlay, shards int, opts ...Option) (*Pool, error) {
 	}
 	p := &Pool{ov: ov, base: base, shards: make([]poolShard, shards)}
 	for i := range p.shards {
-		svc, err := New(ov, append(append([]Option(nil), opts...), WithSeed(base.seed+int64(i)))...)
-		if err != nil {
-			return nil, err
-		}
 		s := &p.shards[i]
-		s.svc = svc
 		s.inserts = reg.Counter(fmt.Sprintf("pool.ops{op=insert,shard=%d}", i))
 		s.lookups = reg.Counter(fmt.Sprintf("pool.ops{op=lookup,shard=%d}", i))
 		s.deletes = reg.Counter(fmt.Sprintf("pool.ops{op=delete,shard=%d}", i))
 		s.lookupsFound = reg.Counter(fmt.Sprintf("pool.lookups_found{shard=%d}", i))
-		s.replyHops = reg.Counter(fmt.Sprintf("pool.reply_hops_total{shard=%d}", i))
 	}
 	return p, nil
 }
@@ -111,7 +108,7 @@ func NewPool(ov Overlay, shards int, opts ...Option) (*Pool, error) {
 // NumShards returns the shard count.
 func (p *Pool) NumShards() int { return len(p.shards) }
 
-// Overlay returns the overlay every shard routes over.
+// Overlay returns the overlay the pool was built over.
 func (p *Pool) Overlay() Overlay { return p.ov }
 
 // Region returns the keyspace region this pool owns (index of count
@@ -161,29 +158,30 @@ func (p *Pool) ShardOf(key ID) int {
 	return int(fnv1a(key) % uint64(len(p.shards)))
 }
 
-// AutoOrigin deterministically picks an entry node for key, for callers
-// (like the daemon) that accept requests with no origin attached. The
+// AutoOrigin deterministically picks an origin for key, for callers
+// (like the server) that accept requests with no origin attached. The
 // choice is spread uniformly and is independent of the shard mapping.
 func (p *Pool) AutoOrigin(key ID) int {
 	return int((fnv1a(key) >> 32) % uint64(p.ov.N()))
 }
 
-// Insert publishes key from origin via the owning shard: a batch of one
-// through the shard's commit combiner (see ExecBatch). On a durable pool
-// the operation is logged (and, per the fsync policy, made durable)
-// before it executes; a logging failure returns the error with the
-// engine untouched. In-memory pools only refuse foreign-region keys.
+// Insert stores value under key on behalf of origin, replacing any entry
+// key already has: a batch of one through the owning shard's commit
+// combiner (see ExecBatch). On a durable pool the operation is logged
+// (and, per the fsync policy, made durable) before it executes; a logging
+// failure returns the error with the store untouched. In-memory pools
+// only refuse foreign-region keys.
 func (p *Pool) Insert(origin int, key ID, value []byte) (InsertResult, error) {
 	op := [1]BatchOp{{Kind: BatchInsert, Origin: origin, Key: key, Value: value}}
 	p.submit(p.ShardOf(key), op[:])
 	return op[0].Insert, op[0].Err
 }
 
-// Lookup queries key from origin via the owning shard. Unlike Insert
-// and Delete, lookups are deliberately NOT region-checked: a
-// region-restricted pool answers a foreign key honestly from its local
-// state (not found), because reads are harmless and refusing them would
-// break inspection tooling. Callers that want cluster-wide reads must
+// Lookup reports whether key is stored; origin does not affect the
+// answer. Unlike Insert and Delete, lookups are deliberately NOT
+// region-checked: a region-restricted pool answers a foreign key
+// honestly from its local state (not found), because reads are harmless
+// and refusing them would break inspection tooling. Callers that want cluster-wide reads must
 // route lookups to the key's owning node (internal/p2p does this in
 // front of the pool); a direct Lookup on a non-owner only reflects
 // local state.
@@ -191,17 +189,33 @@ func (p *Pool) Lookup(origin int, key ID) LookupResult {
 	s := &p.shards[p.ShardOf(key)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lookups.Inc()
-	res := s.svc.Lookup(origin, key)
-	if res.Found {
-		s.lookupsFound.Inc()
-		s.replyHops.Add(uint64(res.FirstReplyHops))
-	}
-	return res
+	return s.lookup(key)
 }
 
-// Delete removes origin's replicas of key via the owning shard. Like
-// Insert, it is a batch of one and durable pools log it before applying.
+// lookup is Lookup's counted body; the caller holds s.mu.
+func (s *poolShard) lookup(key ID) LookupResult {
+	s.lookups.Inc()
+	if _, ok := s.st.get(key); !ok {
+		return lookupMiss
+	}
+	s.lookupsFound.Inc()
+	return lookupHit
+}
+
+// deleteOwned removes key's entry if origin inserted it — only the
+// inserting origin may delete (paper Section 4.4) — and returns the
+// number of entries removed. The caller holds s.mu.
+func (s *poolShard) deleteOwned(origin uint32, key ID) int {
+	if e, ok := s.st.get(key); !ok || e.origin != origin {
+		return 0
+	}
+	s.st.del(key)
+	return 1
+}
+
+// Delete removes key's entry if origin inserted it, returning how many
+// entries it removed (0 or 1). Like Insert, it is a batch of one and
+// durable pools log it before applying.
 func (p *Pool) Delete(origin int, key ID) (int, error) {
 	op := [1]BatchOp{{Kind: BatchDelete, Origin: origin, Key: key}}
 	p.submit(p.ShardOf(key), op[:])
@@ -212,48 +226,46 @@ func (p *Pool) Delete(origin int, key ID) (int, error) {
 type BatchKind uint8
 
 // Batch operation kinds. The first three mirror Insert, Lookup and
-// Delete; BatchPut is ImportReplica's batched twin — a direct replica
-// placement at an explicit engine node, used by the cluster transfer
-// and repair receive paths so a whole entry page imports under one
-// shard-lock acquisition and one group-committed WAL append.
+// Delete; BatchPut is ImportReplica's batched twin — an entry copied from
+// a peer, used by the cluster transfer and repair receive paths so a
+// whole entry page imports under one shard-lock acquisition and one
+// group-committed WAL append.
 const (
 	BatchInsert BatchKind = iota + 1
 	BatchLookup
 	BatchDelete
 	BatchPut
-	// batchDrop is DropReplica's op: remove the replica of Key stored at
-	// Node, neither origin-restricted nor region-checked. Removed reports
-	// 1 when a replica was dropped.
+	// batchDrop is DropReplica's op: remove Key's entry, neither
+	// origin-restricted nor region-checked. Removed reports 1 when an
+	// entry was dropped.
 	batchDrop
 )
 
 // BatchOp is one operation of a shard batch executed by ExecBatch. Kind,
 // Origin, Key and Value are the request; exactly one result field is
 // filled on success, and Err reports a refused or failed operation (the
-// other ops of the batch are unaffected). Node is the explicit engine
-// node of a BatchPut placement and ignored otherwise.
+// other ops of the batch are unaffected).
 type BatchOp struct {
 	Kind   BatchKind
 	Origin int
 	Key    ID
-	Value  []byte // insert payload; retained by the engine on success
-	Node   int    // BatchPut only: engine node holding the replica
+	Value  []byte // insert payload; retained by the store on success
 
 	Insert  InsertResult
 	Lookup  LookupResult
 	Removed int
 	Err     error
 
-	// skip marks a BatchPut whose exact replica (node, origin, value)
-	// is already stored: it succeeds without a write-ahead record or an
-	// engine write. Anti-entropy re-pulls the same pages over and over;
-	// without this, every periodic pass would re-log the whole keyspace.
+	// skip marks a BatchPut whose exact entry (origin, value) is already
+	// stored: it succeeds without a write-ahead record or a store write.
+	// Anti-entropy re-pulls the same pages over and over; without this,
+	// every periodic pass would re-log the whole keyspace.
 	skip bool
 }
 
 // ExecBatch executes ops — whose keys must all map to the same shard —
 // in order, through the shard's commit combiner: the only way a mutation
-// reaches an engine. A caller that finds the shard idle runs its batch
+// reaches a store. A caller that finds the shard idle runs its batch
 // inline on its own goroutine; one that finds a batch in flight queues
 // behind it, and everything queued when that batch finishes — client
 // batches, replica applies, single-op mutators, whoever submitted them —
@@ -399,7 +411,7 @@ func (p *Pool) execRound(shard int, segs [][]BatchOp) (walNanos int64, merged in
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// The already-stored checks below read pre-round engine state, so they
+	// The already-stored checks below read pre-round store state, so they
 	// are only valid for a placement no earlier op of this round shadows: a
 	// touched set guards that, allocated only when the round has direct
 	// placements (client insert/delete batches never pay for it).
@@ -437,17 +449,13 @@ func (p *Pool) execRound(shard int, segs [][]BatchOp) (walNanos int64, merged in
 						continue
 					}
 				}
-				if op.Node < 0 || op.Node >= p.ov.N() {
-					op.Err = fmt.Errorf("discovery: batch op %d: replica node %d out of range (overlay has %d nodes)", i, op.Node, p.ov.N())
-					continue
-				}
 				if _, shadowed := touched[op.Key]; !shadowed {
-					// A byte-identical replica already stored (and durably
+					// A byte-identical entry already stored (and durably
 					// logged when it first landed), or nothing to drop:
-					// succeed with no write-ahead record and no engine write.
-					r, ok := s.svc.eng.Stored(op.Node, op.Key)
+					// succeed with no write-ahead record and no store write.
+					e, ok := s.st.get(op.Key)
 					if op.Kind == BatchPut {
-						op.skip = ok && r.Origin == op.Origin && bytes.Equal(r.Value, op.Value)
+						op.skip = ok && e.origin == uint32(op.Origin) && bytes.Equal(e.value, op.Value)
 					} else {
 						op.skip = !ok
 					}
@@ -491,23 +499,19 @@ func (p *Pool) execRound(shard int, segs [][]BatchOp) (walNanos int64, merged in
 			switch op.Kind {
 			case BatchInsert:
 				s.inserts.Inc()
-				op.Insert = s.svc.Insert(op.Origin, op.Key, op.Value)
+				s.st.put(op.Key, uint32(op.Origin), op.Value)
+				op.Insert = storedOne
 			case BatchLookup:
-				s.lookups.Inc()
-				op.Lookup = s.svc.Lookup(op.Origin, op.Key)
-				if op.Lookup.Found {
-					s.lookupsFound.Inc()
-					s.replyHops.Add(uint64(op.Lookup.FirstReplyHops))
-				}
+				op.Lookup = s.lookup(op.Key)
 			case BatchDelete:
 				s.deletes.Inc()
-				op.Removed = s.svc.Delete(op.Origin, op.Key)
+				op.Removed = s.deleteOwned(uint32(op.Origin), op.Key)
 			case BatchPut:
-				// Direct placements are transfer and anti-entropy traffic,
-				// not client requests, so they skip the counters.
-				op.Err = s.svc.eng.PutReplica(op.Node, mpil.Replica{Key: op.Key, Value: op.Value, Origin: op.Origin})
+				// Copied entries are transfer and anti-entropy traffic, not
+				// client requests, so they skip the counters.
+				s.st.put(op.Key, uint32(op.Origin), op.Value)
 			case batchDrop:
-				if s.svc.eng.RemoveReplica(op.Node, op.Key) {
+				if s.st.del(op.Key) {
 					op.Removed = 1
 				}
 			}
@@ -516,46 +520,42 @@ func (p *Pool) execRound(shard int, segs [][]BatchOp) (walNanos int64, merged in
 	return walNanos, merged
 }
 
-// ImportReplica places a replica directly at engine node without routing,
-// write-ahead logged on durable pools: a batch of one BatchPut. It is the
-// receive half of a cluster replica transfer (internal/p2p): the sender
-// exports its exact placements and the receiver reproduces them, so
-// lookups route to the same holders they did on the sender. The key must
-// belong to this pool's region, and the pool retains value.
-func (p *Pool) ImportReplica(node int, origin uint32, key ID, value []byte) error {
-	op := [1]BatchOp{{Kind: BatchPut, Node: node, Origin: int(origin), Key: key, Value: value}}
+// ImportReplica stores an entry copied from a peer, write-ahead logged on
+// durable pools: a batch of one BatchPut. The key must belong to this
+// pool's region, and the pool retains value. The leading argument is
+// ignored; it named an engine node when each key had several copies.
+func (p *Pool) ImportReplica(_ int, origin uint32, key ID, value []byte) error {
+	op := [1]BatchOp{{Kind: BatchPut, Origin: int(origin), Key: key, Value: value}}
 	p.submit(p.ShardOf(key), op[:])
 	return op[0].Err
 }
 
-// ReplicaEntry is one direct replica placement applied by ImportBatch:
-// ImportReplica's arguments in batch form.
+// ReplicaEntry is one entry applied by ImportBatch: ImportReplica's
+// arguments in batch form.
 type ReplicaEntry struct {
-	Node   int
 	Origin uint32
 	Key    ID
 	Value  []byte // retained by the pool on success
 }
 
-// ImportBatch places a batch of replicas directly at their engine nodes,
-// grouping entries by owning shard so each group applies under ONE
-// shard-lock acquisition and — on durable pools — ONE group-committed
-// write-ahead append, instead of ImportReplica's per-entry lock and
-// fsync rounds. It is the receive half of a batched cluster transfer
-// (TTransfer / TRepairOK pages in internal/p2p).
+// ImportBatch stores a batch of entries copied from a peer, grouping them
+// by owning shard so each group applies under ONE shard-lock acquisition
+// and — on durable pools — ONE group-committed write-ahead append, instead
+// of ImportReplica's per-entry lock and fsync rounds. It is the receive
+// half of a batched cluster transfer (TTransfer / TRepairOK pages in
+// internal/p2p).
 //
 // The result state is exactly what applying the entries one by one
-// through ImportReplica would produce: placement order within a shard is
-// preserved, and a refused entry (foreign region, node out of range)
-// skips only itself. accepted counts the entries the pool now holds —
-// including entries whose byte-identical replica was already stored,
-// which succeed without a write-ahead record or engine write — so a
-// transfer sender may drop its copy of every accepted entry. fresh
-// counts the subset that actually mutated state: anti-entropy uses it
-// to tell a converging pull from a steady-state re-walk. firstErr is
-// the first refusal or failure encountered, nil when every entry
-// landed. A failed group append fails that whole group — none of its
-// entries is known durable, so none of them executes.
+// through ImportReplica would produce: order within a shard is preserved,
+// and a refused entry (foreign region) skips only itself. accepted counts
+// the entries the pool now holds — including entries already stored
+// byte-identically, which succeed without a write-ahead record or store
+// write — so a transfer sender may drop its copy of every accepted entry.
+// fresh counts the subset that actually mutated state: anti-entropy uses
+// it to tell a converging pull from a steady-state re-walk. firstErr is
+// the first refusal or failure encountered, nil when every entry landed.
+// A failed group append fails that whole group — none of its entries is
+// known durable, so none of them executes.
 func (p *Pool) ImportBatch(entries []ReplicaEntry) (accepted, fresh int, firstErr error) {
 	if len(entries) == 0 {
 		return 0, 0, nil
@@ -563,13 +563,7 @@ func (p *Pool) ImportBatch(entries []ReplicaEntry) (accepted, fresh int, firstEr
 	byShard := make([][]BatchOp, len(p.shards))
 	for _, e := range entries {
 		si := p.ShardOf(e.Key)
-		byShard[si] = append(byShard[si], BatchOp{
-			Kind:   BatchPut,
-			Node:   e.Node,
-			Origin: int(e.Origin),
-			Key:    e.Key,
-			Value:  e.Value,
-		})
+		byShard[si] = append(byShard[si], BatchOp{Kind: BatchPut, Origin: int(e.Origin), Key: e.Key, Value: e.Value})
 	}
 	for _, ops := range byShard {
 		if len(ops) == 0 {
@@ -592,59 +586,53 @@ func (p *Pool) ImportBatch(entries []ReplicaEntry) (accepted, fresh int, firstEr
 	return accepted, fresh, firstErr
 }
 
-// DropReplica removes the replica of key stored at engine node, if any,
-// write-ahead logged on durable pools. It is the send half of a replica
-// transfer: once the owner has acknowledged the copy, the local one is
-// dropped. Unlike Delete it is not origin-restricted and not routed, and
-// it deliberately skips the region check — handing off foreign keys is
-// its purpose.
-func (p *Pool) DropReplica(node int, key ID) (bool, error) {
-	op := [1]BatchOp{{Kind: batchDrop, Node: node, Key: key}}
+// DropReplica removes key's entry, if any, write-ahead logged on durable
+// pools. It is the send half of a replica transfer: once the owner has
+// acknowledged the copy, the local one is dropped. Unlike Delete it is
+// not origin-restricted, and it deliberately skips the region check —
+// handing off foreign keys is its purpose.
+func (p *Pool) DropReplica(key ID) (bool, error) {
+	op := [1]BatchOp{{Kind: batchDrop, Key: key}}
 	p.submit(p.ShardOf(key), op[:])
 	return op[0].Removed == 1, op[0].Err
 }
 
-// ForEachReplica visits every stored replica across all shards, locking
-// each shard in turn. The value slice aliases engine storage and must be
+// ForEachReplica visits every stored entry in (shard, key) order, locking
+// each shard in turn. The value slice aliases store memory and must be
 // treated as read-only; it remains valid after the callback returns
-// (engine storage never mutates stored bytes).
-func (p *Pool) ForEachReplica(fn func(node int, origin uint32, key ID, value []byte)) {
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		s.svc.eng.ForEachReplica(func(node int, r mpil.Replica) {
-			fn(node, uint32(r.Origin), r.Key, r.Value)
-		})
-		s.mu.Unlock()
-	}
+// (the store never mutates stored bytes).
+func (p *Pool) ForEachReplica(fn func(origin uint32, key ID, value []byte)) {
+	p.ForEachReplicaFrom(ReplicaCursor{}, func(origin uint32, key ID, value []byte) bool {
+		fn(origin, key, value)
+		return true
+	})
 }
 
-// ReplicaCursor marks a resume position in the pool's stable replica
-// iteration order: shard ascending, then engine node ascending, then key
-// ascending. The zero cursor is the start of the store. Cursors are
-// meaningful across calls (and across processes with the same pool
-// parameters) because the order depends only on the shard mapping and
-// the key bytes, never on map iteration order.
+// ReplicaCursor marks a resume position in the pool's stable iteration
+// order: shard ascending, then key ascending. The zero cursor is the
+// start of the store. Cursors are meaningful across calls (and across
+// processes with the same shard count) because the order depends only on
+// the shard mapping and the key bytes.
 type ReplicaCursor struct {
 	Shard uint32
-	Node  uint32
 	Key   ID
 }
 
-// ForEachReplicaFrom visits stored replicas in stable (shard, node, key)
-// order starting at the first position at or after cur, locking one
-// shard at a time. fn returning false stops the walk at that replica:
-// shards and nodes past the stop point are never visited and their locks
-// never taken, which is what makes a byte-budgeted caller (peer repair)
-// cheap on a large store. next is the cursor of the first unvisited
-// replica — the one fn rejected — so passing it back resumes the walk
-// there; done reports that the walk reached the end of the store
-// instead. Values alias engine storage, exactly as in ForEachReplica.
+// ForEachReplicaFrom visits stored entries in stable (shard, key) order
+// starting at the first position at or after cur, locking one shard at a
+// time. fn returning false stops the walk at that entry: shards past the
+// stop point are never visited and their locks never taken, and each
+// call seeks to its start in O(log n), which is what makes a
+// byte-budgeted caller (peer repair) cheap on a large store. next is the
+// cursor of the first unvisited entry — the one fn rejected — so passing
+// it back resumes the walk there; done reports that the walk reached the
+// end of the store instead. Values alias store memory, exactly as in
+// ForEachReplica.
 //
-// Replicas added or removed between paginated calls may be missed or
+// Entries added or removed between paginated calls may be missed or
 // revisited, as with any cursor over live state; anti-entropy converges
 // by re-running.
-func (p *Pool) ForEachReplicaFrom(cur ReplicaCursor, fn func(node int, origin uint32, key ID, value []byte) bool) (next ReplicaCursor, done bool) {
+func (p *Pool) ForEachReplicaFrom(cur ReplicaCursor, fn func(origin uint32, key ID, value []byte) bool) (next ReplicaCursor, done bool) {
 	// Cursors arrive off the wire (peer repair): a shard at or past the
 	// end means the walk is over, and the explicit >= guard also keeps a
 	// hostile cursor from going negative through int() on 32-bit builds.
@@ -652,47 +640,50 @@ func (p *Pool) ForEachReplicaFrom(cur ReplicaCursor, fn func(node int, origin ui
 		return ReplicaCursor{}, true
 	}
 	for si := int(cur.Shard); si < len(p.shards); si++ {
-		fromNode, fromKey := 0, ID{}
+		var from ID
 		if si == int(cur.Shard) {
-			fromNode, fromKey = int(cur.Node), cur.Key
+			from = cur.Key
 		}
 		s := &p.shards[si]
 		s.mu.Lock()
-		var stopNode int
-		var stopKey ID
-		complete := s.svc.eng.ForEachReplicaFrom(fromNode, fromKey, func(node int, r mpil.Replica) bool {
-			if !fn(node, uint32(r.Origin), r.Key, r.Value) {
-				stopNode, stopKey = node, r.Key
-				return false
+		var stop ID
+		complete := s.st.ascend(from, func(e *entry) bool {
+			if fn(e.origin, e.key, e.value) {
+				return true
 			}
-			return true
+			stop = e.key
+			return false
 		})
 		s.mu.Unlock()
 		if !complete {
-			return ReplicaCursor{Shard: uint32(si), Node: uint32(stopNode), Key: stopKey}, false
+			return ReplicaCursor{Shard: uint32(si), Key: stop}, false
 		}
 	}
 	return ReplicaCursor{}, true
 }
 
-// ReplicaCount returns the pool-wide stored replica total.
-func (p *Pool) ReplicaCount() int { return p.replicaCount() }
-
-// Holders returns the nodes storing key in its owning shard, ascending.
-func (p *Pool) Holders(key ID) []int {
-	s := &p.shards[p.ShardOf(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.svc.Holders(key)
+// ReplicaCount returns the pool-wide stored entry total, locking each
+// shard in turn.
+func (p *Pool) ReplicaCount() int {
+	n := 0
+	for i := range p.shards {
+		s := &p.shards[i]
+		s.mu.Lock()
+		n += s.st.n
+		s.mu.Unlock()
+	}
+	return n
 }
 
-// Value returns the payload of key stored at node i, if any, consulting
-// the shard that owns key.
-func (p *Pool) Value(i int, key ID) ([]byte, bool) {
+// Value returns the payload stored under key, if any.
+func (p *Pool) Value(key ID) ([]byte, bool) {
 	s := &p.shards[p.ShardOf(key)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.svc.Value(i, key)
+	if e, ok := s.st.get(key); ok {
+		return e.value, true
+	}
+	return nil, false
 }
 
 // ShardStats is one shard's counter snapshot.
@@ -701,13 +692,10 @@ type ShardStats struct {
 	Inserts  uint64
 	Lookups  uint64
 	Deletes  uint64
-	// LookupsFound counts lookups that located a replica.
+	// LookupsFound counts lookups that found their key.
 	LookupsFound uint64
 	// LookupSuccessPct is the shard's lookup success rate in percent.
 	LookupSuccessPct float64
-	// MeanReplyHops is the mean first-reply hop count of successful
-	// lookups.
-	MeanReplyHops float64
 }
 
 // PoolStats aggregates the pool's counters, overall and per shard.
@@ -721,82 +709,47 @@ type PoolStats struct {
 	PerShard     []ShardStats
 }
 
-// exportShardLocked returns shard i's full replica state, sorted by
-// (node, key) so identical states serialize to identical snapshot bytes.
-// The values alias engine storage (which never mutates stored bytes);
-// the caller holds the shard's lock.
+// exportShardLocked returns shard i's entries in key order, so identical
+// states serialize to identical snapshot bytes. The values alias store
+// memory (which never mutates stored bytes); the caller holds the
+// shard's lock.
 func (p *Pool) exportShardLocked(i int) []snapshot.Entry {
-	var out []snapshot.Entry
-	p.shards[i].svc.eng.ForEachReplica(func(node int, r mpil.Replica) {
-		out = append(out, snapshot.Entry{
-			Node:   uint32(node),
-			Origin: uint32(r.Origin),
-			Key:    r.Key,
-			Value:  r.Value,
-		})
-	})
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Node != out[b].Node {
-			return out[a].Node < out[b].Node
-		}
-		return out[a].Key.Cmp(out[b].Key) < 0
+	st := &p.shards[i].st
+	out := make([]snapshot.Entry, 0, st.n)
+	st.ascend(ID{}, func(e *entry) bool {
+		out = append(out, snapshot.Entry{Origin: e.origin, Key: e.key, Value: e.value})
+		return true
 	})
 	return out
 }
 
-// restoreShard loads exported replica state back into shard i, placing
-// each replica directly (no routing). Entries must come from a pool with
-// the same overlay; nodes out of range are an error.
-func (p *Pool) restoreShard(i int, entries []snapshot.Entry) error {
+// restoreShard loads exported entries back into shard i.
+func (p *Pool) restoreShard(i int, entries []snapshot.Entry) {
 	s := &p.shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range entries {
-		err := s.svc.eng.PutReplica(int(e.Node), mpil.Replica{
-			Key:    e.Key,
-			Value:  e.Value,
-			Origin: int(e.Origin),
-		})
-		if err != nil {
-			return err
-		}
+		s.st.put(e.Key, e.Origin, e.Value)
 	}
-	return nil
 }
 
 // applyShard re-executes one logged mutation on shard i during recovery.
-// It bypasses the mutation hook (the record is already in the log), the
+// It bypasses the write-ahead log (the record is already in it), the
 // region check (the log only ever holds keys the pool accepted), and the
 // request counters (a replayed operation was served by a previous
 // process, not this one).
-func (p *Pool) applyShard(i int, kind opKind, node, origin uint32, key ID, value []byte) error {
+func (p *Pool) applyShard(i int, kind opKind, origin uint32, key ID, value []byte) {
 	s := &p.shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch kind {
-	case opInsert:
-		s.svc.Insert(int(origin), key, value)
+	case opInsert, opPut:
+		s.st.put(key, origin, value)
 	case opDelete:
-		s.svc.Delete(int(origin), key)
-	case opPut:
-		return s.svc.eng.PutReplica(int(node), mpil.Replica{Key: key, Value: value, Origin: int(origin)})
+		s.deleteOwned(origin, key)
 	case opDrop:
-		s.svc.eng.RemoveReplica(int(node), key)
+		s.st.del(key)
 	}
-	return nil
-}
-
-// replicaCount returns the pool-wide stored replica total, locking each
-// shard in turn.
-func (p *Pool) replicaCount() int {
-	n := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		n += s.svc.eng.ReplicaCount()
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Stats snapshots every shard's counters. Counters are atomics in the
@@ -816,9 +769,6 @@ func (p *Pool) Stats() PoolStats {
 		ss.Requests = ss.Inserts + ss.Lookups + ss.Deletes
 		if ss.Lookups > 0 {
 			ss.LookupSuccessPct = 100 * float64(ss.LookupsFound) / float64(ss.Lookups)
-		}
-		if ss.LookupsFound > 0 {
-			ss.MeanReplyHops = float64(s.replyHops.Value()) / float64(ss.LookupsFound)
 		}
 		st.PerShard[i] = ss
 		st.Requests += ss.Requests

@@ -22,18 +22,11 @@ func newTestPool(t *testing.T, shards int, seed int64) *Pool {
 
 func TestPoolConcurrentInsertLookup(t *testing.T) {
 	const keys, workers = 240, 8
-	// A complete overlay makes lookup success structural rather than
-	// statistical: every argmax node receives a flow (no RNG sampling
-	// below the flow quota), so insert and lookup meet at the same local
-	// maxima no matter how the concurrent schedule interleaves shards.
-	// MaxHops is capped because on a complete overlay a flow that has
-	// passed the argmax tier can never see another local maximum and
-	// would otherwise wander for the default N hops.
 	ov, err := CompleteOverlay(256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPool(ov, 4, WithSeed(1), WithMaxHops(8))
+	p, err := NewPool(ov, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +51,8 @@ func TestPoolConcurrentInsertLookup(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Concurrent lookups: every inserted key must be findable, and the
-	// stored payload must match at each reported holder.
+	// Concurrent lookups: every inserted key must be findable, with its
+	// payload.
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -71,14 +64,9 @@ func TestPoolConcurrentInsertLookup(t *testing.T) {
 					t.Errorf("key %d not found", i)
 					continue
 				}
-				holders := p.Holders(key)
-				if len(holders) == 0 {
-					t.Errorf("key %d has no holders", i)
-					continue
-				}
-				v, ok := p.Value(holders[0], key)
+				v, ok := p.Value(key)
 				if !ok || string(v) != fmt.Sprintf("value-%d", i) {
-					t.Errorf("key %d holder payload = %q, %v", i, v, ok)
+					t.Errorf("key %d payload = %q, %v", i, v, ok)
 				}
 			}
 		}(w)
@@ -104,9 +92,9 @@ func TestPoolConcurrentInsertLookup(t *testing.T) {
 	}
 }
 
-// TestPoolDeterminism pins that a fixed seed and shard count reproduce
-// identical per-operation results when each shard sees the same ops in
-// the same order.
+// TestPoolDeterminism pins that a fixed shard count reproduces identical
+// per-operation results when each shard sees the same ops in the same
+// order.
 func TestPoolDeterminism(t *testing.T) {
 	run := func() ([]InsertResult, []LookupResult) {
 		p := newTestPool(t, 3, 7)
@@ -169,11 +157,36 @@ func TestPoolDelete(t *testing.T) {
 	if removed, err := p.Delete(origin+1, key); err != nil || removed != 0 {
 		t.Fatalf("foreign delete removed %d replicas (err=%v)", removed, err)
 	}
-	if removed, err := p.Delete(origin, key); err != nil || removed == 0 {
-		t.Fatalf("owner delete removed nothing (err=%v)", err)
+	if removed, err := p.Delete(origin, key); err != nil || removed != 1 {
+		t.Fatalf("owner delete removed %d entries (err=%v)", removed, err)
 	}
-	if holders := p.Holders(key); len(holders) != 0 {
-		t.Fatalf("holders after delete: %v", holders)
+	if _, ok := p.Value(key); ok || p.ReplicaCount() != 0 {
+		t.Fatalf("entry survived its owner's delete (%d stored)", p.ReplicaCount())
+	}
+}
+
+// TestPoolOverwriteReplacesValue pins one entry per key: a second insert
+// replaces both value and origin, so the delete right passes to the new
+// origin and the old one can no longer remove the entry.
+func TestPoolOverwriteReplacesValue(t *testing.T) {
+	p := newTestPool(t, 2, 3)
+	k := NewID("overwritten")
+	for origin, v := range []string{"v1", "v2"} {
+		if _, err := p.Insert(origin, k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok := p.Value(k); !ok || string(v) != "v2" || p.ReplicaCount() != 1 {
+		t.Fatalf("after overwrite: value %q (found %v), %d entries; want v2 in 1 entry", v, ok, p.ReplicaCount())
+	}
+	if removed, err := p.Delete(0, k); err != nil || removed != 0 {
+		t.Fatalf("delete by the replaced origin removed %d (err=%v), want 0", removed, err)
+	}
+	if removed, err := p.Delete(1, k); err != nil || removed != 1 {
+		t.Fatalf("delete by the current origin removed %d (err=%v), want 1", removed, err)
+	}
+	if res := p.Lookup(0, k); res.Found {
+		t.Fatal("deleted key still found")
 	}
 }
 
@@ -192,76 +205,68 @@ func TestPoolDefaultsShardsToGOMAXPROCS(t *testing.T) {
 }
 
 // TestPoolForEachReplicaFromPaginates pins the pool-level cursor walk:
-// stable (shard, node, key) order, exactly-once delivery across budgeted
-// pages, and termination — the contract paginated peer repair builds on.
+// stable (shard, key) order, exactly-once delivery across budgeted pages,
+// every page resuming exactly at the cursor the previous one returned,
+// and termination — the contract paginated peer repair builds on.
 func TestPoolForEachReplicaFromPaginates(t *testing.T) {
 	ov, err := CompleteOverlay(64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPool(ov, 4, WithSeed(1), WithMaxHops(8))
+	p, err := NewPool(ov, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const replicas = 200
-	type pos struct {
-		node int
-		key  ID
-	}
-	want := map[pos]bool{}
-	for i := 0; i < replicas; i++ {
+	const keys = 5000
+	for i := 0; i < keys; i++ {
 		key := NewID(fmt.Sprintf("page-%d", i))
-		node := i % ov.N()
-		if err := p.ImportReplica(node, uint32(i%ov.N()), key, []byte(fmt.Sprintf("v-%d", i))); err != nil {
+		if err := p.ImportReplica(0, uint32(i%ov.N()), key, []byte(fmt.Sprintf("v-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		want[pos{node, key}] = true
 	}
-
-	for _, page := range []int{1, 7, 64, replicas + 10} {
-		got := map[pos]bool{}
+	for _, page := range []int{1, 7, 64, 1000, keys + 10} {
+		seen := map[ID]bool{}
 		var cur ReplicaCursor
-		var last ReplicaCursor
+		var prev ReplicaCursor // position of the last key delivered
 		pages := 0
 		for {
-			if pages > replicas+1 {
+			if pages > keys+1 {
 				t.Fatalf("page size %d: pagination never terminated", page)
 			}
 			n := 0
-			next, done := p.ForEachReplicaFrom(cur, func(node int, origin uint32, key ID, value []byte) bool {
+			next, done := p.ForEachReplicaFrom(cur, func(_ uint32, key ID, _ []byte) bool {
 				if n == page {
 					return false
 				}
-				n++
-				pp := pos{node, key}
-				if got[pp] {
-					t.Fatalf("page size %d: replica %v/%v delivered twice", page, node, key)
+				pos := ReplicaCursor{Shard: uint32(p.ShardOf(key)), Key: key}
+				if n == 0 && pages > 0 && pos != cur {
+					t.Fatalf("page size %d: page %d starts at %v, not at its cursor %v", page, pages, pos, cur)
 				}
-				got[pp] = true
+				if len(seen) > 0 && (pos.Shard < prev.Shard || pos.Shard == prev.Shard && pos.Key.Cmp(prev.Key) <= 0) {
+					t.Fatalf("page size %d: %v delivered after %v, out of (shard, key) order", page, pos, prev)
+				}
+				if seen[key] {
+					t.Fatalf("page size %d: key %v delivered twice", page, key)
+				}
+				seen[key], prev = true, pos
+				n++
 				return true
 			})
 			pages++
 			if done {
 				break
 			}
-			if next == last && n == 0 {
+			if n == 0 {
 				t.Fatalf("page size %d: cursor made no progress", page)
 			}
-			cur, last = next, next
+			cur = next
 		}
-		if len(got) != replicas {
-			t.Fatalf("page size %d: visited %d replicas in %d pages, want %d", page, len(got), pages, replicas)
+		if len(seen) != keys {
+			t.Fatalf("page size %d: visited %d keys in %d pages, want %d", page, len(seen), pages, keys)
 		}
-		for pp := range want {
-			if !got[pp] {
-				t.Fatalf("page size %d: replica %v never visited", page, pp)
-			}
+		if want := (keys + page - 1) / page; page <= keys && pages != want && pages != want+1 {
+			t.Fatalf("page size %d: %d pages, want %d", page, pages, want)
 		}
-	}
-
-	// The full-size page walks everything in one call and reports done.
-	if _, done := p.ForEachReplicaFrom(ReplicaCursor{}, func(int, uint32, ID, []byte) bool { return true }); !done {
-		t.Fatal("unbudgeted walk reported an early stop")
 	}
 }
 
@@ -287,7 +292,7 @@ func TestPoolExecBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	newP := func() *Pool {
-		p, err := NewPool(ov, 4, WithSeed(1), WithMaxHops(8))
+		p, err := NewPool(ov, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +356,7 @@ func TestPoolExecBatchRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPool(ov, 4, WithSeed(1), WithMaxHops(8), WithRegion(0, 4))
+	p, err := NewPool(ov, 4, WithRegion(0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,27 +404,27 @@ func TestPoolExecBatchRefusals(t *testing.T) {
 }
 
 // TestPoolForEachReplicaFromStopsEarly pins the early-stop guarantee
-// behind budgeted repair: once the callback rejects a replica, the walk
-// invokes it exactly zero more times — later replicas, nodes and shards
-// are never visited (and their locks never taken).
+// behind budgeted repair: once the callback rejects an entry, the walk
+// invokes it exactly zero more times — later entries and shards are
+// never visited (and their locks never taken).
 func TestPoolForEachReplicaFromStopsEarly(t *testing.T) {
 	ov, err := CompleteOverlay(64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPool(ov, 4, WithSeed(1), WithMaxHops(8))
+	p, err := NewPool(ov, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const replicas = 500
 	for i := 0; i < replicas; i++ {
-		if err := p.ImportReplica(i%ov.N(), 0, NewID(fmt.Sprintf("early-%d", i)), []byte("v")); err != nil {
+		if err := p.ImportReplica(0, 0, NewID(fmt.Sprintf("early-%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const accept = 5
 	calls := 0
-	_, done := p.ForEachReplicaFrom(ReplicaCursor{}, func(int, uint32, ID, []byte) bool {
+	_, done := p.ForEachReplicaFrom(ReplicaCursor{}, func(uint32, ID, []byte) bool {
 		calls++
 		return calls <= accept
 	})
@@ -433,17 +438,16 @@ func TestPoolForEachReplicaFromStopsEarly(t *testing.T) {
 
 // TestPoolImportBatchMatchesPerEntry pins the equivalence that makes the
 // batched transfer-apply path safe to substitute for the per-entry one:
-// importing a batch produces exactly the state (same placements, same
-// serialized bytes) that applying each entry through ImportReplica does,
-// and per-entry refusals (foreign regions, out-of-range nodes) skip only
-// themselves in both.
+// importing a batch produces exactly the state (same serialized bytes)
+// that applying each entry through ImportReplica does, and per-entry
+// refusals (foreign regions) skip only themselves in both.
 func TestPoolImportBatchMatchesPerEntry(t *testing.T) {
 	ov, err := CompleteOverlay(64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	newRegioned := func() *Pool {
-		p, err := NewPool(ov, 4, WithSeed(1), WithMaxHops(8), WithRegion(1, 3))
+		p, err := NewPool(ov, 4, WithRegion(1, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +459,6 @@ func TestPoolImportBatchMatchesPerEntry(t *testing.T) {
 	owned, refused := 0, 0
 	for i := 0; len(entries) < 200; i++ {
 		e := ReplicaEntry{
-			Node:   i % ov.N(),
 			Origin: uint32(i % 7),
 			Key:    NewID(fmt.Sprintf("import-batch-%d", i)),
 			Value:  []byte(fmt.Sprintf("payload-%d", i)),
@@ -467,11 +470,8 @@ func TestPoolImportBatchMatchesPerEntry(t *testing.T) {
 		}
 		entries = append(entries, e)
 	}
-	// A duplicate placement (same node, same key, new value) must resolve
-	// the same way in both paths, and an out-of-range node must be
-	// refused without poisoning its neighbors.
-	entries = append(entries, ReplicaEntry{Node: ov.N(), Origin: 0, Key: entries[0].Key, Value: []byte("bad-node")})
-	refused++
+	// A duplicate entry (same key, new value) must resolve the same way in
+	// both paths.
 	for i := 0; i < 10; i++ {
 		if batched.Owns(entries[i].Key) {
 			dup := entries[i]
@@ -495,7 +495,7 @@ func TestPoolImportBatchMatchesPerEntry(t *testing.T) {
 
 	perAccepted := 0
 	for _, e := range entries {
-		if err := perEntry.ImportReplica(e.Node, e.Origin, e.Key, e.Value); err == nil {
+		if err := perEntry.ImportReplica(0, e.Origin, e.Key, e.Value); err == nil {
 			perAccepted++
 		}
 	}
@@ -516,7 +516,7 @@ func TestPoolImportBatchEmptyAndUnrestricted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPool(ov, 4, WithSeed(1), WithMaxHops(8))
+	p, err := NewPool(ov, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,14 +526,14 @@ func TestPoolImportBatchEmptyAndUnrestricted(t *testing.T) {
 	var entries []ReplicaEntry
 	for i := 0; i < 50; i++ {
 		entries = append(entries, ReplicaEntry{
-			Node: i % ov.N(), Origin: uint32(i), Key: NewID(fmt.Sprintf("unres-%d", i)), Value: []byte("v"),
+			Origin: uint32(i), Key: NewID(fmt.Sprintf("unres-%d", i)), Value: []byte("v"),
 		})
 	}
 	if n, _, err := p.ImportBatch(entries); n != len(entries) || err != nil {
 		t.Fatalf("unrestricted batch: %d %v", n, err)
 	}
 	if got := p.ReplicaCount(); got != len(entries) {
-		t.Fatalf("stored %d replicas, want %d", got, len(entries))
+		t.Fatalf("stored %d entries, want %d", got, len(entries))
 	}
 }
 
@@ -549,15 +549,14 @@ func TestPoolImportBatchSkipsIdenticalReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPool(ov, 4, WithSeed(1), WithMaxHops(8))
+	p, err := NewPool(ov, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var entries []ReplicaEntry
 	for i := 0; i < 40; i++ {
 		entries = append(entries, ReplicaEntry{
-			Node: i % ov.N(), Origin: uint32(i % 5),
-			Key: NewID(fmt.Sprintf("replay-%d", i)), Value: []byte(fmt.Sprintf("v-%d", i)),
+			Origin: uint32(i % 5), Key: NewID(fmt.Sprintf("replay-%d", i)), Value: []byte(fmt.Sprintf("v-%d", i)),
 		})
 	}
 	if accepted, fresh, err := p.ImportBatch(entries); err != nil || accepted != 40 || fresh != 40 {
@@ -578,11 +577,22 @@ func TestPoolImportBatchSkipsIdenticalReplays(t *testing.T) {
 	if accepted, fresh, err := p.ImportBatch(entries); err != nil || accepted != 40 || fresh != 1 {
 		t.Fatalf("one-changed replay: accepted %d fresh %d err %v, want 40/1/nil", accepted, fresh, err)
 	}
-	if v, ok := p.Value(entries[7].Node, entries[7].Key); !ok || string(v) != "changed" {
+	if v, ok := p.Value(entries[7].Key); !ok || string(v) != "changed" {
 		t.Fatalf("changed entry not applied: ok=%v v=%q", ok, v)
 	}
+	// A lone import of a stored key with a different value is not skipped
+	// either: the key's one entry takes the new value.
+	lone := []ReplicaEntry{{Origin: entries[9].Origin, Key: entries[9].Key, Value: []byte("replaced")}}
+	if accepted, fresh, err := p.ImportBatch(lone); err != nil || accepted != 1 || fresh != 1 {
+		t.Fatalf("same-key different-value import: accepted %d fresh %d err %v, want 1/1/nil", accepted, fresh, err)
+	}
+	if v, _ := p.Value(entries[9].Key); string(v) != "replaced" || p.ReplicaCount() != 40 {
+		t.Fatalf("same-key import left %q in %d entries, want replaced in 40", v, p.ReplicaCount())
+	}
+	entries[9] = lone[0]
 	// Same bytes under a different origin are NOT identical: origin is
-	// replica state too (heartbeat target), so the entry must re-apply.
+	// entry state too (it decides who may delete), so the entry must
+	// re-apply.
 	// (Entry 7's new value landed above, so it skips this time.)
 	entries[3].Origin++
 	if _, fresh, err := p.ImportBatch(entries); err != nil || fresh != 1 {
@@ -594,16 +604,16 @@ func TestPoolImportBatchSkipsIdenticalReplays(t *testing.T) {
 	// equivalence) — the second put matches pre-batch state but is
 	// shadowed by the first, so it cannot be skipped.
 	k := NewID("replay-shadow")
-	if _, _, err := p.ImportBatch([]ReplicaEntry{{Node: 1, Origin: 2, Key: k, Value: []byte("v0")}}); err != nil {
+	if _, _, err := p.ImportBatch([]ReplicaEntry{{Origin: 2, Key: k, Value: []byte("v0")}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := p.ImportBatch([]ReplicaEntry{
-		{Node: 1, Origin: 2, Key: k, Value: []byte("v1")},
-		{Node: 1, Origin: 2, Key: k, Value: []byte("v0")},
+		{Origin: 2, Key: k, Value: []byte("v1")},
+		{Origin: 2, Key: k, Value: []byte("v0")},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := p.Value(1, k); !ok || string(v) != "v0" {
+	if v, ok := p.Value(k); !ok || string(v) != "v0" {
 		t.Fatalf("shadowed put skipped: ok=%v v=%q, want v0", ok, v)
 	}
 }
