@@ -104,14 +104,12 @@ const (
 	// FsyncBatch group-commits: every acked mutation is fsynced, but
 	// concurrent shard workers share fsyncs. The default.
 	FsyncBatch = wal.SyncBatch
-	// FsyncAlways issues a dedicated fsync per mutation.
-	FsyncAlways = wal.SyncAlways
 	// FsyncOff never fsyncs: mutations survive a process crash (they
 	// reach the kernel before the ack) but not a power failure.
 	FsyncOff = wal.SyncOff
 )
 
-// ParseFsyncPolicy parses "always", "batch" or "off".
+// ParseFsyncPolicy parses "batch" or "off".
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParsePolicy(s) }
 
 // DurableConfig parameterizes OpenDurablePool.

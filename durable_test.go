@@ -514,7 +514,7 @@ func TestDurablePoolFsyncFailureNeverAcks(t *testing.T) {
 	var hold atomic.Pointer[chan struct{}]
 	cfg := DurableConfig{
 		Dir:   dir,
-		Fsync: FsyncAlways,
+		Fsync: FsyncBatch,
 		Logf:  t.Logf,
 		WALSyncErr: func() error {
 			if ch := hold.Swap(nil); ch != nil {
@@ -605,7 +605,7 @@ func TestDurablePoolFsyncFailureNeverAcks(t *testing.T) {
 	}
 	dp.Close()
 
-	dp2, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir, Fsync: FsyncAlways, Logf: t.Logf})
+	dp2, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir, Fsync: FsyncBatch, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("reopen after poison: %v", err)
 	}
@@ -631,7 +631,7 @@ func TestDurablePoolImportBatchIdenticalReplayWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	var failSync atomic.Bool
 	dp, _ := openDurable(t, ov, dir, DurableConfig{
-		Fsync: FsyncAlways,
+		Fsync: FsyncBatch,
 		WALSyncErr: func() error {
 			if failSync.Load() {
 				return errors.New("injected fsync failure")

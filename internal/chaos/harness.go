@@ -1,57 +1,47 @@
 package chaos
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"os/exec"
-	"regexp"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
 	discovery "discovery"
 	"discovery/internal/cluster"
 	"discovery/internal/faultnet"
+	"discovery/internal/node"
 	"discovery/internal/perturb"
 	"discovery/internal/server"
 )
 
 // Harness topology: every directed peer link i→j gets its own faultnet
-// proxy (node i dials j through it via -peer-via), and every node's
-// client traffic is interposed by one more proxy that the node
-// advertises via -advertise-client. Cluster identity (bootstrap list,
-// fingerprints, member-table slots) stays entirely on the real
-// addresses; only the bytes take the detour. That gives the scenario
-// runner independent control of all n(n-1) directed peer links plus
-// the n client links, while the cluster under test is a stock
-// discoverynode deployment.
+// proxy (node i dials j through it via node.Config.DialVia), and every
+// node's client traffic is interposed by one more proxy that the node
+// advertises via node.Config.AdvertiseClient. Cluster identity
+// (bootstrap list, fingerprints, member-table slots) stays entirely on
+// the real addresses; only the bytes take the detour. That gives the
+// scenario runner independent control of all n(n-1) directed peer links
+// plus the n client links, while the members under test are stock
+// internal/node assemblies — the same code cmd/discoverynode runs —
+// in this process.
 const (
 	nodes        = 3
 	replication  = 3
-	nodeCallTO   = "1s" // node-to-node call timeout (keeps fault-phase stalls short)
+	nodeCallTO   = time.Second // node-to-node call timeout (keeps fault-phase stalls short)
 	clientCallTO = 2 * time.Second
 	minInserts   = 12 // fault-phase insert attempts before heal may start
 )
 
-var servingRe = regexp.MustCompile(`serving clients on (127\.0\.0\.1:\d+) \(region`)
+var errInjectedFsync = errors.New("chaos: injected fsync failure")
 
-// proc is one running discoverynode process.
-type proc struct {
-	cmd      *exec.Cmd
-	scanDone chan struct{}
-	serving  chan struct{}
-}
-
-// Harness owns the cluster processes, the proxy mesh, and the clients.
+// Harness owns the cluster members, the proxy mesh, and the clients.
 type Harness struct {
-	t   *testing.T
-	bin string
+	t *testing.T
 
 	peerAddrs   []string // sorted; index == region
 	clientAddrs []string // fixed client listen addresses, index-aligned
@@ -59,9 +49,10 @@ type Harness struct {
 
 	peerProxies   [][]*faultnet.Proxy // [dialer][target]; nil on the diagonal
 	clientProxies []*faultnet.Proxy
+	proxies       []*faultnet.Proxy // all of the above
 
-	nodeFlags [][]string // per-node extra flags, stable across restarts
-	procs     []*proc
+	members    []*node.Node
+	fsyncArmed []atomic.Bool // per node: its WAL fsyncs fail while set
 
 	cc *cluster.Client
 }
@@ -71,9 +62,9 @@ type Harness struct {
 // matters: the harness binds 15 proxy listeners on :0 right after
 // reserving, and a released port is fair game for the kernel's next
 // ephemeral allocation — a proxy squatting on a node's reserved port
-// makes that node exit at bind and the cell die opaquely. The node
-// processes themselves bind fine after release (Go listeners set
-// SO_REUSEADDR, and nothing else *listens* on those ports by then).
+// makes that node fail at bind and the cell die opaquely. The members
+// themselves bind fine after release (Go listeners set SO_REUSEADDR, and
+// nothing else *listens* on those ports by then).
 func reserveAddrs(t *testing.T, n int) ([]string, func()) {
 	t.Helper()
 	addrs := make([]string, n)
@@ -98,11 +89,12 @@ func reserveAddrs(t *testing.T, n int) ([]string, func()) {
 	return addrs, release
 }
 
-// newHarness reserves addresses, builds the proxy mesh and assigns
-// per-node flags, but starts nothing yet.
-func newHarness(t *testing.T, bin string, sc Scenario) *Harness {
+// newHarness reserves addresses and builds the proxy mesh, but starts
+// no member yet.
+func newHarness(t *testing.T) *Harness {
 	t.Helper()
-	h := &Harness{t: t, bin: bin}
+	h := &Harness{t: t, members: make([]*node.Node, nodes), fsyncArmed: make([]atomic.Bool, nodes)}
+	t.Cleanup(h.close)
 
 	// Sorting the reserved peer addresses makes node index == region
 	// rank, so scenarios can say "node 1" and mean region 1. The
@@ -128,8 +120,8 @@ func newHarness(t *testing.T, bin string, sc Scenario) *Harness {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { p.Close() })
 			h.peerProxies[i][j] = p
+			h.proxies = append(h.proxies, p)
 		}
 	}
 	h.clientProxies = make([]*faultnet.Proxy, nodes)
@@ -138,115 +130,85 @@ func newHarness(t *testing.T, bin string, sc Scenario) *Harness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { p.Close() })
 		h.clientProxies[i] = p
+		h.proxies = append(h.proxies, p)
 	}
 	releasePeer()
 	releaseClient()
-
-	h.nodeFlags = make([][]string, nodes)
-	for _, f := range sc.Faults {
-		if f.Kind == FsyncFail {
-			h.nodeFlags[f.Node] = append(h.nodeFlags[f.Node], "-chaos-fsync-fail")
-		}
-	}
-	h.procs = make([]*proc, nodes)
 	return h
 }
 
-// startNode launches (or relaunches) node i and waits until it serves.
+// startNode starts (or restarts, on the same data directory) node i.
 func (h *Harness) startNode(i int) {
 	h.t.Helper()
-	var via []string
-	for j := range h.peerAddrs {
+	via := make(map[string]string, nodes-1)
+	for j, addr := range h.peerAddrs {
 		if j != i {
-			via = append(via, h.peerAddrs[j]+"="+h.peerProxies[i][j].Addr())
+			via[addr] = h.peerProxies[i][j].Addr()
 		}
 	}
-	args := []string{
-		"-listen", h.clientAddrs[i],
-		"-peer-listen", h.peerAddrs[i],
-		"-advertise-client", h.clientProxies[i].Addr(),
-		"-bootstrap", strings.Join(h.peerAddrs, ","),
-		"-peer-via", strings.Join(via, ","),
-		"-replication", fmt.Sprint(replication),
-		"-data-dir", h.dirs[i], "-fsync", "batch", "-snapshot-every", "64",
-		"-shards", "2",
-		"-join-timeout", "15s",
-		"-dial-timeout", "250ms",
-		"-call-timeout", nodeCallTO,
-		"-redial-backoff", "100ms",
-		"-probe-interval", "500ms",
-		"-anti-entropy-every", "750ms",
-	}
-	args = append(args, h.nodeFlags[i]...)
-	cmd := exec.Command(h.bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		h.t.Fatal(err)
-	}
-	p := &proc{cmd: cmd, scanDone: make(chan struct{}), serving: make(chan struct{})}
-	go func() {
-		defer close(p.scanDone)
-		served := false
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			h.t.Logf("node%d: %s", i, line)
-			if !served && servingRe.MatchString(line) {
-				served = true
-				close(p.serving)
+	n, err := node.Start(node.Config{
+		Listen:           h.clientAddrs[i],
+		PeerListen:       h.peerAddrs[i],
+		AdvertiseClient:  h.clientProxies[i].Addr(),
+		Bootstrap:        h.peerAddrs,
+		Replication:      replication,
+		JoinTimeout:      15 * time.Second,
+		DialTimeout:      250 * time.Millisecond,
+		CallTimeout:      nodeCallTO,
+		AntiEntropy:      true,
+		AntiEntropyEvery: 750 * time.Millisecond,
+		Shards:           2,
+		DataDir:          h.dirs[i],
+		SnapshotEvery:    64,
+		Logf:             func(format string, args ...any) { h.t.Logf("node%d: "+format, append([]any{i}, args...)...) },
+		DialVia:          via,
+		RedialBackoff:    100 * time.Millisecond,
+		ProbeInterval:    500 * time.Millisecond,
+		WALSyncErr: func() error {
+			if h.fsyncArmed[i].Load() {
+				return errInjectedFsync
 			}
-		}
-	}()
-	h.t.Cleanup(func() {
-		cmd.Process.Kill() //nolint:errcheck
-		cmd.Wait()         //nolint:errcheck
-		<-p.scanDone
+			return nil
+		},
 	})
-	select {
-	case <-p.serving:
-	case <-p.scanDone:
-		// stderr EOF before the serving line: the process died at
-		// startup (e.g. bind failure). Fail now with whatever it said
-		// rather than eating the full timeout.
-		h.t.Fatalf("node%d exited before serving (see its log lines above)", i)
-	case <-time.After(30 * time.Second):
-		h.t.Fatalf("node%d never served", i)
+	if err != nil {
+		h.t.Fatalf("node%d: %v", i, err)
 	}
-	h.procs[i] = p
+	h.members[i] = n
 }
 
-// stopNode SIGTERMs node i and waits for a clean exit (escalating to
-// SIGKILL after a deadline).
+// stopNode drains node i (an orderly Close, as on SIGTERM).
 func (h *Harness) stopNode(i int) {
 	h.t.Helper()
-	p := h.procs[i]
-	if p == nil {
-		return
+	if n := h.members[i]; n != nil {
+		h.members[i] = nil
+		if err := n.Close(); err != nil {
+			h.t.Logf("node%d: close: %v", i, err)
+		}
 	}
-	p.cmd.Process.Signal(syscall.SIGTERM) //nolint:errcheck
-	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		h.t.Errorf("node%d did not drain in 15s; killing", i)
-		p.cmd.Process.Kill() //nolint:errcheck
-		<-done
+}
+
+// close shuts down, in order, the client, every member and every proxy
+// that exists. Idempotent: a passing cell calls it last, and it is the
+// cleanup of a failed one.
+func (h *Harness) close() {
+	if h.cc != nil {
+		h.cc.Close()
 	}
-	<-p.scanDone
-	h.procs[i] = nil
+	for i := range h.members {
+		h.stopNode(i)
+	}
+	for _, p := range h.proxies {
+		p.Close()
+	}
 }
 
 // start boots every node and dials the cluster-smart client through
 // the client proxies.
 func (h *Harness) start() {
 	h.t.Helper()
-	for i := range h.procs {
+	for i := range h.members {
 		h.startNode(i)
 	}
 	seeds := make([]string, nodes)
@@ -262,7 +224,6 @@ func (h *Harness) start() {
 	if err != nil {
 		h.t.Fatalf("cluster dial: %v", err)
 	}
-	h.t.Cleanup(cc.Close)
 	h.cc = cc
 	// Wait until every member slot advertises its client proxy, so
 	// routing is direct (and through our interposition) from the start.
@@ -425,11 +386,13 @@ func (h *Harness) drive(sc Scenario, settled []string, stop <-chan struct{}) *tr
 	return tr
 }
 
-// Run executes one scenario end to end. It is the single entry point
-// cmd/discoverynode's chaos test calls per matrix cell.
-func Run(t *testing.T, bin string, sc Scenario) {
+// Run executes one scenario end to end: a 3-member cluster in this
+// process, faulted, healed and checked. It is the entry point
+// TestChaosMatrix calls per matrix cell. A passing cell ends with an
+// orderly Close of the client, every member and every proxy.
+func Run(t *testing.T, sc Scenario) {
 	t.Logf("scenario %s: %s", sc.Name, sc.About)
-	h := newHarness(t, bin, sc)
+	h := newHarness(t)
 	h.start()
 
 	settled := h.settle(sc, 36)
@@ -483,22 +446,15 @@ func Run(t *testing.T, bin string, sc Scenario) {
 	bg.Wait()
 
 	// Heal: every proxy back to a faithful wire; fsync-poisoned nodes
-	// restart (recovery clears the poisoned log; the hook re-arms only
-	// on another SIGUSR1, which never comes).
-	for i := range h.peerProxies {
-		for j, p := range h.peerProxies[i] {
-			if j != i {
-				p.Heal()
-			}
-		}
-	}
-	for _, p := range h.clientProxies {
+	// restart with the hook disarmed (recovery clears the poisoned log).
+	for _, p := range h.proxies {
 		p.Heal()
 	}
 	for _, f := range sc.Faults {
 		if f.Kind == FsyncFail {
 			h.t.Logf("heal: restarting fsync-poisoned node%d", f.Node)
 			h.stopNode(f.Node)
+			h.fsyncArmed[f.Node].Store(false)
 			h.startNode(f.Node)
 		}
 	}
@@ -528,10 +484,7 @@ func Run(t *testing.T, bin string, sc Scenario) {
 		t.Fatalf("flap driver made %d transitions, want >= %d", flaps.Load(), n)
 	}
 
-	// Orderly shutdown so every process exits clean under -race.
-	for i := 0; i < nodes; i++ {
-		h.stopNode(i)
-	}
+	h.close()
 }
 
 func flapQuota(sc Scenario) int {
@@ -548,7 +501,7 @@ func flapQuotaMet(sc Scenario, flaps *atomic.Int64) bool {
 	return n == 0 || flaps.Load() >= int64(n)
 }
 
-// applyFault turns one Fault into proxy/process operations. Background
+// applyFault turns one Fault into proxy or hook operations. Background
 // kinds (ResetStorm, Flap) run goroutines until bgStop closes.
 func (h *Harness) applyFault(f Fault, bgStop <-chan struct{}, bg *sync.WaitGroup, flaps *atomic.Int64) {
 	h.t.Helper()
@@ -630,10 +583,8 @@ func (h *Harness) applyFault(f Fault, bgStop <-chan struct{}, bg *sync.WaitGroup
 			}
 		}()
 	case FsyncFail:
-		if p := h.procs[f.Node]; p != nil {
-			h.t.Logf("chaos: arming fsync failure on node%d (SIGUSR1)", f.Node)
-			p.cmd.Process.Signal(syscall.SIGUSR1) //nolint:errcheck
-		}
+		h.t.Logf("chaos: arming fsync failure on node%d", f.Node)
+		h.fsyncArmed[f.Node].Store(true)
 	}
 }
 

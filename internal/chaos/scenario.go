@@ -1,7 +1,7 @@
-// Package chaos is the fault-matrix harness behind
-// cmd/discoverynode's chaos tests: it boots a real N-process cluster
-// with every peer and client link interposed by an internal/faultnet
-// proxy, expresses fault scenarios as data (Scenario/Fault), drives
+// Package chaos is the fault-matrix harness: it boots an N-member
+// cluster of internal/node members in the test process, with every peer
+// and client link interposed by an internal/faultnet proxy, expresses
+// fault scenarios as data (Scenario/Fault), drives
 // live traffic through the cluster-smart client while the faults are
 // active, and asserts the same four invariants across every cell of
 // the matrix:
@@ -17,11 +17,11 @@
 //     survive).
 //  4. Convergence after heal — once faults lift, periodic anti-entropy
 //     brings every replica of every acked key back in sync, with no
-//     process restarts beyond those the scenario itself performs.
+//     restarts beyond those the scenario itself performs.
 //
 // Adding a scenario is adding a literal to Matrix: the harness knows
-// how to apply every Fault kind, and cmd/discoverynode's chaos test
-// runs each entry as its own subtest.
+// how to apply every Fault kind, and TestChaosMatrix runs each entry as
+// its own subtest.
 package chaos
 
 import "time"
@@ -65,13 +65,13 @@ const (
 	// CutClient, online = heal. The fault window extends until at least
 	// Fault.MinFlaps transitions have happened.
 	Flap
-	// RollingRestart SIGTERMs and restarts every node in turn, one at a
-	// time, while traffic runs.
+	// RollingRestart closes and restarts every node on its data
+	// directory in turn, one at a time, while traffic runs.
 	RollingRestart
 	// FsyncFail arms permanent injected fsync failures on Node's WAL
-	// append path (SIGUSR1 to a -chaos-fsync-fail node): the log
-	// poisons itself, mutations on that node error while reads keep
-	// serving. Heal restarts the node (fresh recovery, hook disarmed).
+	// append path (its node.Config.WALSyncErr hook): the log poisons
+	// itself, mutations on that node error while reads keep serving.
+	// Heal restarts the node (fresh recovery, hook disarmed).
 	FsyncFail
 )
 
@@ -114,7 +114,7 @@ type Scenario struct {
 	ExpectFailovers bool
 }
 
-// Matrix is the scenario set cmd/discoverynode's chaos test runs. The
+// Matrix is the scenario set TestChaosMatrix runs. The
 // Short entries are the PR-gating subset; everything runs on push.
 // Fault classes covered: hard partition (island), asymmetric partition,
 // latency/jitter, frame reordering, bandwidth cap, connection resets,
@@ -178,7 +178,7 @@ var Matrix = []Scenario{
 	},
 	{
 		Name:  "rolling-restart",
-		About: "every node is SIGTERMed and restarted in turn under live traffic",
+		About: "every node is drained and restarted in turn under live traffic",
 		Faults: []Fault{
 			{Kind: RollingRestart},
 		},
@@ -192,15 +192,4 @@ var Matrix = []Scenario{
 		},
 		ExpectWriteErrors: true,
 	},
-}
-
-// ShortMatrix returns just the Short subset.
-func ShortMatrix() []Scenario {
-	var out []Scenario
-	for _, sc := range Matrix {
-		if sc.Short {
-			out = append(out, sc)
-		}
-	}
-	return out
 }

@@ -407,118 +407,6 @@ func TestDialRefusesNonClusterServer(t *testing.T) {
 	}
 }
 
-// benchCluster seeds a 3-node cluster with count keys and returns the
-// nodes plus the key names.
-// benchCallers fans RunParallel out to several goroutines per core:
-// the client exists for many concurrent requesters, and a single
-// closed-loop caller (the GOMAXPROCS=1 default) measures goroutine
-// hand-off latency instead of the multiplexed regime.
-const benchCallers = 8
-
-func benchCluster(b *testing.B, count int) ([]*clusterNode, []string) {
-	b.Helper()
-	nodes := startCluster(b, 3)
-	cl, err := cluster.Dial(cluster.Config{Seeds: []string{nodes[0].clientAddr}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	names := make([]string, count)
-	for i := range names {
-		names[i] = fmt.Sprintf("bench-%d", i)
-		if _, err := cl.Insert(cluster.OriginAuto, discovery.NewID(names[i]), []byte("benchmark-value")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return nodes, names
-}
-
-// BenchmarkClusterClientRouted measures the cluster-smart path: one
-// locally computed owner, one hop, requests from all goroutines
-// multiplexed and coalesced onto per-node connections.
-func BenchmarkClusterClientRouted(b *testing.B) {
-	nodes, names := benchCluster(b, 300)
-	cl, err := cluster.Dial(cluster.Config{Seeds: []string{nodes[0].clientAddr}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	b.SetParallelism(benchCallers)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			name := names[i%len(names)]
-			i++
-			res, err := cl.Lookup(cluster.OriginAuto, discovery.NewID(name))
-			if err != nil || !res.Found {
-				b.Errorf("lookup %s: found=%v err=%v", name, res.Found, err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkClusterRelayThroughOneNode measures the cluster-unaware
-// baseline: every request enters through one node, which relays ~2/3 of
-// them to their owners over the peer transport.
-func BenchmarkClusterRelayThroughOneNode(b *testing.B) {
-	nodes, names := benchCluster(b, 300)
-	b.SetParallelism(benchCallers)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		c, err := server.Dial(nodes[0].clientAddr)
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		defer c.Close()
-		i := 0
-		for pb.Next() {
-			name := names[i%len(names)]
-			i++
-			res, err := c.Lookup(server.OriginAuto, discovery.NewID(name))
-			if err != nil || !res.Found {
-				b.Errorf("lookup %s: found=%v err=%v", name, res.Found, err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkClusterOwnerDirect measures the oracle baseline: each
-// goroutine holds a plain connection to every node and asks the owner
-// directly with un-enveloped requests — the routing ideal the
-// cluster-smart client is judged against.
-func BenchmarkClusterOwnerDirect(b *testing.B) {
-	nodes, names := benchCluster(b, 300)
-	b.SetParallelism(benchCallers)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		conns := make([]*server.Client, len(nodes))
-		for i, cn := range nodes {
-			c, err := server.Dial(cn.clientAddr)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			conns[i] = c
-			defer c.Close()
-		}
-		i := 0
-		for pb.Next() {
-			name := names[i%len(names)]
-			i++
-			key := discovery.NewID(name)
-			res, err := conns[discovery.OwnerOf(key, len(nodes))].Lookup(server.OriginAuto, key)
-			if err != nil || !res.Found {
-				b.Errorf("lookup %s: found=%v err=%v", name, res.Found, err)
-				return
-			}
-		}
-	})
-}
-
 // TestStaleRetryKeepsTraceID drives the client's own TWrongView
 // refresh-and-retry loop with a caller-stamped trace ID and checks the
 // ID survives the detour: the stale node records the zero-duration

@@ -2,16 +2,15 @@ package server
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
 	discovery "discovery"
-	"discovery/internal/wire"
 )
 
-// newDurableTestServer is newTestServer backed by a durable pool on dir.
-func newDurableTestServer(t testing.TB, dir string, shards, queueDepth int, fsync discovery.FsyncPolicy) (*Server, string, *discovery.DurablePool) {
+// newDurableTestServer is newTestServer backed by a durable pool on dir
+// (batch fsync). Cleanup closes the server, then the store.
+func newDurableTestServer(t testing.TB, dir string, shards, queueDepth int) (*Server, string, *discovery.DurablePool) {
 	t.Helper()
 	ov, err := discovery.CompleteOverlay(256, 1)
 	if err != nil {
@@ -19,12 +18,12 @@ func newDurableTestServer(t testing.TB, dir string, shards, queueDepth int, fsyn
 	}
 	dp, _, err := discovery.OpenDurablePool(ov, shards, discovery.DurableConfig{
 		Dir:   dir,
-		Fsync: fsync,
+		Fsync: discovery.FsyncBatch,
 	}, discovery.WithSeed(1), discovery.WithMaxHops(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Pool: dp.Pool, QueueDepth: queueDepth, Store: dp, Logf: t.Logf})
+	srv, err := New(Config{Pool: dp.Pool, QueueDepth: queueDepth, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,18 +31,22 @@ func newDurableTestServer(t testing.TB, dir string, shards, queueDepth int, fsyn
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() {
+		srv.Close()
+		dp.Close()
+	})
 	return srv, addr.String(), dp
 }
 
 // TestE2EDurableDrainAndRestart drives a durable daemon with concurrent
-// clients, closes it gracefully (the server seals the store after the
-// shard queues drain), restarts on the same directory, and verifies
-// every key is still findable over the wire. Run under -race in CI.
+// clients, closes it gracefully (the server drains its shard queues,
+// then the store is sealed), restarts on the same directory, and
+// verifies every key is still findable over the wire. Run under -race
+// in CI.
 func TestE2EDurableDrainAndRestart(t *testing.T) {
 	const clients, keysPer = 4, 16
 	dir := t.TempDir()
-	srv, addr, _ := newDurableTestServer(t, dir, 4, 16, discovery.FsyncBatch)
+	srv, addr, dp := newDurableTestServer(t, dir, 4, 16)
 
 	key := func(c, i int) string { return fmt.Sprintf("dur-%d-%d", c, i) }
 	var wg sync.WaitGroup
@@ -66,13 +69,14 @@ func TestE2EDurableDrainAndRestart(t *testing.T) {
 		}(cl)
 	}
 	wg.Wait()
-	if err := srv.Close(); err != nil {
-		t.Fatalf("graceful close: %v", err)
+	srv.Close()
+	if err := dp.Close(); err != nil {
+		t.Fatalf("store close: %v", err)
 	}
 
 	// Second daemon, same directory: a clean shutdown snapshotted every
 	// shard, so recovery restores state without replaying the log.
-	_, addr2, dp2 := newDurableTestServer(t, dir, 4, 16, discovery.FsyncBatch)
+	_, addr2, _ := newDurableTestServer(t, dir, 4, 16)
 	c, err := Dial(addr2)
 	if err != nil {
 		t.Fatal(err)
@@ -96,135 +100,4 @@ func TestE2EDurableDrainAndRestart(t *testing.T) {
 	if res, err := c.Lookup(OriginAuto, discovery.NewID("post-restart")); err != nil || !res.Found {
 		t.Fatalf("post-restart insert not findable: %v %v", res, err)
 	}
-	_ = dp2
-}
-
-// benchThroughput is the shared pipelined driver behind the daemon
-// throughput benchmarks: conns connections, each keeping a window of
-// benchWindow requests in flight (send a burst, flush once, read the
-// burst's responses). This is the heavy-traffic shape the serving layer
-// batches for: bursts arrive together, so shard workers execute them as
-// batches (sharing write-ahead fsyncs) and connection writers flush the
-// responses as coalesced writev batches. BenchmarkDaemonThroughputSerial
-// keeps the one-request-at-a-time shape for comparison.
-const benchWindow = 32
-
-func benchThroughput(b *testing.B, addr string, insertRatio float64) {
-	benchThroughputConns(b, addr, insertRatio, 4)
-}
-
-// benchThroughputConns is benchThroughput with a configurable connection
-// count (the shard-scaling sweep grows connections with shards so the
-// offered load keeps every worker busy). Returns the measured req/s.
-func benchThroughputConns(b *testing.B, addr string, insertRatio float64, conns int) float64 {
-	const keys = 64
-	seedClient, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < keys; i++ {
-		if _, err := seedClient.Insert(OriginAuto, discovery.NewID(fmt.Sprintf("bench-%d", i)), []byte("v")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	seedClient.Close()
-
-	clients := make([]*Client, conns)
-	for i := range clients {
-		if clients[i], err = Dial(addr); err != nil {
-			b.Fatal(err)
-		}
-		defer clients[i].Close()
-	}
-
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for ci, c := range clients {
-		wg.Add(1)
-		go func(ci int, c *Client) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(ci)))
-			quota := b.N / conns
-			if ci < b.N%conns {
-				quota++
-			}
-			var m wire.Msg
-			for done := 0; done < quota; {
-				burst := benchWindow
-				if left := quota - done; left < burst {
-					burst = left
-				}
-				inserts, lookups := 0, 0
-				for i := 0; i < burst; i++ {
-					key := discovery.NewID(fmt.Sprintf("bench-%d", (done+i)%keys))
-					req := wire.Msg{Type: wire.TLookup, Key: key, Origin: wire.OriginAuto}
-					if insertRatio > 0 && rng.Float64() < insertRatio {
-						req.Type = wire.TInsert
-						req.Value = []byte("v")
-						inserts++
-					} else {
-						lookups++
-					}
-					if _, err := c.Send(&req); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-				if err := c.Flush(); err != nil {
-					b.Error(err)
-					return
-				}
-				for i := 0; i < burst; i++ {
-					if err := c.Recv(&m); err != nil {
-						b.Error(err)
-						return
-					}
-					switch m.Type {
-					case wire.TInsertOK:
-						inserts--
-					case wire.TLookupOK:
-						if !m.Lookup.Found {
-							b.Error("bench lookup missed")
-							return
-						}
-						lookups--
-					default:
-						b.Errorf("unexpected response %v: %s", m.Type, m.ErrorText())
-						return
-					}
-				}
-				if inserts != 0 || lookups != 0 {
-					b.Errorf("burst response mix off by %d inserts / %d lookups", inserts, lookups)
-					return
-				}
-				done += burst
-			}
-		}(ci, c)
-	}
-	wg.Wait()
-	rps := float64(b.N) / b.Elapsed().Seconds()
-	b.ReportMetric(rps, "req/s")
-	return rps
-}
-
-// BenchmarkDaemonThroughputDurable is BenchmarkDaemonThroughput against
-// a durable pool with batch fsync: the lookup path adds no durability
-// work, so this pins that persistence is free for reads.
-func BenchmarkDaemonThroughputDurable(b *testing.B) {
-	_, addr, _ := newDurableTestServer(b, b.TempDir(), 4, 64, discovery.FsyncBatch)
-	benchThroughput(b, addr, 0)
-}
-
-// BenchmarkDaemonMixed is the in-memory baseline for the write path:
-// 10% inserts, 90% lookups, 4 pipelined connections.
-func BenchmarkDaemonMixed(b *testing.B) {
-	_, addr, _ := newTestServer(b, 4, 64)
-	benchThroughput(b, addr, 0.10)
-}
-
-// BenchmarkDaemonMixedDurable is BenchmarkDaemonMixed with every insert
-// written ahead and group-commit fsynced before its ack.
-func BenchmarkDaemonMixedDurable(b *testing.B) {
-	_, addr, _ := newDurableTestServer(b, b.TempDir(), 4, 64, discovery.FsyncBatch)
-	benchThroughput(b, addr, 0.10)
 }

@@ -316,62 +316,3 @@ func TestE2EDeleteAndErrors(t *testing.T) {
 		t.Fatalf("connection dead after error responses: %v", err)
 	}
 }
-
-// BenchmarkDaemonThroughput measures pipelined request throughput over
-// loopback TCP: 4 connections, each keeping a window of requests in
-// flight (see benchThroughput). This is the workload the batching layers
-// exist for.
-func BenchmarkDaemonThroughput(b *testing.B) {
-	_, addr, _ := newTestServer(b, 4, 64)
-	benchThroughput(b, addr, 0)
-}
-
-// BenchmarkDaemonThroughputSerial is the pre-batching measurement shape:
-// several connections, each sending one lookup at a time (closed loop,
-// window of one). Batching cannot help here — every batch has size one —
-// so this pins that the batched paths cost nothing under light load.
-func BenchmarkDaemonThroughputSerial(b *testing.B) {
-	const conns, keys = 4, 64
-	_, addr, _ := newTestServer(b, 4, 64)
-
-	seedClient, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < keys; i++ {
-		if _, err := seedClient.Insert(OriginAuto, discovery.NewID(fmt.Sprintf("bench-%d", i)), []byte("v")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	seedClient.Close()
-
-	clients := make([]*Client, conns)
-	for i := range clients {
-		if clients[i], err = Dial(addr); err != nil {
-			b.Fatal(err)
-		}
-		defer clients[i].Close()
-	}
-
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for ci, c := range clients {
-		wg.Add(1)
-		go func(ci int, c *Client) {
-			defer wg.Done()
-			for i := ci; i < b.N; i += conns {
-				res, err := c.Lookup(OriginAuto, discovery.NewID(fmt.Sprintf("bench-%d", i%keys)))
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if !res.Found {
-					b.Errorf("bench key %d missed", i%keys)
-					return
-				}
-			}
-		}(ci, c)
-	}
-	wg.Wait()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-}

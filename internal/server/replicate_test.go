@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -119,5 +120,51 @@ func TestReplicatedAckJoinsLocalCommitAndQuorum(t *testing.T) {
 	case <-fanouts:
 		t.Fatal("a lookup was fanned out")
 	default:
+	}
+}
+
+// TestReplicatedLocalFailureAnswersFirst: a mutation whose local half
+// fails is answered at once with the storage error, before its fan-out
+// settles; the fan-out's later failure changes nothing and races with
+// nothing (run under -race).
+func TestReplicatedLocalFailureAnswersFirst(t *testing.T) {
+	ov, err := discovery.CompleteOverlay(64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Region 0 of 2: keys owned by region 1 fail the local commit.
+	pool, err := discovery.NewPool(ov, 2, discovery.WithRegion(0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fanouts := make(chan func(error), 1)
+	srv, err := New(Config{Pool: pool, Logf: t.Logf,
+		Replicate: func(_ wire.Type, _ idspace.ID, _ uint32, _ []byte, _ uint64, done func(error)) {
+			fanouts <- done
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	key := discovery.NewID("foreign-0")
+	for i := 1; discovery.OwnerOf(key, 2) != 1; i++ {
+		key = discovery.NewID(fmt.Sprintf("foreign-%d", i))
+	}
+	if _, err := c.Insert(3, key, []byte("v")); err == nil || !strings.Contains(err.Error(), "storage:") {
+		t.Fatalf("insert of a foreign key: %v, want a storage error", err)
+	}
+	(<-fanouts)(errors.New("quorum not reached"))
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("connection after the late quorum: %v", err)
 	}
 }

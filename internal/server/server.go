@@ -76,11 +76,6 @@ type Config struct {
 	// which is what keeps one stalled connection from wedging a shard
 	// worker — and with it 1/shards of the keyspace — indefinitely.
 	WriteTimeout time.Duration
-	// Store, when set, is closed by Close after the shard queues drain,
-	// so every executed mutation has been logged before the store's
-	// final snapshot and log shutdown run. Wire a *discovery.DurablePool
-	// here; leave nil for in-memory pools.
-	Store io.Closer
 	// Owns reports whether this process's pool owns key. nil means the
 	// pool owns the whole keyspace (the single-process deployment).
 	// Keyed requests for keys outside the region are handed to Forward
@@ -151,7 +146,6 @@ type Config struct {
 // Serve or Start, stop with Close.
 type Server struct {
 	pool         *discovery.Pool
-	store        io.Closer
 	logf         func(format string, args ...any)
 	owns         func(key idspace.ID) bool
 	forward      func(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64, respond func(*wire.Msg))
@@ -234,9 +228,10 @@ func (j *replJoin) local(m *wire.Msg, failed bool) {
 	send := !j.answered && (failed || j.half)
 	j.half = true
 	j.answered = j.answered || send
+	qerr := j.err
 	j.mu.Unlock()
 	if send {
-		j.finish(true)
+		j.finish(true, qerr)
 	}
 }
 
@@ -251,21 +246,23 @@ func (j *replJoin) quorum(err error) {
 	j.answered = j.answered || send
 	j.mu.Unlock()
 	if send {
-		j.finish(false)
+		j.finish(false, err)
 	}
 }
 
-// finish sends the joined reply and retires the request. When it may not
-// block and the client's response queue is full, the send moves to a
-// goroutine of its own (the connection's drainer waits for it through
-// inflight).
-func (j *replJoin) finish(mayBlock bool) {
+// finish sends the joined reply and retires the request. qerr is the
+// quorum half's failure as read under j.mu — a local failure answers
+// before the quorum lands, which may then still be writing j.err. When
+// it may not block and the client's response queue is full, the send
+// moves to a goroutine of its own (the connection's drainer waits for it
+// through inflight).
+func (j *replJoin) finish(mayBlock bool, qerr error) {
 	s, m := j.s, &j.reply
-	if j.err != nil && m.Type != wire.TError {
+	if qerr != nil && m.Type != wire.TError {
 		// Local commit without quorum must not be acked: the client would
 		// treat it as replicated. The replicas reconcile via anti-entropy.
-		s.logf("server: %v: %v", j.typ, j.err)
-		m = &wire.Msg{Type: wire.TError, ReqID: j.reqID, Value: []byte("replication: " + j.err.Error())}
+		s.logf("server: %v: %v", j.typ, qerr)
+		m = &wire.Msg{Type: wire.TError, ReqID: j.reqID, Value: []byte("replication: " + qerr.Error())}
 	}
 	f := s.encode(m, j.trace)
 	if !mayBlock {
@@ -340,7 +337,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		pool:         cfg.Pool,
-		store:        cfg.Store,
 		logf:         logf,
 		owns:         cfg.Owns,
 		forward:      cfg.Forward,
@@ -412,7 +408,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	go s.Serve(lis) //nolint:errcheck // surfaced via Close
+	go s.Serve(lis) //nolint:errcheck // an accept error ends serving
 	return lis.Addr(), nil
 }
 
@@ -437,9 +433,9 @@ func (s *Server) Serve(lis net.Listener) error {
 
 // Close shuts the server down: stop accepting, sever connections, drain
 // the shard queues, and wait for every goroutine. Safe to call once.
-func (s *Server) Close() error {
+func (s *Server) Close() {
 	if !s.ln.Close() {
-		return nil
+		return
 	}
 	close(s.done)
 	// Readers stop (their sockets are closed), so no new tasks enter the
@@ -449,14 +445,7 @@ func (s *Server) Close() error {
 		close(q)
 	}
 	s.workerWg.Wait()
-	// Every mutation the workers executed has been logged by now; seal
-	// the store (final snapshots + log close) before reporting done.
-	var serr error
-	if s.store != nil {
-		serr = s.store.Close()
-	}
 	s.connWg.Wait()
-	return serr
 }
 
 // readLoop decodes frames off one connection and dispatches them.

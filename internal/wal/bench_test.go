@@ -26,24 +26,6 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALAppendSyncAlways pays a dedicated fsync per append — the
-// per-record durability floor of the underlying disk.
-func BenchmarkWALAppendSyncAlways(b *testing.B) {
-	l, err := Open(b.TempDir(), Options{Sync: SyncAlways})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	payload := bytes.Repeat([]byte{0xCD}, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWALAppendGroupCommit drives many goroutines through the batch
 // policy: every append still returns durable, but concurrent writers
 // share fsyncs, so per-op cost divides by the batch size.

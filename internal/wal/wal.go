@@ -35,11 +35,11 @@
 //
 // # Durability policies
 //
-// SyncAlways fsyncs inline on every append. SyncBatch is group commit:
-// the append is written immediately, then the caller waits until some
-// fsync covers its record; one "leader" fsyncs on behalf of every append
-// that landed before it, so concurrent writers (the pool's shard
-// workers) amortize syncs while keeping the acked ⇒ durable guarantee.
+// SyncBatch is group commit: the append is written immediately, then the
+// caller waits until some fsync covers its record; one "leader" fsyncs on
+// behalf of every append that landed before it, so concurrent writers
+// (the pool's shard workers) amortize syncs while keeping the acked ⇒
+// durable guarantee.
 // SyncOff never fsyncs: records still reach the kernel before the append
 // returns (surviving a process crash) but can be lost to a power failure.
 package wal
@@ -95,8 +95,6 @@ const (
 	// SyncBatch group-commits: an append returns only once an fsync
 	// covers its record, but concurrent appenders share fsyncs.
 	SyncBatch Policy = iota
-	// SyncAlways issues a dedicated fsync for every append.
-	SyncAlways
 	// SyncOff never fsyncs; data reaches the kernel but a power failure
 	// may lose the tail. Process crashes (SIGKILL) lose nothing.
 	SyncOff
@@ -107,12 +105,10 @@ func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "batch":
 		return SyncBatch, nil
-	case "always":
-		return SyncAlways, nil
 	case "off":
 		return SyncOff, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, batch or off)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want batch, off)", s)
 }
 
 // String implements fmt.Stringer.
@@ -120,8 +116,6 @@ func (p Policy) String() string {
 	switch p {
 	case SyncBatch:
 		return "batch"
-	case SyncAlways:
-		return "always"
 	case SyncOff:
 		return "off"
 	default:
@@ -311,59 +305,26 @@ func (l *Log) Bounds() (first, next uint64) {
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Append writes one record and returns its sequence number. Under
-// SyncAlways and SyncBatch the record is durable when Append returns;
-// under SyncOff it has reached the kernel but not necessarily the disk.
-// A failed write poisons the log: every later Append returns the same
-// error, and recovery on reopen truncates the torn tail.
+// Append writes one record and returns its sequence number: an
+// AppendBatch of one. Under SyncBatch the record is durable when Append
+// returns; under SyncOff it has reached the kernel but not necessarily
+// the disk.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	if len(payload) > MaxPayload {
-		return 0, ErrTooLarge
-	}
-	var start time.Time
-	if l.appendNanos != nil {
-		start = time.Now()
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if l.werr != nil {
-		err := l.werr
-		l.mu.Unlock()
-		return 0, err
-	}
-	seq := l.nextSeq
-	l.buf = appendRecord(l.buf[:0], seq, payload)
-	f, err := l.commitBufLocked(1) // unlocks l.mu
-	if err != nil {
-		return 0, err
-	}
-	if err := l.syncAppended(f, seq); err != nil {
-		return 0, err
-	}
-	if l.appendNanos != nil {
-		l.appendNanos.Observe(int64(time.Since(start)))
-		l.appends.Inc()
-		l.records.Inc()
-		l.batchRecords.Observe(1)
-	}
-	return seq, nil
+	return l.AppendBatch([][]byte{payload})
 }
 
 // AppendBatch writes one record per payload with consecutive sequence
 // numbers, framed into a single buffer and handed to the OS with ONE
-// write(2); the k-th payload receives sequence first+k. Durability
-// matches Append — under SyncAlways and SyncBatch every record in the
-// batch is durable when AppendBatch returns — but the whole batch shares
-// one fsync, and concurrent batches from other appenders share it too
-// via the same group commit. An empty batch is a no-op returning (0, nil).
+// write(2); the k-th payload receives sequence first+k. Under SyncBatch
+// every record in the batch is durable when AppendBatch returns, and the
+// whole batch shares one fsync with whatever concurrent batches from
+// other appenders the group commit merges it with. An empty batch is a
+// no-op returning (0, nil).
 //
-// A write failure poisons the log exactly like Append: no record in the
-// batch was acknowledged, and whatever prefix reached the disk is
-// truncated or replayed by recovery exactly as a crash between append
-// and ack would be.
+// A write failure poisons the log: no record in the batch was
+// acknowledged, every later append returns the same error, and whatever
+// prefix reached the disk is truncated or replayed by recovery exactly as
+// a crash between append and ack would be.
 func (l *Log) AppendBatch(payloads [][]byte) (first uint64, err error) {
 	for _, p := range payloads {
 		if len(p) > MaxPayload {
@@ -395,13 +356,27 @@ func (l *Log) AppendBatch(payloads [][]byte) (first uint64, err error) {
 	for k, p := range payloads {
 		l.buf = appendRecord(l.buf, first+uint64(k), p)
 	}
-	f, err := l.commitBufLocked(len(payloads)) // unlocks l.mu
-	if err != nil {
+	if _, err := l.f.Write(l.buf); err != nil {
+		// The file offset may now sit mid-record; anything appended after
+		// it would be unreachable to recovery. Poison the log instead.
+		l.werr = err
+		l.mu.Unlock()
 		return 0, err
 	}
-	last := first + uint64(len(payloads)) - 1
-	if err := l.syncAppended(f, last); err != nil {
-		return 0, err
+	l.nextSeq += uint64(len(payloads))
+	l.size += int64(len(l.buf))
+	if l.size >= l.opts.SegmentBytes {
+		if err := l.rotateLocked(); err != nil {
+			l.werr = err
+			l.mu.Unlock()
+			return 0, err
+		}
+	}
+	l.mu.Unlock()
+	if l.opts.Sync != SyncOff {
+		if err := l.syncTo(first + uint64(len(payloads)) - 1); err != nil {
+			return 0, err
+		}
 	}
 	if l.appendNanos != nil {
 		l.appendNanos.Observe(int64(time.Since(start)))
@@ -410,32 +385,6 @@ func (l *Log) AppendBatch(payloads [][]byte) (first uint64, err error) {
 		l.batchRecords.Observe(int64(len(payloads)))
 	}
 	return first, nil
-}
-
-// commitBufLocked writes the framed records in l.buf (n of them) to the
-// active segment, advances the sequence space, and rotates if the
-// segment is full. The caller holds l.mu; commitBufLocked RELEASES it and
-// returns the file whose fsync covers the new records.
-func (l *Log) commitBufLocked(n int) (*os.File, error) {
-	if _, err := l.f.Write(l.buf); err != nil {
-		// The file offset may now sit mid-record; anything appended after
-		// it would be unreachable to recovery. Poison the log instead.
-		l.werr = err
-		l.mu.Unlock()
-		return nil, err
-	}
-	l.nextSeq += uint64(n)
-	l.size += int64(len(l.buf))
-	if l.size >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			l.werr = err
-			l.mu.Unlock()
-			return nil, err
-		}
-	}
-	f := l.f
-	l.mu.Unlock()
-	return f, nil
 }
 
 // timedSync fsyncs f, metering duration and count when the log is
@@ -455,27 +404,6 @@ func (l *Log) timedSync(f *os.File) error {
 	l.fsyncNanos.Observe(int64(time.Since(t)))
 	l.fsyncs.Inc()
 	return err
-}
-
-// syncAppended applies the durability policy to records up to seq, which
-// were just written to f (or fsynced already by a rotation).
-func (l *Log) syncAppended(f *os.File, seq uint64) error {
-	switch l.opts.Sync {
-	case SyncOff:
-		return nil
-	case SyncAlways:
-		// A dedicated fsync per append. If rotation just happened, the
-		// record was fsynced as part of sealing the old segment and
-		// syncing the fresh file is a cheap no-op.
-		if err := l.timedSync(f); err != nil {
-			l.poison(err)
-			return err
-		}
-		l.gc.advance(seq)
-		return nil
-	default: // SyncBatch
-		return l.syncTo(seq)
-	}
 }
 
 // poison records a failed fsync as the log's sticky error so no further

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -442,7 +443,7 @@ func TestParsePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Policy
-	}{{"always", SyncAlways}, {"batch", SyncBatch}, {"off", SyncOff}} {
+	}{{"batch", SyncBatch}, {"off", SyncOff}} {
 		p, err := ParsePolicy(tc.in)
 		if err != nil || p != tc.want {
 			t.Fatalf("ParsePolicy(%q) = %v, %v", tc.in, p, err)
@@ -451,14 +452,16 @@ func TestParsePolicy(t *testing.T) {
 			t.Fatalf("Policy(%q).String() = %q", tc.in, p.String())
 		}
 	}
-	if _, err := ParsePolicy("sometimes"); err == nil {
-		t.Fatal("ParsePolicy accepted garbage")
+	for _, bad := range []string{"always", "sometimes"} {
+		if _, err := ParsePolicy(bad); err == nil || !strings.Contains(err.Error(), "batch, off") {
+			t.Fatalf("ParsePolicy(%q) = %v, want an error naming batch, off", bad, err)
+		}
 	}
 }
 
-func TestSyncAlwaysDurable(t *testing.T) {
+func TestSyncBatchDurable(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncAlways})
+	l, err := Open(dir, Options{Sync: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,8 +471,8 @@ func TestSyncAlwaysDurable(t *testing.T) {
 		}
 	}
 	// No Close: reopening must still see every appended record, because
-	// SyncAlways pushed each one to disk before Append returned.
-	l2, err := Open(dir, Options{Sync: SyncAlways})
+	// SyncBatch fsynced each one before Append returned.
+	l2, err := Open(dir, Options{Sync: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +649,8 @@ func TestAppendBatchZeroAllocs(t *testing.T) {
 // TestSyncErrHookPoisonsLog proves the injectable fsync-failure hook
 // behaves exactly like a real fsync(2) failure: the failing append is
 // not acked, the log poisons itself with a sticky error, and clearing
-// the hook does not revive it — only a reopen (fresh recovery) does.
+// the hook does not revive it — only a reopen (fresh recovery) does. It
+// runs on the group-commit path, the one every append takes.
 func TestSyncErrHookPoisonsLog(t *testing.T) {
 	dir := t.TempDir()
 	boom := fmt.Errorf("injected fsync failure")
@@ -657,7 +661,7 @@ func TestSyncErrHookPoisonsLog(t *testing.T) {
 		}
 		return nil
 	}
-	l, err := Open(dir, Options{Sync: SyncAlways, SyncErr: hook})
+	l, err := Open(dir, Options{Sync: SyncBatch, SyncErr: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +687,7 @@ func TestSyncErrHookPoisonsLog(t *testing.T) {
 	// record may or may not survive (unknown outcome, same as a crash
 	// between append and ack) — assert nothing about it beyond the log
 	// accepting appends again.
-	l, err = Open(dir, Options{Sync: SyncAlways})
+	l, err = Open(dir, Options{Sync: SyncBatch})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
