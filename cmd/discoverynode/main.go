@@ -66,7 +66,7 @@ func run() int {
 		joinTimeout = flag.Duration("join-timeout", 10*time.Second, "how long to retry the initial peer probes")
 		dialTimeout = flag.Duration("dial-timeout", p2p.DefaultDialTimeout, "peer dial timeout")
 		callTimeout = flag.Duration("call-timeout", p2p.DefaultCallTimeout, "peer request timeout")
-		antiEntropy = flag.Bool("anti-entropy", true, "after joining, hand off foreign replicas and pull this region's replicas from peers")
+		antiEntropy = flag.Bool("anti-entropy", true, "after joining, pull every replicated region from peers")
 		aeEvery     = flag.Duration("anti-entropy-every", 0, "re-run anti-entropy on this interval so healed partitions re-converge without a restart (0 = once after join only)")
 		shards      = flag.Int("shards", 0, "store shards (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 128, "per-shard request queue depth")

@@ -43,20 +43,20 @@ import (
 type opKind uint8
 
 // Logged operation kinds. opInsert/opDelete are client mutations
-// (Delete is origin-checked); opPut/opDrop are entries copied in from or
-// handed off to a peer (internal/p2p).
+// (Delete is origin-checked); opPut is an entry copied in from a peer
+// (internal/p2p). Kind 4 is retired: it dropped an entry handed off to a
+// peer, and a record carrying it fails decodeOp, refusing recovery.
 const (
 	opInsert opKind = 1
 	opDelete opKind = 2
 	opPut    opKind = 3
-	opDrop   opKind = 4
 )
 
 // op record payload layout (inside one wal record):
 //
 //	| u16 shard | u8 kind | u32 origin | key[20] | value |
 //
-// where value is empty for opDelete and opDrop. Strict, canonical, never
+// where value is empty for opDelete. Strict, canonical, never
 // panics — the internal/wire discipline.
 const opHdrLen = 2 + 1 + 4 + idspace.Bytes
 
@@ -84,7 +84,7 @@ func decodeOp(payload []byte) (shard uint16, kind opKind, origin uint32, key ID,
 	value = payload[opHdrLen:]
 	switch kind {
 	case opInsert, opPut:
-	case opDelete, opDrop:
+	case opDelete:
 		if len(value) != 0 {
 			return 0, 0, 0, ID{}, nil, errOpRecord
 		}
@@ -355,8 +355,6 @@ func (ds *durableShard) commit(segs [][]BatchOp) error {
 				kind = opDelete
 			case BatchPut:
 				kind, value = opPut, op.Value
-			case batchDrop:
-				kind = opDrop
 			default:
 				continue
 			}

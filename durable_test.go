@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"discovery/internal/snapshot"
+	"discovery/internal/wal"
 )
 
 // newDurableTestOverlay is the overlay the durable pool tests build
@@ -125,9 +126,8 @@ func TestDurablePoolCrashReplay(t *testing.T) {
 }
 
 func TestDurablePoolTransferOpsSurviveCrash(t *testing.T) {
-	// ImportReplica/DropReplica (the cluster replica-transfer primitives,
-	// internal/p2p) are write-ahead logged: replay must reproduce them
-	// exactly.
+	// ImportReplica (the cluster's repair primitive, internal/p2p) is
+	// write-ahead logged: replay must reproduce it exactly.
 	ov := newDurableTestOverlay(t)
 	dir := t.TempDir()
 	dp, _ := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncBatch})
@@ -138,39 +138,57 @@ func TestDurablePoolTransferOpsSurviveCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Drop a few, including one that was never stored (a no-op that must
-	// not log anything).
-	for i := 0; i < keys; i += 5 {
-		dropped, err := dp.DropReplica(NewID(fmt.Sprintf("xfer-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dropped {
-			t.Fatalf("drop %d reported absent", i)
-		}
-	}
-	if dropped, err := dp.DropReplica(NewID("never-stored")); err != nil || dropped {
-		t.Fatalf("phantom drop: %v %v", dropped, err)
-	}
 	want := exportAll(dp.Pool)
-	// Crash: no Close. Replay must rebuild imports and drops alone.
+	// Crash: no Close. Replay must rebuild the imports alone.
 	dp2, stats := openDurable(t, ov, dir, DurableConfig{Fsync: FsyncBatch})
 	defer dp2.Close()
-	if wantReplay := keys + keys/5; stats.Replayed != wantReplay {
-		t.Fatalf("replayed %d records, want %d", stats.Replayed, wantReplay)
+	if stats.Replayed != keys {
+		t.Fatalf("replayed %d records, want %d", stats.Replayed, keys)
 	}
 	if got := exportAll(dp2.Pool); !reflect.DeepEqual(got, want) {
-		t.Fatal("transferred state after crash replay differs")
+		t.Fatal("imported state after crash replay differs")
 	}
 	// The imported entries are now first-class state.
-	for i := 1; i < keys; i++ {
-		if i%5 == 0 {
-			continue
-		}
+	for i := 0; i < keys; i++ {
 		key := NewID(fmt.Sprintf("xfer-%d", i))
 		if v, ok := dp2.Value(key); !ok || string(v) != fmt.Sprintf("payload-%d", i) {
 			t.Errorf("imported entry %d missing after replay (ok=%v v=%q)", i, ok, v)
 		}
+	}
+}
+
+// TestDurablePoolRefusesRetiredOpKind pins what retiring WAL op kind 4
+// relies on: a log holding a record of that kind (it once dropped an
+// entry handed off to a peer) is refused at open, loudly and by seq,
+// never skipped or replayed as some other mutation.
+func TestDurablePoolRefusesRetiredOpKind(t *testing.T) {
+	ov := newDurableTestOverlay(t)
+	dir := t.TempDir()
+	// A log as the retired drop path left it: an insert, then a
+	// well-framed kind-4 record for the same key (origin 0, no value).
+	key := NewID("retired-kind")
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append(appendOp(nil, 0, opInsert, 1, key, []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := log.Append(appendOp(nil, 0, opKind(4), 0, key, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dp, _, err := OpenDurablePool(ov, 4, DurableConfig{Dir: dir, Logf: t.Logf})
+	if err == nil {
+		dp.Close()
+		t.Fatal("a log holding a kind-4 record was recovered")
+	}
+	if want := fmt.Sprintf("record %d: %v", seq, errOpRecord); !strings.Contains(err.Error(), want) {
+		t.Fatalf("refusal %q does not name the record (want %q)", err, want)
 	}
 }
 
@@ -430,7 +448,7 @@ func TestDurablePoolExecBatchSharesOneAppend(t *testing.T) {
 	}
 }
 
-// TestDurablePoolImportBatchCrashReplay pins the batched transfer-apply
+// TestDurablePoolImportBatchCrashReplay pins the batched repair-apply
 // durability contract: every entry of an acked ImportBatch is recovered
 // exactly, from the log alone after a crash.
 func TestDurablePoolImportBatchCrashReplay(t *testing.T) {
@@ -446,9 +464,8 @@ func TestDurablePoolImportBatchCrashReplay(t *testing.T) {
 			Value:  []byte(fmt.Sprintf("payload-%d", i)),
 		})
 	}
-	accepted, _, err := dp.ImportBatch(entries)
-	if err != nil || accepted != len(entries) {
-		t.Fatalf("ImportBatch: accepted %d, err %v", accepted, err)
+	if fresh, err := dp.ImportBatch(entries); err != nil || fresh != len(entries) {
+		t.Fatalf("ImportBatch: fresh %d, err %v", fresh, err)
 	}
 	want := exportAll(dp.Pool)
 
@@ -469,7 +486,7 @@ func TestDurablePoolImportBatchCrashReplay(t *testing.T) {
 }
 
 // TestDurablePoolImportBatchSharesAppends pins the group-commit shape of
-// the batched transfer apply: a batch of N same-shard entries consumes N
+// the batched repair apply: a batch of N same-shard entries consumes N
 // consecutive log seqs via one AppendBatch per shard group, not N
 // append+fsync rounds.
 func TestDurablePoolImportBatchSharesAppends(t *testing.T) {
@@ -487,8 +504,8 @@ func TestDurablePoolImportBatchSharesAppends(t *testing.T) {
 		entries = append(entries, ReplicaEntry{Origin: 1, Key: k, Value: []byte("v")})
 	}
 	before, _ := dp.log.Bounds()
-	if accepted, _, err := dp.ImportBatch(entries); err != nil || accepted != len(entries) {
-		t.Fatalf("ImportBatch: accepted %d, err %v", accepted, err)
+	if fresh, err := dp.ImportBatch(entries); err != nil || fresh != len(entries) {
+		t.Fatalf("ImportBatch: fresh %d, err %v", fresh, err)
 	}
 	_, after := dp.log.Bounds()
 	if int(after-before) != len(entries) {
@@ -647,8 +664,8 @@ func TestDurablePoolImportBatchIdenticalReplayWritesNothing(t *testing.T) {
 			Origin: 1, Key: NewID(fmt.Sprintf("replay-durable-%d", i)), Value: []byte(fmt.Sprintf("v-%d", i)),
 		})
 	}
-	if accepted, fresh, err := dp.ImportBatch(entries); err != nil || accepted != len(entries) || fresh != len(entries) {
-		t.Fatalf("first import: accepted %d fresh %d err %v", accepted, fresh, err)
+	if fresh, err := dp.ImportBatch(entries); err != nil || fresh != len(entries) {
+		t.Fatalf("first import: fresh %d err %v", fresh, err)
 	}
 	before, after := dp.log.Bounds()
 	_ = before
@@ -656,8 +673,8 @@ func TestDurablePoolImportBatchIdenticalReplayWritesNothing(t *testing.T) {
 	// Every fsync now fails. An identical replay must not notice: no
 	// record is appended, so the poisoned-sync path never runs.
 	failSync.Store(true)
-	if accepted, fresh, err := dp.ImportBatch(entries); err != nil || accepted != len(entries) || fresh != 0 {
-		t.Fatalf("identical replay under failing fsync: accepted %d fresh %d err %v", accepted, fresh, err)
+	if fresh, err := dp.ImportBatch(entries); err != nil || fresh != 0 {
+		t.Fatalf("identical replay under failing fsync: fresh %d err %v", fresh, err)
 	}
 	if _, a := dp.log.Bounds(); a != after {
 		t.Fatalf("identical replay appended to the log: seq %d -> %d", after, a)
@@ -666,7 +683,7 @@ func TestDurablePoolImportBatchIdenticalReplayWritesNothing(t *testing.T) {
 	// A changed entry DOES need an append, which must now fail — and
 	// the write-ahead contract holds: the failed entry is not applied.
 	changed := []ReplicaEntry{{Origin: 1, Key: entries[5].Key, Value: []byte("new")}}
-	if _, _, err := dp.ImportBatch(changed); err == nil {
+	if _, err := dp.ImportBatch(changed); err == nil {
 		t.Fatal("changed import under failing fsync succeeded")
 	}
 	if v, ok := dp.Value(changed[0].Key); !ok || string(v) == "new" {

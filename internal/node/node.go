@@ -37,7 +37,7 @@ type Config struct {
 	JoinTimeout     time.Duration // how long the initial peer probes retry
 	DialTimeout     time.Duration // peer dial timeout
 	CallTimeout     time.Duration // peer request timeout
-	AntiEntropy     bool          // after joining, hand off foreign replicas and pull this region's replicas
+	AntiEntropy     bool          // after joining, pull every replicated region from peers
 	// AntiEntropyEvery re-runs anti-entropy on this interval so healed
 	// partitions re-converge without a restart (0 = once after join).
 	AntiEntropyEvery time.Duration
@@ -245,9 +245,9 @@ func (n *Node) maintain() {
 		return
 	}
 	pass := func() {
-		moved, pulled, err := n.peer.AntiEntropy()
-		if moved > 0 || pulled > 0 || err != nil {
-			n.cfg.Logf("discoverynode: anti-entropy: %d replicas handed off, %d pulled, err=%v", moved, pulled, err)
+		pulled, err := n.peer.AntiEntropy()
+		if pulled > 0 || err != nil {
+			n.cfg.Logf("discoverynode: anti-entropy: %d replicas pulled, err=%v", pulled, err)
 		}
 	}
 	pass()

@@ -1,8 +1,13 @@
 package node
 
 import (
+	"bytes"
+	"io/fs"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -148,4 +153,85 @@ func TestStartUnwindsOnBindFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, before)
+}
+
+// dirBytes reads every file under dir, keyed by its path relative to dir.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestRestartUnderOtherPlacementRefused pins what pull-only anti-entropy
+// relies on: a member never holds keys its placement does not give it,
+// because its data dir cannot be reopened under another replication or
+// member count. Start refuses, the directory is left byte-identical, and
+// the original configuration still starts on it afterwards.
+func TestRestartUnderOtherPlacementRefused(t *testing.T) {
+	self, other := freeAddr(t), freeAddr(t)
+	dir := t.TempDir()
+	cfg := Config{
+		Listen:      "127.0.0.1:0",
+		PeerListen:  self,
+		Bootstrap:   []string{self, other}, // the other member never starts
+		Replication: 1,
+		Shards:      2,
+		DataDir:     dir,
+		DialTimeout: 100 * time.Millisecond,
+		Logf:        t.Logf,
+	}
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := dirBytes(t, dir)
+
+	moreReplicas := cfg
+	moreReplicas.Replication = 2
+	fewerMembers := cfg
+	fewerMembers.Bootstrap = []string{self}
+	for name, c := range map[string]Config{"replication 2": moreReplicas, "one member": fewerMembers} {
+		n, err := Start(c)
+		if err == nil {
+			n.Close()
+			t.Fatalf("%s: Start succeeded on a dir created under replication 1 of 2 members", name)
+		}
+		if !strings.Contains(err.Error(), "created with different parameters") {
+			t.Fatalf("%s: refused for another reason than the MANIFEST: %v", name, err)
+		}
+		got := dirBytes(t, dir)
+		if len(got) != len(want) {
+			t.Fatalf("%s: refused Start changed the file set: %d files, want %d", name, len(got), len(want))
+		}
+		for f, b := range want {
+			if !bytes.Equal(got[f], b) {
+				t.Fatalf("%s: refused Start changed %s", name, f)
+			}
+		}
+	}
+
+	n, err = Start(cfg)
+	if err != nil {
+		t.Fatalf("original placement after refusals: %v", err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,7 +1,10 @@
 // Package p2p is the node-to-node transport that turns the discovery
 // pool into a multi-process cluster: separate OS processes, each owning
 // one contiguous region of the 160-bit keyspace, exchanging internal/wire
-// peer frames (route, probe, repair, replica-transfer) over TCP.
+// peer frames (probe, route, replicate, repair) over TCP. Anti-entropy
+// is pull-only: a node asks each peer for the regions it replicates
+// (TRepair pages) and imports what it lacks; nothing is pushed or
+// dropped on a peer's say-so.
 //
 // # Model
 //

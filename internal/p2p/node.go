@@ -25,7 +25,9 @@ type Config struct {
 	// Overlay is the cluster overlay the pool routes over. Required.
 	Overlay *RemoteOverlay
 	// Pool executes owned requests. Required; it should be built over
-	// Overlay with WithRegion(Cluster.Self(), Cluster.N()).
+	// Overlay with WithRegion(Cluster.Self(), Cluster.N()) and
+	// WithReplication(Cluster.R()), so it holds only keys this node
+	// replicates.
 	Pool *discovery.Pool
 	// DialTimeout bounds one peer dial (default 500ms). Loopback and
 	// datacenter peers answer or refuse fast; a short timeout keeps a
@@ -60,10 +62,10 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Tracer, when set, records per-request spans (internal/trace): the
 	// outbound peer hop of every traced Transport.Call, and the
-	// responder-side execution of traced TRoute/TRepair/TTransfer
+	// responder-side execution of traced TRoute/TRepair/TReplicate
 	// requests — trace context rides the wire trailer, so spans from both
 	// processes join under one trace ID. Anti-entropy requests
-	// (PullRepair, Handoff) are sampled by the tracer's own rate.
+	// (PullRepair) are sampled by the tracer's own rate.
 	Tracer *trace.Tracer
 }
 
@@ -501,9 +503,7 @@ func (n *Node) handlePeer(m, reply *wire.Msg, release func()) {
 	*reply = wire.Msg{}
 	switch m.Type {
 	case wire.TPeerProbe:
-		if m.Cluster != n.cfg.Cluster.Hash() {
-			reply.Type = wire.TError
-			reply.Value = []byte(fmt.Sprintf("cluster membership mismatch (yours %016x, mine %016x)", m.Cluster, n.cfg.Cluster.Hash()))
+		if !n.checkCluster(m, reply) {
 			return
 		}
 		// Probes carry client-serving addresses both ways: learn the
@@ -524,8 +524,6 @@ func (n *Node) handlePeer(m, reply *wire.Msg, release func()) {
 		n.handleRoute(m, reply, release)
 	case wire.TRepair:
 		n.handleRepair(m, reply)
-	case wire.TTransfer:
-		n.handleTransfer(m, reply)
 	case wire.TReplicate:
 		n.handleReplicate(m, reply)
 	default:
@@ -548,35 +546,45 @@ func (n *Node) checkCluster(m, reply *wire.Msg) bool {
 	return false
 }
 
-// handleRoute executes one forwarded client request on the local pool.
-// The replica check is what terminates routing: with full membership
-// there is exactly one hop, so a mis-routed request means the sender
-// disagrees about key placement and must hear an error, not a second
-// forward. This node acts as the mutation's coordinator: inserts and
-// deletes fan out to the key's co-replicas and the reply is withheld
-// until a quorum of replicas (this one included) has committed — the
-// sender may be failing over from the dead primary, so ANY live replica
-// can coordinate. release is called once the local execution is done and
-// only the quorum wait remains (see handleConn).
-func (n *Node) handleRoute(m, reply *wire.Msg, release func()) {
+// admitKeyed is the preamble of handleRoute and handleReplicate: the
+// membership fingerprint must match, this node must replicate the key,
+// and the origin must resolve (Pool.ResolveOrigin). The replica check is
+// what terminates routing: with full membership there is exactly one
+// hop, so a request for a key this node does not replicate means the
+// sender disagrees about key placement and must hear an error, not a
+// second forward. On refusal it fills reply and reports false.
+func (n *Node) admitKeyed(m, reply *wire.Msg) (origin uint32, ok bool) {
 	if !n.checkCluster(m, reply) {
-		return
+		return 0, false
 	}
 	if !n.cfg.Cluster.Owns(m.Key) {
 		reply.Type = wire.TError
 		reply.Value = []byte(fmt.Sprintf("not a replica of %v (its region is %d, mine is %d)",
 			m.Key, n.cfg.Cluster.OwnerOf(m.Key), n.cfg.Cluster.Self()))
+		return 0, false
+	}
+	origin, err := n.cfg.Pool.ResolveOrigin(m.Key, m.Origin)
+	if err != nil {
+		reply.Type = wire.TError
+		reply.Value = []byte(err.Error())
+		return 0, false
+	}
+	return origin, true
+}
+
+// handleRoute executes one forwarded client request on the local pool.
+// This node acts as the mutation's coordinator: inserts and deletes fan
+// out to the key's co-replicas and the reply is withheld until a quorum
+// of replicas (this one included) has committed — the sender may be
+// failing over from the dead primary, so ANY live replica can
+// coordinate. release is called once the local execution is done and
+// only the quorum wait remains (see handleConn).
+func (n *Node) handleRoute(m, reply *wire.Msg, release func()) {
+	origin, ok := n.admitKeyed(m, reply)
+	if !ok {
 		return
 	}
 	pool := n.cfg.Pool
-	origin := m.Origin
-	if origin == wire.OriginAuto {
-		origin = uint32(pool.AutoOrigin(m.Key))
-	} else if origin >= uint32(pool.Overlay().N()) {
-		reply.Type = wire.TError
-		reply.Value = []byte(fmt.Sprintf("origin %d out of range (%d cluster members)", origin, pool.Overlay().N()))
-		return
-	}
 	var start time.Time
 	traced := m.Traced && n.tracer != nil
 	if traced {
@@ -641,28 +649,14 @@ func (n *Node) handleRoute(m, reply *wire.Msg, release func()) {
 // handleReplicate applies one fanned-out mutation from the coordinating
 // replica. It is a leaf operation: the apply is local (WAL-committed
 // like any pool mutation) and never re-forwards or re-replicates — the
-// coordinator is the one counting acks. The replica check mirrors
-// handleRoute's: a TReplicate for a key this node does not replicate
-// means the sender's placement view disagrees.
+// coordinator is the one counting acks. It admits requests exactly as
+// handleRoute does (admitKeyed).
 func (n *Node) handleReplicate(m, reply *wire.Msg) {
-	if !n.checkCluster(m, reply) {
-		return
-	}
-	if !n.cfg.Cluster.Owns(m.Key) {
-		reply.Type = wire.TError
-		reply.Value = []byte(fmt.Sprintf("not a replica of %v (its region is %d, mine is %d)",
-			m.Key, n.cfg.Cluster.OwnerOf(m.Key), n.cfg.Cluster.Self()))
+	origin, ok := n.admitKeyed(m, reply)
+	if !ok {
 		return
 	}
 	pool := n.cfg.Pool
-	origin := m.Origin
-	if origin == wire.OriginAuto {
-		origin = uint32(pool.AutoOrigin(m.Key))
-	} else if origin >= uint32(pool.Overlay().N()) {
-		reply.Type = wire.TError
-		reply.Value = []byte(fmt.Sprintf("origin %d out of range (%d cluster members)", origin, pool.Overlay().N()))
-		return
-	}
 	if m.Traced && n.tracer != nil {
 		start := time.Now()
 		defer func() {
@@ -718,7 +712,7 @@ func (n *Node) handleRepair(m, reply *wire.Msg) {
 			n.tracer.Record(m.Trace, trace.KindRepairExec, start, time.Since(start), uint64(m.Region))
 		}()
 	}
-	var entries []wire.TransferEntry
+	var entries []wire.Entry
 	size, oversize := 0, 0
 	cur := discovery.ReplicaCursor{Shard: m.Cursor.Shard, Key: m.Cursor.Key}
 	next, done := n.cfg.Pool.ForEachReplicaFrom(cur, func(origin uint32, key idspace.ID, value []byte) bool {
@@ -737,7 +731,7 @@ func (n *Node) handleRepair(m, reply *wire.Msg) {
 		if len(entries) > 0 && size+cost > repairBudget {
 			return false // page full: stop the walk at this entry
 		}
-		entries = append(entries, wire.TransferEntry{Origin: origin, Key: key, Value: value})
+		entries = append(entries, wire.Entry{Origin: origin, Key: key, Value: value})
 		size += cost
 		return true
 	})
@@ -752,44 +746,6 @@ func (n *Node) handleRepair(m, reply *wire.Msg) {
 		reply.Cursor = wire.RepairCursor{Shard: next.Shard, Key: next.Key}
 		n.repairLogf("p2p: repair of region %d paged at budget: %d entries (%d bytes) sent, cursor handed back", m.Region, len(entries), size)
 	}
-}
-
-// handleTransfer stores pushed entries for regions this node owns.
-// Entries for other regions are refused by not counting them: the sender
-// keeps anything the accepted count does not cover. The owned entries of a batch are
-// imported together (Pool.ImportBatch): per shard, one lock acquisition
-// and one group-committed WAL append cover the whole batch, instead of
-// a lock-log-fsync cycle per entry.
-func (n *Node) handleTransfer(m, reply *wire.Msg) {
-	if !n.checkCluster(m, reply) {
-		return
-	}
-	if m.Traced && n.tracer != nil {
-		start := time.Now()
-		defer func() {
-			n.tracer.Record(m.Trace, trace.KindTransferExec, start, time.Since(start), uint64(len(m.Entries)))
-		}()
-	}
-	// Decoded entry values are freshly allocated (see wire), safe for the
-	// store to retain.
-	batch := make([]discovery.ReplicaEntry, 0, len(m.Entries))
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		if !n.cfg.Cluster.Owns(e.Key) {
-			n.cfg.Logf("p2p: transfer refused: key %v not owned here", e.Key)
-			continue
-		}
-		batch = append(batch, discovery.ReplicaEntry{Origin: e.Origin, Key: e.Key, Value: e.Value})
-	}
-	// accepted (not fresh) is what the sender needs: it may drop its
-	// copy of every entry this pool now holds, whether or not the import
-	// had to write anything.
-	accepted, _, err := n.cfg.Pool.ImportBatch(batch)
-	if err != nil {
-		n.cfg.Logf("p2p: transfer apply: %v", err)
-	}
-	reply.Type = wire.TTransferOK
-	reply.Accepted = uint32(accepted)
 }
 
 // Join probes every peer until it answers or the timeout passes. It
@@ -842,108 +798,6 @@ func (n *Node) Join(timeout time.Duration) error {
 	return nil
 }
 
-// transferBatch bounds one TTransfer request's entry count; transfer
-// batches also respect repairBudget in bytes so every batch is
-// encodable within wire.MaxFrame.
-const transferBatch = 128
-
-// Handoff pushes every locally-held entry whose key this node does
-// not replicate to the key's primary owner, dropping the local copy
-// once the owner has acknowledged the whole batch. It is how a node
-// sheds data that became foreign — typically state recovered from a
-// data directory written under a different membership or replication
-// factor. Data the owner does not fully accept is kept locally for a
-// later retry. Each owner is probe-verified before any batch is sent:
-// Handoff is the one path that DELETES local data on a peer's say-so,
-// so a peer whose membership fingerprint disagrees must never receive
-// (and ack) a batch under a conflicting ownership view.
-func (n *Node) Handoff() (moved int, err error) {
-	byOwner := make(map[int][]wire.TransferEntry)
-	n.cfg.Pool.ForEachReplica(func(origin uint32, key idspace.ID, value []byte) {
-		if n.cfg.Cluster.Owns(key) {
-			return // key lives here (owner or co-replica): nothing to shed
-		}
-		owner := n.cfg.Cluster.OwnerOf(key)
-		byOwner[owner] = append(byOwner[owner], wire.TransferEntry{Origin: origin, Key: key, Value: value})
-	})
-	var firstErr error
-	for owner, entries := range byOwner {
-		if _, perr := n.tr.Probe(owner); perr != nil {
-			if firstErr == nil {
-				firstErr = perr
-			}
-			continue // keep the data; never drop on an unverified peer
-		}
-		for len(entries) > 0 {
-			select {
-			case <-n.quit:
-				return moved, errNodeClosed
-			default:
-			}
-			// Batch by count and by bytes, so a batch always fits one
-			// frame. An entry too large to transfer at all (its value
-			// nearly fills a frame alone) is kept locally and logged.
-			size, take := 0, 0
-			for take < len(entries) && take < transferBatch {
-				cost := wire.EntryOverhead + len(entries[take].Value)
-				if size+cost > repairBudget {
-					break
-				}
-				size += cost
-				take++
-			}
-			if take == 0 {
-				n.cfg.Logf("p2p: replica %v too large to transfer (%d bytes); keeping it local", entries[0].Key, len(entries[0].Value))
-				entries = entries[1:]
-				continue
-			}
-			batch := entries[:take]
-			entries = entries[take:]
-			req := &wire.Msg{Type: wire.TTransfer, Cluster: n.cfg.Cluster.Hash(), Entries: batch}
-			if tr := n.tracer.Sample(); tr != 0 {
-				req.Traced = true
-				req.Trace = tr
-			}
-			resp, cerr := n.tr.Call(owner, req)
-			if cerr != nil {
-				if firstErr == nil {
-					firstErr = cerr
-				}
-				break
-			}
-			// Distinguish a refusal from a short accept: a TError (or
-			// TWrongView) reply carries the peer's actual reason — e.g. a
-			// membership fingerprint mismatch — and Accepted is garbage in
-			// that frame, so formatting it as "accepted 0 of N" would bury
-			// the diagnosis (mirrors PullRepair's response handling).
-			switch {
-			case resp.Type == wire.TError:
-				if firstErr == nil {
-					firstErr = fmt.Errorf("p2p: %s: transfer refused: %s", n.cfg.Cluster.Addr(owner), resp.ErrorText())
-				}
-			case resp.Type != wire.TTransferOK:
-				if firstErr == nil {
-					firstErr = fmt.Errorf("p2p: %s: unexpected transfer response %v", n.cfg.Cluster.Addr(owner), resp.Type)
-				}
-			case int(resp.Accepted) != len(batch):
-				if firstErr == nil {
-					firstErr = fmt.Errorf("p2p: %s accepted %d of %d transferred replicas", n.cfg.Cluster.Addr(owner), resp.Accepted, len(batch))
-				}
-			}
-			if resp.Type != wire.TTransferOK || int(resp.Accepted) != len(batch) {
-				break
-			}
-			for i := range batch {
-				if _, derr := n.cfg.Pool.DropReplica(batch[i].Key); derr != nil && firstErr == nil {
-					firstErr = derr
-				}
-			}
-			moved += len(batch)
-		}
-	}
-	return moved, firstErr
-}
-
 // PullRepair asks peer i for every replica of region that the peer
 // holds (region identity is the key's primary owner; a replicated node
 // pulls each region it replicates in turn — see AntiEntropy), streaming
@@ -951,11 +805,11 @@ func (n *Node) Handoff() (moved int, err error) {
 // the byte budget carries a resume cursor, which the loop sends back
 // verbatim until the peer reports the walk complete — so any amount of
 // repairable state converges, not just the first frame's worth. It is
-// additive (the peer keeps its copies; Handoff on the peer is the
-// shedding side) and idempotent — a byte-identical entry is skipped
-// by the import with no write-ahead record, so applied counts only the
-// replicas this pull actually changed: 0 means the peer and this node
-// were already in sync for the region, however many pages were walked.
+// additive (the peer keeps its copies) and idempotent — a byte-identical
+// entry is skipped by the import with no write-ahead record, so applied
+// counts only the replicas this pull actually changed: 0 means the peer
+// and this node were already in sync for the region, however many pages
+// were walked.
 func (n *Node) PullRepair(i, region int) (applied int, err error) {
 	// Verify the peer shares this cluster's membership view first; a
 	// peer with a different member list computes different owners, and
@@ -1030,7 +884,7 @@ func (n *Node) PullRepair(i, region int) (applied int, err error) {
 		// in-sync peer pulls pages but applies nothing, and must read
 		// as 0 — periodic anti-entropy logs would otherwise report the
 		// full keyspace as "pulled" every pass forever.
-		_, fresh, ierr := n.cfg.Pool.ImportBatch(batch)
+		fresh, ierr := n.cfg.Pool.ImportBatch(batch)
 		applied += fresh
 		if ierr != nil {
 			return applied, ierr
@@ -1048,19 +902,19 @@ func (n *Node) PullRepair(i, region int) (applied int, err error) {
 	}
 }
 
-// AntiEntropy runs one full maintenance pass: shed replicas of keys
-// this node no longer holds to their owners, then pull every region
-// this node replicates from every other peer — one peer at a time, that
-// peer's regions side by side. On a steady cluster both
-// halves are no-ops; after a crash, restart, or membership change they
-// converge data back onto the replica set — a node that missed quorum
-// writes while dead catches up here. The error (if any) aggregates the
-// whole pass: the handoff failure plus one entry per unreachable peer,
-// so an operator sees exactly which peers kept the pass incomplete
-// while every reachable peer's regions still converged.
-func (n *Node) AntiEntropy() (moved, pulled int, err error) {
-	var handoffErr error
-	moved, handoffErr = n.Handoff()
+// AntiEntropy runs one full maintenance pass: pull every region this
+// node replicates from every other peer — one peer at a time, that
+// peer's regions side by side. On a steady cluster the pass imports
+// nothing; after a crash, restart or partition it converges data back
+// onto the replica set — a node that missed quorum writes while dead
+// catches up here. Anti-entropy is pull-only: no path deletes local data
+// on a peer's say-so, and since every member's pool is built with the
+// cluster's own placement (and the data dir's MANIFEST pins it), a node
+// never holds a key it does not replicate. The error (if any) has one
+// entry per unreachable peer, so an operator sees exactly which peers
+// kept the pass incomplete while every reachable peer's regions still
+// converged.
+func (n *Node) AntiEntropy() (pulled int, err error) {
 	regions := n.cfg.Cluster.ReplicatedRegions()
 	var unreachable []string
 	for i := 0; i < n.cfg.Cluster.N(); i++ {
@@ -1069,7 +923,7 @@ func (n *Node) AntiEntropy() (moved, pulled int, err error) {
 		}
 		select {
 		case <-n.quit:
-			return moved, pulled, errNodeClosed
+			return pulled, errNodeClosed
 		default:
 		}
 		// A peer's regions are pulled side by side. Each pull is a chain
@@ -1099,13 +953,8 @@ func (n *Node) AntiEntropy() (moved, pulled int, err error) {
 			unreachable = append(unreachable, fmt.Sprintf("%s: %v", n.cfg.Cluster.Addr(i), peerErr))
 		}
 	}
-	switch {
-	case handoffErr != nil && len(unreachable) > 0:
-		err = fmt.Errorf("p2p: anti-entropy incomplete: handoff: %v; %d peers unreachable: %v", handoffErr, len(unreachable), unreachable)
-	case handoffErr != nil:
-		err = handoffErr
-	case len(unreachable) > 0:
+	if len(unreachable) > 0 {
 		err = fmt.Errorf("p2p: anti-entropy incomplete: %d peers unreachable: %v", len(unreachable), unreachable)
 	}
-	return moved, pulled, err
+	return pulled, err
 }

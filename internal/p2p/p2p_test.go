@@ -48,8 +48,8 @@ type testNode struct {
 }
 
 // startTestNode brings up the member advertised as selfAddr. When
-// regioned is false the pool accepts any key (the pre-cluster state a
-// handoff cleans up).
+// regioned is false the pool accepts any key, which lets a test seed a
+// peer with entries of another member's region for repair to pull.
 func startTestNode(t testing.TB, selfAddr string, peerAddrs []string, regioned bool) *testNode {
 	t.Helper()
 	return startReplicatedNode(t, selfAddr, peerAddrs, regioned, 1)
@@ -361,74 +361,14 @@ func TestJoinHandshake(t *testing.T) {
 	}
 }
 
-func TestHandoffRefusesUnverifiedPeer(t *testing.T) {
-	// Handoff deletes local data once the owner acks it, so it must
-	// never run against a peer whose membership view disagrees. Build a
-	// node whose member list includes a phantom third member: its probe
-	// of the real peer fails the fingerprint check, and its handoff must
-	// keep every replica local.
+// TestPullRepairImportsRegion: a node pulls from a peer exactly the
+// entries of the asked-for region, leaves the peer's copies (and its
+// entries of other regions) alone, and a second pull of an in-sync
+// region applies nothing.
+func TestPullRepairImportsRegion(t *testing.T) {
 	peerAddrs := reserveAddrs(t, 2)
-	startTestNode(t, peerAddrs[0], peerAddrs, true)
-
-	phantom := append(append([]string(nil), peerAddrs...), "10.9.9.9:1")
-	cluster, err := p2p.NewCluster(peerAddrs[1], phantom, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov, err := p2p.NewRemoteOverlay(cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := discovery.NewPool(ov, 1, discovery.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := p2p.NewNode(p2p.Config{
-		Cluster: cluster, Overlay: ov, Pool: pool,
-		DialTimeout: 200 * time.Millisecond, CallTimeout: 2 * time.Second, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-
-	// Seed replicas that, under the phantom view, belong to the REAL
-	// peer's region (not the unreachable phantom member's), so handoff
-	// targets the live node and its fingerprint check.
-	realIdx := -1
-	for i := 0; i < cluster.N(); i++ {
-		if cluster.Addr(i) == peerAddrs[0] {
-			realIdx = i
-		}
-	}
-	seeded := 0
-	for i := 0; seeded < 4; i++ {
-		name := fmt.Sprintf("phantom-%d", i)
-		key := discovery.NewID(name)
-		if cluster.OwnerOf(key) != realIdx {
-			continue
-		}
-		if err := pool.ImportReplica(0, 0, key, []byte(name)); err != nil {
-			t.Fatal(err)
-		}
-		seeded++
-	}
-	moved, err := node.Handoff()
-	if moved != 0 {
-		t.Fatalf("handoff moved %d replicas to an unverified peer", moved)
-	}
-	if err == nil || !strings.Contains(err.Error(), "mismatch") {
-		t.Fatalf("handoff error does not name the fingerprint mismatch: %v", err)
-	}
-	if pool.ReplicaCount() != seeded {
-		t.Fatalf("replicas dropped despite refused handoff: %d of %d remain", pool.ReplicaCount(), seeded)
-	}
-}
-
-func TestHandoffAndPullRepair(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 2)
-	// Node 0's pool is unrestricted: it simulates a node whose store
-	// predates the cluster split and therefore holds foreign keys.
+	// Node 0's pool is unrestricted, so it can hold (and serve repair
+	// pages for) keys of node 1's region.
 	n0 := startTestNode(t, peerAddrs[0], peerAddrs, false)
 	n1 := startTestNode(t, peerAddrs[1], peerAddrs, true)
 
@@ -441,52 +381,27 @@ func TestHandoffAndPullRepair(t *testing.T) {
 		}
 	}
 
-	moved, err := n0.node.Handoff()
-	if err != nil {
-		t.Fatalf("handoff: %v", err)
-	}
-	if moved != len(theirs) {
-		t.Fatalf("handoff moved %d replicas, want %d", moved, len(theirs))
-	}
-	// Foreign entries now live on their owner and are gone locally.
-	for _, name := range theirs {
-		key := discovery.NewID(name)
-		if v, ok := n1.pool.Value(key); !ok || string(v) != name {
-			t.Fatalf("handed-off key %s missing on owner (ok=%v)", name, ok)
-		}
-		if _, ok := n0.pool.Value(key); ok {
-			t.Fatalf("handed-off key %s still held locally", name)
-		}
-	}
-	if n0.pool.ReplicaCount() != len(mine) {
-		t.Fatalf("node 0 holds %d replicas after handoff, want %d", n0.pool.ReplicaCount(), len(mine))
-	}
-
-	// Pull repair is the inverse direction: node 1 lost nothing here, so
-	// seed one of its keys on node 0 again and pull it back.
-	extra := keysOwnedBy(r1, 2, 8, "theirs")[len(theirs):]
-	for _, name := range extra {
-		if err := n0.pool.ImportReplica(0, 0, discovery.NewID(name), []byte(name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var from int
-	for i := 0; i < 2; i++ {
-		if i != r1 {
-			from = i
-		}
-	}
-	applied, err := n1.node.PullRepair(from, n1.cluster.Self())
+	applied, err := n1.node.PullRepair(r0, r1)
 	if err != nil {
 		t.Fatalf("pull repair: %v", err)
 	}
-	if applied != len(extra) {
-		t.Fatalf("pull repair applied %d, want %d", applied, len(extra))
+	if applied != len(theirs) {
+		t.Fatalf("pull repair applied %d, want %d", applied, len(theirs))
 	}
-	for _, name := range extra {
-		if v, ok := n1.pool.Value(discovery.NewID(name)); !ok || string(v) != name {
-			t.Fatalf("pulled key %s missing on owner", name)
+	for _, name := range theirs {
+		key := discovery.NewID(name)
+		if v, ok := n1.pool.Value(key); !ok || string(v) != name {
+			t.Fatalf("pulled key %s missing on owner (ok=%v)", name, ok)
 		}
+		if _, ok := n0.pool.Value(key); !ok {
+			t.Fatalf("pulled key %s left the peer: a pull is additive", name)
+		}
+	}
+	if got, want := n1.pool.ReplicaCount(), len(theirs); got != want {
+		t.Fatalf("node 1 holds %d replicas, want %d (region %d only)", got, want, r1)
+	}
+	if applied, err := n1.node.PullRepair(r0, r1); err != nil || applied != 0 {
+		t.Fatalf("second pull of an in-sync region: applied %d, err %v; want 0, nil", applied, err)
 	}
 }
 

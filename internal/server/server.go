@@ -557,11 +557,9 @@ func (s *Server) dispatchKeyed(c *conn, typ wire.Type, m *wire.Msg, routed bool,
 		s.replyError(c, m.ReqID, fmt.Sprintf("value %d bytes exceeds the %d-byte limit", len(m.Value), wire.MaxValue))
 		return true
 	}
-	origin := m.Origin
-	if origin == wire.OriginAuto {
-		origin = uint32(s.pool.AutoOrigin(m.Key))
-	} else if n := s.pool.Overlay().N(); origin >= uint32(n) {
-		s.replyError(c, m.ReqID, fmt.Sprintf("origin %d out of range (overlay has %d nodes)", origin, n))
+	origin, err := s.pool.ResolveOrigin(m.Key, m.Origin)
+	if err != nil {
+		s.replyError(c, m.ReqID, err.Error())
 		return true
 	}
 	switch typ {

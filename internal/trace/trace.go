@@ -62,8 +62,6 @@ const (
 	KindRouteExec
 	// KindRepairExec is the responder-side build of one TRepair page.
 	KindRepairExec
-	// KindTransferExec is the receiver-side import of one TTransfer.
-	KindTransferExec
 	// KindWrongView is a refusal of a stale-membership TRoute; zero
 	// duration, it marks which node bounced the request.
 	KindWrongView
@@ -93,8 +91,6 @@ func (k Kind) String() string {
 		return "route_exec"
 	case KindRepairExec:
 		return "repair_exec"
-	case KindTransferExec:
-		return "transfer_exec"
 	case KindWrongView:
 		return "wrong_view"
 	case KindReplicateExec:

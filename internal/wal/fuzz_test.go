@@ -30,9 +30,9 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte(segMagic))
 	full := validSegmentBytes(8)
 	f.Add(full)
-	f.Add(full[:len(full)-5])           // torn tail
-	f.Add(append(full, 0x00))           // trailing garbage
-	f.Add(append(full, full[16:]...))   // duplicated records (seq mismatch)
+	f.Add(full[:len(full)-5])         // torn tail
+	f.Add(append(full, 0x00))         // trailing garbage
+	f.Add(append(full, full[16:]...)) // duplicated records (seq mismatch)
 	mangled := append([]byte(nil), full...)
 	mangled[len(mangled)/2] ^= 0x40
 	f.Add(mangled) // mid-segment corruption

@@ -56,7 +56,9 @@ func FuzzDecode(f *testing.F) {
 // re-encode to the exact input bytes, from both a fresh and a dirty Msg.
 func FuzzPeerDecode(f *testing.F) {
 	for _, m := range sampleMsgs() {
-		if !m.Type.IsPeerRequest() && m.Type != TPeerProbeOK && m.Type != TRepairOK && m.Type != TTransferOK && m.Type != TReplicateOK && m.Type != TWrongView {
+		switch m.Type {
+		case TPeerProbe, TRoute, TRepair, TReplicate, TPeerProbeOK, TRepairOK, TReplicateOK, TWrongView:
+		default:
 			continue
 		}
 		frame, err := m.Append(nil)
@@ -66,7 +68,8 @@ func FuzzPeerDecode(f *testing.F) {
 		f.Add(frame[lenWords:])
 	}
 	f.Add([]byte{byte(TRoute)})
-	f.Add([]byte{byte(TTransfer), 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	// A TRepairOK whose entry count (0xFFFFFFFF) overruns its body.
+	f.Add(append(append([]byte{byte(TRepairOK)}, make([]byte, 8+4+1+24)...), 0xFF, 0xFF, 0xFF, 0xFF))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var m Msg
 		if err := m.Decode(body); err != nil {
@@ -81,7 +84,7 @@ func FuzzPeerDecode(f *testing.F) {
 		}
 		reused := Msg{
 			Value: append([]byte(nil), "stale-stale-stale"...),
-			Entries: []TransferEntry{
+			Entries: []Entry{
 				{Origin: 9, Value: []byte("stale")},
 			},
 		}
@@ -105,7 +108,7 @@ func FuzzPeerRoundTrip(f *testing.F) {
 	f.Add(uint8(2), uint64(1), uint64(0), uint32(0), []byte(""), []byte(""), uint32(0), uint8(2), uint64(0xFEEDFACE))
 	f.Add(uint8(5), uint64(9), uint64(1), uint32(2), []byte("k2"), []byte("entry-payload"), uint32(7), uint8(3), uint64(1))
 	f.Fuzz(func(t *testing.T, ty uint8, reqID, cluster uint64, origin uint32, keySrc, value []byte, region uint32, kind uint8, traceID uint64) {
-		types := []Type{TPeerProbe, TRoute, TRepair, TTransfer, TReplicate, TPeerProbeOK, TRepairOK, TTransferOK, TReplicateOK, TWrongView}
+		types := []Type{TPeerProbe, TRoute, TRepair, TReplicate, TPeerProbeOK, TRepairOK, TReplicateOK, TWrongView}
 		m := Msg{
 			Type:      types[int(ty)%len(types)],
 			ReqID:     reqID,
@@ -115,7 +118,6 @@ func FuzzPeerRoundTrip(f *testing.F) {
 			Origin:    origin,
 			RouteKind: []Type{TInsert, TLookup, TDelete}[int(kind)%3],
 			Region:    region,
-			Accepted:  region,
 			Value:     value,
 		}
 		// Replicated mutations carry no lookup kind; keep the built
@@ -125,7 +127,7 @@ func FuzzPeerRoundTrip(f *testing.F) {
 		}
 		// Trace trailers ride only on the peer requests that execute work;
 		// kind's high bit picks traced/untraced so both layouts are fuzzed.
-		if m.Type == TRoute || m.Type == TRepair || m.Type == TTransfer || m.Type == TReplicate {
+		if m.Type == TRoute || m.Type == TRepair || m.Type == TReplicate {
 			if kind&0x80 != 0 {
 				m.Traced = true
 				m.Trace = traceID
@@ -138,9 +140,9 @@ func FuzzPeerRoundTrip(f *testing.F) {
 			}
 			m.ClientAddr = addr
 		}
-		if m.Type == TTransfer || m.Type == TRepairOK {
+		if m.Type == TRepairOK {
 			for i := uint32(0); i < region%4; i++ {
-				m.Entries = append(m.Entries, TransferEntry{
+				m.Entries = append(m.Entries, Entry{
 					Origin: origin,
 					Key:    idspace.FromBytes(append(keySrc, byte(i))),
 					Value:  value,

@@ -61,13 +61,11 @@
 //	TRoute:       u8 kind (TInsert|TLookup|TDelete) | u64 clusterHash | trace |
 //	              key[20] | u32 origin | value...    (value only for insert kind)
 //	TRepair:      u64 clusterHash | trace | u32 region | cursor
-//	TTransfer:    u64 clusterHash | trace | u32 count | count x entry
 //	TReplicate:   u8 kind (TInsert|TDelete) | u64 clusterHash | trace |
 //	              key[20] | u32 origin | value...    (value only for insert kind)
 //	TPeerProbeOK: u64 clusterHash | u32 responder | u64 heldReplicas |
 //	              u16 len | clientAddr
 //	TRepairOK:    u32 region | u8 more | cursor | u32 count | count x entry
-//	TTransferOK:  u32 accepted
 //	TReplicateOK: (empty)
 //	TWrongView:   u64 clusterHash                    (the receiver's hash)
 //
@@ -129,16 +127,15 @@ const MaxFrame = 1 << 20
 // MaxValue is the largest insert payload the serving layer accepts. It
 // is derived from the most overhead-heavy frame a value must ever fit
 // in, so that an insert accepted anywhere is forwardable (TRoute),
-// transferable (a single-entry TTransfer) and repairable (a single-entry
-// TRepairOK page) through every other cluster node — a limit derived
-// from the bare TInsert frame would let boundary-size inserts succeed
-// on the owner and then be unroutable or silently unrepairable. The
-// worst wrapper is the single-entry TRepairOK page:
+// replicable (TReplicate) and repairable (a single-entry TRepairOK page)
+// through every other cluster node — a limit derived from the bare
+// TInsert frame would let boundary-size inserts succeed on the owner and
+// then be unroutable or silently unrepairable. The worst wrapper is the
+// single-entry TRepairOK page:
 //
 //	header 9 + region 4 + more 1 + cursor 24 + count 4 + entry 28 = 70
 //
-// (a traced TRoute or TReplicate needs 51 and a traced single-entry
-// TTransfer 58.)
+// (a traced TRoute or TReplicate needs 51.)
 const MaxValue = MaxFrame - maxValueOverhead
 
 // maxValueOverhead is the single-entry TRepairOK wrapper cost derived
@@ -176,17 +173,16 @@ const (
 
 // Peer (node-to-node) message types. 0x91 is deliberately unassigned:
 // TRoute responses reuse the client response types so relays are
-// byte-identical.
+// byte-identical. 0x13 and 0x93 are unassigned too (they carried a
+// push-style replica transfer) and decode as ErrType.
 const (
 	TPeerProbe Type = 0x10
 	TRoute     Type = 0x11
 	TRepair    Type = 0x12
-	TTransfer  Type = 0x13
 	TReplicate Type = 0x14
 
 	TPeerProbeOK Type = 0x90
 	TRepairOK    Type = 0x92
-	TTransferOK  Type = 0x93
 	TReplicateOK Type = 0x94
 	TWrongView   Type = 0x95
 )
@@ -220,16 +216,12 @@ func (t Type) String() string {
 		return "route"
 	case TRepair:
 		return "repair"
-	case TTransfer:
-		return "transfer"
 	case TReplicate:
 		return "replicate"
 	case TPeerProbeOK:
 		return "peer-probe-ok"
 	case TRepairOK:
 		return "repair-ok"
-	case TTransferOK:
-		return "transfer-ok"
 	case TReplicateOK:
 		return "replicate-ok"
 	case TWrongView:
@@ -241,14 +233,9 @@ func (t Type) String() string {
 	}
 }
 
-// IsRequest reports whether t is a client-to-server type.
-func (t Type) IsRequest() bool { return t >= TInsert && t <= TMembers }
-
-// IsPeerRequest reports whether t is a node-to-node request type.
-func (t Type) IsPeerRequest() bool { return t >= TPeerProbe && t <= TReplicate }
-
 // OriginAuto is the origin sentinel meaning "server picks the entry node"
-// (derived deterministically from the key).
+// (derived deterministically from the key by discovery's
+// Pool.ResolveOrigin).
 const OriginAuto = ^uint32(0)
 
 // Decode errors. These are predeclared so the steady-state decode path
@@ -262,7 +249,7 @@ var (
 	ErrShards   = errors.New("wire: stats shard count out of range")
 	ErrRoute    = errors.New("wire: route kind must be insert, lookup or delete")
 	ErrRepl     = errors.New("wire: replicate kind must be insert or delete")
-	ErrEntries  = errors.New("wire: transfer entry count disagrees with body")
+	ErrEntries  = errors.New("wire: entry count disagrees with body")
 	ErrCursor   = errors.New("wire: repair cursor present without more flag")
 	ErrMembers  = errors.New("wire: member list disagrees with body")
 	ErrAddr     = errors.New("wire: address exceeds 65535 bytes")
@@ -331,19 +318,19 @@ type StatsReply struct {
 	ShardRequests []uint64
 }
 
-// TransferEntry is one stored entry carried by a TTransfer or TRepairOK
-// body: key, value and inserting origin, which the receiver stores as
-// they are. Decode allocates a fresh Value per entry — entries may be
-// retained by the receiver's store.
-type TransferEntry struct {
+// Entry is one stored entry carried by a TRepairOK body: key, value and
+// inserting origin, which the receiver stores as they are. Decode
+// allocates a fresh Value per entry — entries may be retained by the
+// receiver's store.
+type Entry struct {
 	Origin uint32
 	Key    idspace.ID
 	Value  []byte
 }
 
-// EntryOverhead is a transfer entry's fixed wire cost — origin, key,
-// and the value length word — exported so senders can budget entry
-// batches against MaxFrame with the codec's own arithmetic.
+// EntryOverhead is an entry's fixed wire cost — origin, key, and the
+// value length word — exported so senders can budget entry batches
+// against MaxFrame with the codec's own arithmetic.
 const EntryOverhead = 4 + idspace.Bytes + 4
 
 // RepairCursor is a resume position in a store's stable iteration order
@@ -398,11 +385,8 @@ type Msg struct {
 	// More reports that a TRepairOK was cut by its byte budget and
 	// Cursor resumes the remainder.
 	More bool
-	// Entries carries stored entries (TTransfer, TRepairOK).
-	Entries []TransferEntry
-	// Accepted is how many transferred entries the receiver applied
-	// (TTransferOK).
-	Accepted uint32
+	// Entries carries stored entries (TRepairOK).
+	Entries []Entry
 	// ClientAddr is the sender's (TPeerProbe) or responder's
 	// (TPeerProbeOK) client-serving address; empty means not advertised.
 	// Reused across decodes like Value.
@@ -415,7 +399,7 @@ type Msg struct {
 	// (TMembersOK); 1 means unreplicated.
 	Replication uint32
 	// Trace is the propagated trace ID of a sampled peer request
-	// (TRoute, TRepair, TTransfer); meaningful only when Traced is set.
+	// (TRoute, TRepair, TReplicate); meaningful only when Traced is set.
 	Trace uint64
 	// Traced reports that the peer request carries a trace ID, i.e. some
 	// node sampled it and every hop should record spans under Trace.
@@ -461,10 +445,6 @@ func (m *Msg) bodyLen() int {
 		n += 8 + m.traceLen() + 4 + cursorLen
 	case TRepairOK:
 		n += 4 + 1 + cursorLen + 4 + entriesLen(m.Entries)
-	case TTransfer:
-		n += 8 + m.traceLen() + 4 + entriesLen(m.Entries)
-	case TTransferOK:
-		n += 4
 	case TReplicate:
 		n += 1 + 8 + m.traceLen() + idspace.Bytes + 4
 		if m.RouteKind == TInsert {
@@ -488,8 +468,8 @@ func (m *Msg) traceLen() int {
 	return 1
 }
 
-// entriesLen is the encoded size of a transfer entry list.
-func entriesLen(entries []TransferEntry) int {
+// entriesLen is the encoded size of an entry list.
+func entriesLen(entries []Entry) int {
 	n := 0
 	for i := range entries {
 		n += EntryOverhead + len(entries[i].Value)
@@ -615,12 +595,6 @@ func (m *Msg) Append(dst []byte) ([]byte, error) {
 		}
 		dst = appendCursor(dst, m.Cursor)
 		dst = appendEntries(dst, m.Entries)
-	case TTransfer:
-		dst = binary.BigEndian.AppendUint64(dst, m.Cluster)
-		dst = m.appendTrace(dst)
-		dst = appendEntries(dst, m.Entries)
-	case TTransferOK:
-		dst = binary.BigEndian.AppendUint32(dst, m.Accepted)
 	case TReplicate:
 		dst = append(dst, byte(m.RouteKind))
 		dst = binary.BigEndian.AppendUint64(dst, m.Cluster)
@@ -690,8 +664,8 @@ func decodeCursor(b []byte) RepairCursor {
 	return c
 }
 
-// appendEntries encodes a count-prefixed transfer entry list onto dst.
-func appendEntries(dst []byte, entries []TransferEntry) []byte {
+// appendEntries encodes a count-prefixed entry list onto dst.
+func appendEntries(dst []byte, entries []Entry) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(entries)))
 	for i := range entries {
 		e := &entries[i]
@@ -905,23 +879,6 @@ func (m *Msg) Decode(body []byte) error {
 		if err := m.decodeEntries(b[5+cursorLen:]); err != nil {
 			return err
 		}
-	case TTransfer:
-		if len(b) < 8 {
-			return ErrShort
-		}
-		m.Cluster = binary.BigEndian.Uint64(b[0:])
-		rest, err := m.decodeTrace(b[8:])
-		if err != nil {
-			return err
-		}
-		if err := m.decodeEntries(rest); err != nil {
-			return err
-		}
-	case TTransferOK:
-		if len(b) != 4 {
-			return sizeErr(len(b), 4)
-		}
-		m.Accepted = binary.BigEndian.Uint32(b)
 	case TReplicate:
 		if len(b) < 1+8 {
 			return ErrShort
@@ -965,10 +922,10 @@ func (m *Msg) Decode(body []byte) error {
 	return nil
 }
 
-// decodeEntries parses a count-prefixed transfer entry list into
-// m.Entries. It is strict — the count must match the body exactly — and
-// the early count-vs-size check keeps an adversarial count from forcing
-// any allocation beyond the frame itself.
+// decodeEntries parses a count-prefixed entry list into m.Entries. It
+// is strict — the count must match the body exactly — and the early
+// count-vs-size check keeps an adversarial count from forcing any
+// allocation beyond the frame itself.
 func (m *Msg) decodeEntries(b []byte) error {
 	if len(b) < 4 {
 		return ErrShort
@@ -983,7 +940,7 @@ func (m *Msg) decodeEntries(b []byte) error {
 		if len(b) < EntryOverhead {
 			return ErrEntries
 		}
-		var e TransferEntry
+		var e Entry
 		e.Origin = binary.BigEndian.Uint32(b[0:])
 		copy(e.Key[:], b[4:])
 		vlen := binary.BigEndian.Uint32(b[4+idspace.Bytes:])

@@ -48,20 +48,24 @@ func sampleMsgs() []Msg {
 		{Type: TRepair, ReqID: 26, Cluster: 0xA1, Region: 3, Traced: true, Trace: 0x1122334455667788},
 		{Type: TRepair, ReqID: 18, Cluster: 0xA1, Region: 2,
 			Cursor: RepairCursor{Shard: 3, Key: idspace.FromString("resume-here")}},
-		{Type: TRepairOK, ReqID: 15, Region: 1, Entries: []TransferEntry{
+		{Type: TRepairOK, ReqID: 15, Region: 1, Entries: []Entry{
 			{Origin: 2, Key: key, Value: []byte("v0")},
 			{Origin: 2, Key: idspace.FromString("object-8"), Value: nil},
 		}},
 		{Type: TRepairOK, ReqID: 18, Region: 2, More: true,
 			Cursor:  RepairCursor{Shard: 1, Key: idspace.FromString("next-page")},
-			Entries: []TransferEntry{{Origin: 1, Key: key, Value: []byte("paged")}}},
-		{Type: TTransfer, ReqID: 16, Cluster: 0xA1, Entries: []TransferEntry{
-			{Origin: 0, Key: key, Value: []byte("moved")},
-		}},
-		{Type: TTransfer, ReqID: 17, Cluster: 0xA1, Entries: nil},
-		{Type: TTransfer, ReqID: 27, Cluster: 0xA1, Traced: true, Trace: 0xABCD,
-			Entries: []TransferEntry{{Origin: 1, Key: key, Value: []byte("traced")}}},
-		{Type: TTransferOK, ReqID: 16, Accepted: 1},
+			Entries: []Entry{{Origin: 1, Key: key, Value: []byte("paged")}}},
+		{Type: TRepairOK, ReqID: 17, Region: 0, Entries: nil},
+		{Type: TRepairOK, ReqID: 16, Region: 4, More: true,
+			Cursor: RepairCursor{Shard: 0, Key: key},
+			Entries: []Entry{
+				{Origin: 0, Key: key, Value: []byte("moved")},
+				{Origin: 3, Key: idspace.FromString("object-9"), Value: nil},
+			}},
+		{Type: TRepair, ReqID: 27, Cluster: 0xA1, Region: 1, Traced: true, Trace: 0xABCD,
+			Cursor: RepairCursor{Shard: 2, Key: idspace.FromString("traced-resume")}},
+		{Type: TReplicate, ReqID: 32, RouteKind: TDelete, Cluster: 0xA1, Key: key, Origin: 2,
+			Traced: true, Trace: 7},
 		{Type: TReplicate, ReqID: 28, RouteKind: TInsert, Cluster: 0xA1, Key: key, Origin: 1,
 			Value: []byte("tcp://node1:7700")},
 		{Type: TReplicate, ReqID: 29, RouteKind: TInsert, Cluster: 0xA1, Key: key, Origin: 1, Value: nil},
@@ -72,8 +76,8 @@ func sampleMsgs() []Msg {
 	}
 }
 
-// entriesEq compares transfer entry lists field by field.
-func entriesEq(a, b []TransferEntry) bool {
+// entriesEq compares entry lists field by field.
+func entriesEq(a, b []Entry) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -162,15 +166,6 @@ func eq(t *testing.T, a, b *Msg) {
 	case TRepairOK:
 		if a.Region != b.Region || a.More != b.More || a.Cursor != b.Cursor || !entriesEq(a.Entries, b.Entries) {
 			t.Fatalf("repair reply mismatch: %+v vs %+v", a, b)
-		}
-	case TTransfer:
-		if a.Cluster != b.Cluster || !entriesEq(a.Entries, b.Entries) ||
-			a.Traced != b.Traced || a.Trace != b.Trace {
-			t.Fatalf("transfer mismatch: %+v vs %+v", a, b)
-		}
-	case TTransferOK:
-		if a.Accepted != b.Accepted {
-			t.Fatalf("transfer reply mismatch: %d vs %d", a.Accepted, b.Accepted)
 		}
 	case TReplicate:
 		if a.RouteKind != b.RouteKind || a.Cluster != b.Cluster || a.Key != b.Key || a.Origin != b.Origin {
@@ -335,28 +330,29 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			b[9+4+1] = 9 // ...but a nonzero cursor shard
 			return b
 		}(), ErrCursor},
-		{"transfer count overruns body", func() []byte {
-			b := append([]byte{byte(TTransfer)}, make([]byte, 8+8+1+4)...)
-			b[9+8+1+3] = 9 // claims 9 entries, carries none
+		{"repair-ok count overruns body", func() []byte {
+			b := append([]byte{byte(TRepairOK)}, make([]byte, 8+4+1+24+4)...)
+			b[9+4+1+24+3] = 9 // claims 9 entries, carries none
 			return b
 		}(), ErrEntries},
-		{"transfer value overruns body", func() []byte {
+		{"repair-ok value overruns body", func() []byte {
 			// One entry whose value length claims more bytes than remain.
-			b := append([]byte{byte(TTransfer)}, make([]byte, 8+8+1+4+28)...)
-			b[9+8+1+3] = 1      // one entry
-			b[9+8+1+4+27] = 200 // vlen = 200, but the body ends here
+			b := append([]byte{byte(TRepairOK)}, make([]byte, 8+4+1+24+4+28)...)
+			b[9+4+1+24+3] = 1      // one entry
+			b[9+4+1+24+4+27] = 200 // vlen = 200, but the body ends here
 			return b
 		}(), ErrEntries},
-		{"transfer trailing", func() []byte {
-			b := append([]byte{byte(TTransfer)}, make([]byte, 8+8+1+4+28+2)...)
-			b[9+8+1+3] = 1 // one entry with vlen 0, then 2 stray bytes
+		{"repair-ok entries trailing", func() []byte {
+			b := append([]byte{byte(TRepairOK)}, make([]byte, 8+4+1+24+4+28+2)...)
+			b[9+4+1+24+3] = 1 // one entry with vlen 0, then 2 stray bytes
 			return b
 		}(), ErrTrailing},
-		{"transfer bad trace flags", func() []byte {
-			b := append([]byte{byte(TTransfer)}, make([]byte, 8+8+1+4)...)
-			b[9+8] = 0xFF
-			return b
-		}(), ErrTrace},
+		// 0x13 and 0x93 once carried a push-style replica transfer and its
+		// reply. They are unassigned now: a well-formed body in the old
+		// layout (cluster hash, untraced, zero entries; a u32 count) is an
+		// unknown type, never misread as another message.
+		{"unassigned 0x13", append([]byte{0x13}, make([]byte, 8+8+1+4)...), ErrType},
+		{"unassigned 0x93", append([]byte{0x93}, make([]byte, 8+4)...), ErrType},
 		{"replicate bad kind", func() []byte {
 			b := append([]byte{byte(TReplicate)}, make([]byte, 8+1+8+1+idspace.Bytes+4)...)
 			b[9] = byte(TLookup) // lookups fail over, they are never replicated

@@ -165,6 +165,19 @@ func (p *Pool) AutoOrigin(key ID) int {
 	return int((fnv1a(key) >> 32) % uint64(p.ov.N()))
 }
 
+// ResolveOrigin admits the origin a keyed request carries: the all-ones
+// sentinel (wire.OriginAuto) picks AutoOrigin(key), and any other origin
+// must name one of the overlay's nodes.
+func (p *Pool) ResolveOrigin(key ID, origin uint32) (uint32, error) {
+	if origin == ^uint32(0) {
+		return uint32(p.AutoOrigin(key)), nil
+	}
+	if n := p.ov.N(); origin >= uint32(n) {
+		return 0, fmt.Errorf("origin %d out of range (overlay has %d nodes)", origin, n)
+	}
+	return origin, nil
+}
+
 // Insert stores value under key on behalf of origin, replacing any entry
 // key already has: a batch of one through the owning shard's commit
 // combiner (see ExecBatch). On a durable pool the operation is logged
@@ -227,18 +240,14 @@ type BatchKind uint8
 
 // Batch operation kinds. The first three mirror Insert, Lookup and
 // Delete; BatchPut is ImportReplica's batched twin — an entry copied from
-// a peer, used by the cluster transfer and repair receive paths so a
-// whole entry page imports under one shard-lock acquisition and one
-// group-committed WAL append.
+// a peer, used by the cluster's repair receive path so a whole entry
+// page imports under one shard-lock acquisition and one group-committed
+// WAL append.
 const (
 	BatchInsert BatchKind = iota + 1
 	BatchLookup
 	BatchDelete
 	BatchPut
-	// batchDrop is DropReplica's op: remove Key's entry, neither
-	// origin-restricted nor region-checked. Removed reports 1 when an
-	// entry was dropped.
-	batchDrop
 )
 
 // BatchOp is one operation of a shard batch executed by ExecBatch. Kind,
@@ -411,19 +420,19 @@ func (p *Pool) execRound(shard int, segs [][]BatchOp) (walNanos int64, merged in
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// The already-stored checks below read pre-round store state, so they
-	// are only valid for a placement no earlier op of this round shadows: a
-	// touched set guards that, allocated only when the round has direct
-	// placements (client insert/delete batches never pay for it).
+	// The already-stored check below reads pre-round store state, so it is
+	// only valid for a put no earlier op of this round shadows: a touched
+	// set guards that, allocated only when the round has puts (client
+	// insert/delete batches never pay for it).
 	var touched map[ID]struct{}
-	total, placements := 0, false
+	total, puts := 0, false
 	for _, ops := range segs {
 		total += len(ops)
 		for i := range ops {
-			placements = placements || ops[i].Kind == BatchPut || ops[i].Kind == batchDrop
+			puts = puts || ops[i].Kind == BatchPut
 		}
 	}
-	if placements {
+	if puts {
 		touched = make(map[ID]struct{}, total)
 	}
 	mutations := 0
@@ -437,29 +446,18 @@ func (p *Pool) execRound(shard int, segs [][]BatchOp) (walNanos int64, merged in
 				continue
 			}
 			switch op.Kind {
-			case BatchInsert, BatchDelete:
+			case BatchInsert, BatchDelete, BatchPut:
 				if op.Err = p.checkOwned(op.Key); op.Err != nil {
 					continue
 				}
-			case BatchPut, batchDrop:
-				// Dropping skips the region check: handing off foreign keys
-				// is its purpose.
 				if op.Kind == BatchPut {
-					if op.Err = p.checkOwned(op.Key); op.Err != nil {
-						continue
-					}
-				}
-				if _, shadowed := touched[op.Key]; !shadowed {
-					// A byte-identical entry already stored (and durably
-					// logged when it first landed), or nothing to drop:
-					// succeed with no write-ahead record and no store write.
+					// A put of a byte-identical entry already stored (and
+					// durably logged when it first landed), unshadowed in this
+					// round, succeeds with no write-ahead record and no store
+					// write.
+					_, shadowed := touched[op.Key]
 					e, ok := s.st.get(op.Key)
-					if op.Kind == BatchPut {
-						op.skip = ok && e.origin == uint32(op.Origin) && bytes.Equal(e.value, op.Value)
-					} else {
-						op.skip = !ok
-					}
-					if op.skip {
+					if op.skip = !shadowed && ok && e.origin == uint32(op.Origin) && bytes.Equal(e.value, op.Value); op.skip {
 						continue
 					}
 				}
@@ -507,13 +505,9 @@ func (p *Pool) execRound(shard int, segs [][]BatchOp) (walNanos int64, merged in
 				s.deletes.Inc()
 				op.Removed = s.deleteOwned(uint32(op.Origin), op.Key)
 			case BatchPut:
-				// Copied entries are transfer and anti-entropy traffic, not
-				// client requests, so they skip the counters.
+				// Copied entries are anti-entropy traffic, not client
+				// requests, so they skip the counters.
 				s.st.put(op.Key, uint32(op.Origin), op.Value)
-			case batchDrop:
-				if s.st.del(op.Key) {
-					op.Removed = 1
-				}
 			}
 		}
 	}
@@ -542,23 +536,20 @@ type ReplicaEntry struct {
 // by owning shard so each group applies under ONE shard-lock acquisition
 // and — on durable pools — ONE group-committed write-ahead append, instead
 // of ImportReplica's per-entry lock and fsync rounds. It is the receive
-// half of a batched cluster transfer (TTransfer / TRepairOK pages in
-// internal/p2p).
+// half of pull repair (TRepairOK pages in internal/p2p).
 //
 // The result state is exactly what applying the entries one by one
 // through ImportReplica would produce: order within a shard is preserved,
-// and a refused entry (foreign region) skips only itself. accepted counts
-// the entries the pool now holds — including entries already stored
-// byte-identically, which succeed without a write-ahead record or store
-// write — so a transfer sender may drop its copy of every accepted entry.
-// fresh counts the subset that actually mutated state: anti-entropy uses
-// it to tell a converging pull from a steady-state re-walk. firstErr is
-// the first refusal or failure encountered, nil when every entry landed.
-// A failed group append fails that whole group — none of its entries is
-// known durable, so none of them executes.
-func (p *Pool) ImportBatch(entries []ReplicaEntry) (accepted, fresh int, firstErr error) {
+// and a refused entry (foreign region) skips only itself. An entry
+// already stored byte-identically succeeds without a write-ahead record
+// or store write; fresh counts the entries that actually mutated state,
+// which anti-entropy uses to tell a converging pull from a steady-state
+// re-walk. firstErr is the first refusal or failure encountered, nil
+// when every entry landed. A failed group append fails that whole group
+// — none of its entries is known durable, so none of them executes.
+func (p *Pool) ImportBatch(entries []ReplicaEntry) (fresh int, firstErr error) {
 	if len(entries) == 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
 	byShard := make([][]BatchOp, len(p.shards))
 	for _, e := range entries {
@@ -571,30 +562,17 @@ func (p *Pool) ImportBatch(entries []ReplicaEntry) (accepted, fresh int, firstEr
 		}
 		p.ExecBatch(ops)
 		for i := range ops {
-			if ops[i].Err != nil {
+			switch {
+			case ops[i].Err != nil:
 				if firstErr == nil {
 					firstErr = ops[i].Err
 				}
-				continue
-			}
-			accepted++
-			if !ops[i].skip {
+			case !ops[i].skip:
 				fresh++
 			}
 		}
 	}
-	return accepted, fresh, firstErr
-}
-
-// DropReplica removes key's entry, if any, write-ahead logged on durable
-// pools. It is the send half of a replica transfer: once the owner has
-// acknowledged the copy, the local one is dropped. Unlike Delete it is
-// not origin-restricted, and it deliberately skips the region check —
-// handing off foreign keys is its purpose.
-func (p *Pool) DropReplica(key ID) (bool, error) {
-	op := [1]BatchOp{{Kind: batchDrop, Key: key}}
-	p.submit(p.ShardOf(key), op[:])
-	return op[0].Removed == 1, op[0].Err
+	return fresh, firstErr
 }
 
 // ForEachReplica visits every stored entry in (shard, key) order, locking
@@ -747,8 +725,6 @@ func (p *Pool) applyShard(i int, kind opKind, origin uint32, key ID, value []byt
 		s.st.put(key, origin, value)
 	case opDelete:
 		s.deleteOwned(origin, key)
-	case opDrop:
-		s.st.del(key)
 	}
 }
 

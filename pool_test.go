@@ -3,6 +3,7 @@ package discovery
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -143,6 +144,24 @@ func TestPoolShardRoutingStable(t *testing.T) {
 		if o < 0 || o >= p.Overlay().N() {
 			t.Fatalf("auto origin %d out of range", o)
 		}
+	}
+}
+
+// TestPoolResolveOrigin pins the one admission rule every keyed request
+// path shares: the all-ones sentinel picks AutoOrigin, an in-range
+// origin passes through, and anything else is refused.
+func TestPoolResolveOrigin(t *testing.T) {
+	p := newTestPool(t, 2, 1)
+	key := NewID("resolve")
+	n := uint32(p.Overlay().N())
+	if o, err := p.ResolveOrigin(key, ^uint32(0)); err != nil || int(o) != p.AutoOrigin(key) {
+		t.Fatalf("auto origin: %d, %v; want %d", o, err, p.AutoOrigin(key))
+	}
+	if o, err := p.ResolveOrigin(key, n-1); err != nil || o != n-1 {
+		t.Fatalf("last origin: %d, %v", o, err)
+	}
+	if _, err := p.ResolveOrigin(key, n); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("origin %d of %d admitted: %v", n, n, err)
 	}
 }
 
@@ -437,7 +456,7 @@ func TestPoolForEachReplicaFromStopsEarly(t *testing.T) {
 }
 
 // TestPoolImportBatchMatchesPerEntry pins the equivalence that makes the
-// batched transfer-apply path safe to substitute for the per-entry one:
+// batched repair-apply path safe to substitute for the per-entry one:
 // importing a batch produces exactly the state (same serialized bytes)
 // that applying each entry through ImportReplica does, and per-entry
 // refusals (foreign regions) skip only themselves in both.
@@ -485,9 +504,9 @@ func TestPoolImportBatchMatchesPerEntry(t *testing.T) {
 		t.Fatalf("test needs both owned (%d) and refused (%d) entries", owned, refused)
 	}
 
-	accepted, _, firstErr := batched.ImportBatch(entries)
-	if accepted != owned {
-		t.Fatalf("ImportBatch accepted %d entries, want %d (err %v)", accepted, owned, firstErr)
+	fresh, firstErr := batched.ImportBatch(entries)
+	if fresh != owned {
+		t.Fatalf("ImportBatch applied %d entries, want %d (err %v)", fresh, owned, firstErr)
 	}
 	if firstErr == nil {
 		t.Fatal("ImportBatch reported no error despite refused entries")
@@ -520,7 +539,7 @@ func TestPoolImportBatchEmptyAndUnrestricted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _, err := p.ImportBatch(nil); n != 0 || err != nil {
+	if n, err := p.ImportBatch(nil); n != 0 || err != nil {
 		t.Fatalf("empty batch: %d %v", n, err)
 	}
 	var entries []ReplicaEntry
@@ -529,7 +548,7 @@ func TestPoolImportBatchEmptyAndUnrestricted(t *testing.T) {
 			Origin: uint32(i), Key: NewID(fmt.Sprintf("unres-%d", i)), Value: []byte("v"),
 		})
 	}
-	if n, _, err := p.ImportBatch(entries); n != len(entries) || err != nil {
+	if n, err := p.ImportBatch(entries); n != len(entries) || err != nil {
 		t.Fatalf("unrestricted batch: %d %v", n, err)
 	}
 	if got := p.ReplicaCount(); got != len(entries) {
@@ -539,8 +558,8 @@ func TestPoolImportBatchEmptyAndUnrestricted(t *testing.T) {
 
 // TestPoolImportBatchSkipsIdenticalReplays pins the convergence signal
 // periodic anti-entropy runs on: re-importing entries the pool already
-// holds byte-identically is accepted in full (a transfer sender may
-// still drop its copies) but reports fresh == 0 and mutates nothing,
+// holds byte-identically succeeds but reports fresh == 0 and mutates
+// nothing,
 // while any entry that differs — and any entry shadowed by an earlier
 // op of the same batch — still applies. Without the skip, every
 // steady-state anti-entropy pass would re-log the entire keyspace.
@@ -559,14 +578,14 @@ func TestPoolImportBatchSkipsIdenticalReplays(t *testing.T) {
 			Origin: uint32(i % 5), Key: NewID(fmt.Sprintf("replay-%d", i)), Value: []byte(fmt.Sprintf("v-%d", i)),
 		})
 	}
-	if accepted, fresh, err := p.ImportBatch(entries); err != nil || accepted != 40 || fresh != 40 {
-		t.Fatalf("first import: accepted %d fresh %d err %v, want 40/40/nil", accepted, fresh, err)
+	if fresh, err := p.ImportBatch(entries); err != nil || fresh != 40 {
+		t.Fatalf("first import: fresh %d err %v, want 40/nil", fresh, err)
 	}
 	want := exportAll(p)
 
-	// Identical replay: fully accepted, zero fresh, state untouched.
-	if accepted, fresh, err := p.ImportBatch(entries); err != nil || accepted != 40 || fresh != 0 {
-		t.Fatalf("identical replay: accepted %d fresh %d err %v, want 40/0/nil", accepted, fresh, err)
+	// Identical replay: no error, zero fresh, state untouched.
+	if fresh, err := p.ImportBatch(entries); err != nil || fresh != 0 {
+		t.Fatalf("identical replay: fresh %d err %v, want 0/nil", fresh, err)
 	}
 	if got := exportAll(p); !reflect.DeepEqual(got, want) {
 		t.Fatal("identical replay mutated pool state")
@@ -574,8 +593,8 @@ func TestPoolImportBatchSkipsIdenticalReplays(t *testing.T) {
 
 	// One changed value: exactly that entry is fresh, and it lands.
 	entries[7].Value = []byte("changed")
-	if accepted, fresh, err := p.ImportBatch(entries); err != nil || accepted != 40 || fresh != 1 {
-		t.Fatalf("one-changed replay: accepted %d fresh %d err %v, want 40/1/nil", accepted, fresh, err)
+	if fresh, err := p.ImportBatch(entries); err != nil || fresh != 1 {
+		t.Fatalf("one-changed replay: fresh %d err %v, want 1/nil", fresh, err)
 	}
 	if v, ok := p.Value(entries[7].Key); !ok || string(v) != "changed" {
 		t.Fatalf("changed entry not applied: ok=%v v=%q", ok, v)
@@ -583,8 +602,8 @@ func TestPoolImportBatchSkipsIdenticalReplays(t *testing.T) {
 	// A lone import of a stored key with a different value is not skipped
 	// either: the key's one entry takes the new value.
 	lone := []ReplicaEntry{{Origin: entries[9].Origin, Key: entries[9].Key, Value: []byte("replaced")}}
-	if accepted, fresh, err := p.ImportBatch(lone); err != nil || accepted != 1 || fresh != 1 {
-		t.Fatalf("same-key different-value import: accepted %d fresh %d err %v, want 1/1/nil", accepted, fresh, err)
+	if fresh, err := p.ImportBatch(lone); err != nil || fresh != 1 {
+		t.Fatalf("same-key different-value import: fresh %d err %v, want 1/nil", fresh, err)
 	}
 	if v, _ := p.Value(entries[9].Key); string(v) != "replaced" || p.ReplicaCount() != 40 {
 		t.Fatalf("same-key import left %q in %d entries, want replaced in 40", v, p.ReplicaCount())
@@ -595,7 +614,7 @@ func TestPoolImportBatchSkipsIdenticalReplays(t *testing.T) {
 	// re-apply.
 	// (Entry 7's new value landed above, so it skips this time.)
 	entries[3].Origin++
-	if _, fresh, err := p.ImportBatch(entries); err != nil || fresh != 1 {
+	if fresh, err := p.ImportBatch(entries); err != nil || fresh != 1 {
 		t.Fatalf("origin-changed replay: fresh %d err %v, want exactly the origin change fresh", fresh, err)
 	}
 
@@ -604,10 +623,10 @@ func TestPoolImportBatchSkipsIdenticalReplays(t *testing.T) {
 	// equivalence) — the second put matches pre-batch state but is
 	// shadowed by the first, so it cannot be skipped.
 	k := NewID("replay-shadow")
-	if _, _, err := p.ImportBatch([]ReplicaEntry{{Origin: 2, Key: k, Value: []byte("v0")}}); err != nil {
+	if _, err := p.ImportBatch([]ReplicaEntry{{Origin: 2, Key: k, Value: []byte("v0")}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.ImportBatch([]ReplicaEntry{
+	if _, err := p.ImportBatch([]ReplicaEntry{
 		{Origin: 2, Key: k, Value: []byte("v1")},
 		{Origin: 2, Key: k, Value: []byte("v0")},
 	}); err != nil {
