@@ -1,7 +1,8 @@
 package discovery
 
 // One benchmark per table and figure of the paper's evaluation, plus
-// ablation benches for the design choices called out in DESIGN.md §5.
+// ablation benches for the design choices listed under "Ablations" in
+// EXPERIMENTS.md.
 // Each bench runs the corresponding experiment at CI scale and reports the
 // headline quantity as a custom metric, so `go test -bench=. -benchmem`
 // regenerates every result's shape in one sweep. Full-scale runs are
@@ -197,7 +198,7 @@ func BenchmarkFig12Traffic(b *testing.B) {
 	b.ReportMetric(mpilTotal, "MPIL-total-msgs")
 }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches (EXPERIMENTS.md, "Ablations") ---
 
 // ablationFixture builds a static overlay plus inserted keys for ablation
 // lookups.

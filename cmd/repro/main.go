@@ -13,8 +13,10 @@
 // and json emit the same tables machine-readably (timings move to
 // stderr so stdout stays pipeable).
 //
-// Absolute numbers come from this repository's simulators (see DESIGN.md
-// for the substitutions); the shapes are what reproduce the paper.
+// Absolute numbers come from this repository's simulators (see
+// EXPERIMENTS.md for the substitutions); the shapes are what reproduce
+// the paper. The cells of each sweep run on every core (GOMAXPROCS) and
+// are merged in loop order, so the output is the same at any core count.
 package main
 
 import (

@@ -22,7 +22,7 @@
 // The internal packages additionally contain the paper's full experimental
 // apparatus (a Pastry baseline, flapping perturbation models, a
 // discrete-event simulator, and per-figure benchmark harnesses); see
-// DESIGN.md and EXPERIMENTS.md.
+// EXPERIMENTS.md.
 package discovery
 
 import (

@@ -317,40 +317,68 @@ func diffCounters(after, before pastry.Counters) pastry.Counters {
 	}
 }
 
+// perturbCell is one point of a perturbation sweep: the arguments of one
+// RunPerturb call, the series it belongs to, and the name its error
+// carries.
+type perturbCell struct {
+	series  string
+	setting FlapSetting
+	prob    float64
+	variant Variant
+	name    string
+}
+
+// runPerturbCells runs every cell on all cores and appends each result to
+// its series in cell order, so every series lists its points in the order
+// the sweep built them.
+func runPerturbCells(scale PerturbScale, cells []perturbCell) (map[string][]PerturbResult, error) {
+	results := make([]PerturbResult, len(cells))
+	err := forEachCell(len(cells), func(i int) error {
+		c := cells[i]
+		r, err := RunPerturb(scale, c.setting, c.prob, c.variant)
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
+		}
+		results[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]PerturbResult)
+	for i, c := range cells {
+		out[c.series] = append(out[c.series], results[i])
+	}
+	return out, nil
+}
+
 // RunFig1 reproduces Figure 1: MSPastry success rate across all four flap
 // settings and the full probability sweep.
 func RunFig1(scale PerturbScale, settings []FlapSetting, probs []float64) (map[string][]PerturbResult, error) {
-	out := make(map[string][]PerturbResult, len(settings))
+	var cells []perturbCell
 	for _, set := range settings {
 		for _, p := range probs {
-			r, err := RunPerturb(scale, set, p, VariantPastry)
-			if err != nil {
-				return nil, fmt.Errorf("fig1 %s p=%.1f: %w", set.Label, p, err)
-			}
-			out[set.Label] = append(out[set.Label], r)
+			cells = append(cells, perturbCell{set.Label, set, p, VariantPastry,
+				fmt.Sprintf("fig1 %s p=%.1f", set.Label, p)})
 		}
 	}
-	return out, nil
+	return runPerturbCells(scale, cells)
 }
 
 // RunFig11 reproduces Figure 11: all four variants across the given
 // settings and probabilities.
 func RunFig11(scale PerturbScale, settings []FlapSetting, probs []float64) (map[string][]PerturbResult, error) {
 	variants := []Variant{VariantPastry, VariantPastryRR, VariantMPILDS, VariantMPILNoDS}
-	out := make(map[string][]PerturbResult)
+	var cells []perturbCell
 	for _, set := range settings {
 		for _, v := range variants {
 			for _, p := range probs {
-				r, err := RunPerturb(scale, set, p, v)
-				if err != nil {
-					return nil, fmt.Errorf("fig11 %s %v p=%.1f: %w", set.Label, v, p, err)
-				}
-				key := set.Label + "/" + v.String()
-				out[key] = append(out[key], r)
+				cells = append(cells, perturbCell{set.Label + "/" + v.String(), set, p, v,
+					fmt.Sprintf("fig11 %s %v p=%.1f", set.Label, v, p)})
 			}
 		}
 	}
-	return out, nil
+	return runPerturbCells(scale, cells)
 }
 
 // RunFig12 reproduces Figure 12: lookup and total traffic at 30:30 across
@@ -358,15 +386,12 @@ func RunFig11(scale PerturbScale, settings []FlapSetting, probs []float64) (map[
 func RunFig12(scale PerturbScale, probs []float64) (map[string][]PerturbResult, error) {
 	setting := FlapSetting{Label: "30:30", Idle: 30 * time.Second, Offline: 30 * time.Second}
 	variants := []Variant{VariantPastry, VariantMPILDS, VariantMPILNoDS}
-	out := make(map[string][]PerturbResult)
+	var cells []perturbCell
 	for _, v := range variants {
 		for _, p := range probs {
-			r, err := RunPerturb(scale, setting, p, v)
-			if err != nil {
-				return nil, fmt.Errorf("fig12 %v p=%.1f: %w", v, p, err)
-			}
-			out[v.String()] = append(out[v.String()], r)
+			cells = append(cells, perturbCell{v.String(), setting, p, v,
+				fmt.Sprintf("fig12 %v p=%.1f", v, p)})
 		}
 	}
-	return out, nil
+	return runPerturbCells(scale, cells)
 }

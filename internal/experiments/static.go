@@ -11,9 +11,11 @@
 //	Figure 11   success under perturbation, all variants   (RunFig11)
 //	Figure 12   lookup and total traffic under flapping    (RunFig12)
 //
-// Every run is deterministic from its Scale's seed. Scales come in Paper
-// (the paper's parameters) and Quick (CI-sized) presets; anything in
-// between can be configured directly.
+// Every run is deterministic from its Scale's seed, at any core count: a
+// sweep's independent cells run on GOMAXPROCS goroutines and are merged
+// in loop order (forEachCell). Scales come in Paper (the paper's
+// parameters) and Quick (CI-sized) presets; anything in between can be
+// configured directly.
 package experiments
 
 import (
@@ -146,6 +148,82 @@ func buildOverlay(kind TopoKind, n, randomDegree int, rng *rand.Rand) (*overlay.
 	return overlay.New(g, rng, nil), nil
 }
 
+// staticGraph is one (size, graph) cell of a static experiment, set up:
+// an MPIL engine over a fresh overlay, the cell's insert/lookup pairs, and
+// the stats of inserting every pair's key with insertConfig.
+type staticGraph struct {
+	eng     *mpil.Engine
+	pairs   []workload.InsertLookupPair
+	inserts []mpil.InsertStats
+}
+
+// setupGraph builds cell (si, gi) from its own rng, seeded
+// scale.Seed + 1000*si + gi, so the cell is a pure function of its
+// indices.
+func setupGraph(scale StaticScale, kind TopoKind, si, gi int) (staticGraph, error) {
+	n := scale.Sizes[si]
+	rng := rand.New(rand.NewSource(scale.Seed + int64(1000*si+gi)))
+	nw, err := buildOverlay(kind, n, scale.RandomDegree, rng)
+	if err != nil {
+		return staticGraph{}, err
+	}
+	eng, err := mpil.NewEngine(nw, insertConfig(), rng)
+	if err != nil {
+		return staticGraph{}, err
+	}
+	pairs, err := workload.RandomOrigins(scale.RequestsPerGraph, n, rng)
+	if err != nil {
+		return staticGraph{}, err
+	}
+	inserts := make([]mpil.InsertStats, len(pairs))
+	for i, p := range pairs {
+		inserts[i] = eng.Insert(p.InsertOrigin, p.Key, nil, 0)
+	}
+	return staticGraph{eng: eng, pairs: pairs, inserts: inserts}, nil
+}
+
+// graphCells sets up every (size, graph) cell of scale on all cores and
+// runs observe on each. It returns the observations indexed
+// [size][graph]; callers replay them into their accumulators in that
+// order, which keeps float means bit-identical to a serial sweep.
+func graphCells[T any](scale StaticScale, kind TopoKind, observe func(staticGraph) (T, error)) ([][]T, error) {
+	if err := scale.validate(); err != nil {
+		return nil, err
+	}
+	per := scale.GraphsPerSize
+	flat := make([]T, len(scale.Sizes)*per)
+	err := forEachCell(len(flat), func(i int) error {
+		g, err := setupGraph(scale, kind, i/per, i%per)
+		if err != nil {
+			return err
+		}
+		flat[i], err = observe(g)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]T, len(scale.Sizes))
+	for si := range out {
+		out[si] = flat[si*per : (si+1)*per]
+	}
+	return out, nil
+}
+
+// lookupAll runs one lookup per pair of g with cfg and returns the stats
+// in pair order.
+func lookupAll(g staticGraph, cfg mpil.Config) ([]mpil.LookupStats, error) {
+	stats := make([]mpil.LookupStats, len(g.pairs))
+	for i, p := range g.pairs {
+		st, err := g.eng.LookupWith(cfg, p.LookupOrigin, p.Key, 0)
+		if err != nil {
+			return nil, err
+		}
+		stats[i] = st
+	}
+	return stats, nil
+}
+
 // Fig9Row is one point of Figure 9's three panels.
 type Fig9Row struct {
 	N          int
@@ -157,29 +235,18 @@ type Fig9Row struct {
 // RunFig9 reproduces Figure 9: MPIL insertion behavior over overlays of
 // increasing size, with max_flows 30 and 5 per-flow replicas.
 func RunFig9(scale StaticScale, kind TopoKind) ([]Fig9Row, error) {
-	if err := scale.validate(); err != nil {
+	cells, err := graphCells(scale, kind, func(g staticGraph) ([]mpil.InsertStats, error) {
+		return g.inserts, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := make([]Fig9Row, 0, len(scale.Sizes))
 	for si, n := range scale.Sizes {
 		var replicas, traffic, dupTotals metrics.Sample
-		for gi := 0; gi < scale.GraphsPerSize; gi++ {
-			rng := rand.New(rand.NewSource(scale.Seed + int64(1000*si+gi)))
-			nw, err := buildOverlay(kind, n, scale.RandomDegree, rng)
-			if err != nil {
-				return nil, err
-			}
-			eng, err := mpil.NewEngine(nw, insertConfig(), rng)
-			if err != nil {
-				return nil, err
-			}
-			pairs, err := workload.RandomOrigins(scale.RequestsPerGraph, n, rng)
-			if err != nil {
-				return nil, err
-			}
+		for _, inserts := range cells[si] {
 			graphDups := 0
-			for _, p := range pairs {
-				st := eng.Insert(p.InsertOrigin, p.Key, nil, 0)
+			for _, st := range inserts {
 				replicas.AddInt(st.Replicas)
 				traffic.AddInt(st.Messages)
 				graphDups += st.Duplicates
@@ -213,57 +280,43 @@ var LookupMaxFlows = []int{5, 10, 15}
 // lookup success rates over a (max_flows, per-flow replicas) grid, with
 // insertions fixed at max_flows 30 and 5 per-flow replicas.
 func RunLookupTable(scale StaticScale, kind TopoKind) ([]LookupGridRow, error) {
-	if err := scale.validate(); err != nil {
+	// A cell's observations are its found flags, indexed
+	// [max_flows index][r-1][pair], looked up in that order on one engine.
+	cells, err := graphCells(scale, kind, func(g staticGraph) ([][5][]bool, error) {
+		found := make([][5][]bool, len(LookupMaxFlows))
+		for mi, mf := range LookupMaxFlows {
+			for r := 1; r <= 5; r++ {
+				stats, err := lookupAll(g, mpil.Config{
+					Space:                idspace.MustSpace(4),
+					MaxFlows:             mf,
+					PerFlowReplicas:      r,
+					DuplicateSuppression: true,
+				})
+				if err != nil {
+					return nil, err
+				}
+				for _, st := range stats {
+					found[mi][r-1] = append(found[mi][r-1], st.Found)
+				}
+			}
+		}
+		return found, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	var out []LookupGridRow
 	for si, n := range scale.Sizes {
-		rates := make(map[[2]int]*metrics.Rate) // (maxFlows, r) -> rate
-		for _, mf := range LookupMaxFlows {
-			for r := 1; r <= 5; r++ {
-				rates[[2]int{mf, r}] = &metrics.Rate{}
-			}
-		}
-		for gi := 0; gi < scale.GraphsPerSize; gi++ {
-			rng := rand.New(rand.NewSource(scale.Seed + int64(1000*si+gi)))
-			nw, err := buildOverlay(kind, n, scale.RandomDegree, rng)
-			if err != nil {
-				return nil, err
-			}
-			eng, err := mpil.NewEngine(nw, insertConfig(), rng)
-			if err != nil {
-				return nil, err
-			}
-			pairs, err := workload.RandomOrigins(scale.RequestsPerGraph, n, rng)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range pairs {
-				eng.Insert(p.InsertOrigin, p.Key, nil, 0)
-			}
-			for _, mf := range LookupMaxFlows {
-				for r := 1; r <= 5; r++ {
-					cfg := mpil.Config{
-						Space:                idspace.MustSpace(4),
-						MaxFlows:             mf,
-						PerFlowReplicas:      r,
-						DuplicateSuppression: true,
-					}
-					rate := rates[[2]int{mf, r}]
-					for _, p := range pairs {
-						st, err := eng.LookupWith(cfg, p.LookupOrigin, p.Key, 0)
-						if err != nil {
-							return nil, err
-						}
-						rate.Record(st.Found)
+		for mi, mf := range LookupMaxFlows {
+			row := LookupGridRow{N: n, MaxFlows: mf}
+			for r := range row.SuccessPct {
+				var rate metrics.Rate
+				for _, found := range cells[si] {
+					for _, ok := range found[mi][r] {
+						rate.Record(ok)
 					}
 				}
-			}
-		}
-		for _, mf := range LookupMaxFlows {
-			row := LookupGridRow{N: n, MaxFlows: mf}
-			for r := 1; r <= 5; r++ {
-				row.SuccessPct[r-1] = rates[[2]int{mf, r}].Percent()
+				row.SuccessPct[r] = rate.Percent()
 			}
 			out = append(out, row)
 		}
@@ -281,40 +334,23 @@ type Table3Row struct {
 
 // RunTable3 reproduces Table 3 for one topology family.
 func RunTable3(scale StaticScale, kind TopoKind) ([]Table3Row, error) {
-	if err := scale.validate(); err != nil {
-		return nil, err
-	}
 	lookupCfg := mpil.Config{
 		Space:                idspace.MustSpace(4),
 		MaxFlows:             10,
 		PerFlowReplicas:      3,
 		DuplicateSuppression: true,
 	}
+	cells, err := graphCells(scale, kind, func(g staticGraph) ([]mpil.LookupStats, error) {
+		return lookupAll(g, lookupCfg)
+	})
+	if err != nil {
+		return nil, err
+	}
 	var out []Table3Row
 	for si, n := range scale.Sizes {
 		var flows metrics.Sample
-		for gi := 0; gi < scale.GraphsPerSize; gi++ {
-			rng := rand.New(rand.NewSource(scale.Seed + int64(1000*si+gi)))
-			nw, err := buildOverlay(kind, n, scale.RandomDegree, rng)
-			if err != nil {
-				return nil, err
-			}
-			eng, err := mpil.NewEngine(nw, insertConfig(), rng)
-			if err != nil {
-				return nil, err
-			}
-			pairs, err := workload.RandomOrigins(scale.RequestsPerGraph, n, rng)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range pairs {
-				eng.Insert(p.InsertOrigin, p.Key, nil, 0)
-			}
-			for _, p := range pairs {
-				st, err := eng.LookupWith(lookupCfg, p.LookupOrigin, p.Key, 0)
-				if err != nil {
-					return nil, err
-				}
+		for _, stats := range cells[si] {
+			for _, st := range stats {
 				flows.AddInt(st.Flows)
 			}
 		}
@@ -334,40 +370,23 @@ type Fig10Row struct {
 
 // RunFig10 reproduces Figure 10 for one topology family.
 func RunFig10(scale StaticScale, kind TopoKind) ([]Fig10Row, error) {
-	if err := scale.validate(); err != nil {
-		return nil, err
-	}
 	lookupCfg := mpil.Config{
 		Space:                idspace.MustSpace(4),
 		MaxFlows:             10,
 		PerFlowReplicas:      5,
 		DuplicateSuppression: true,
 	}
+	cells, err := graphCells(scale, kind, func(g staticGraph) ([]mpil.LookupStats, error) {
+		return lookupAll(g, lookupCfg)
+	})
+	if err != nil {
+		return nil, err
+	}
 	var out []Fig10Row
 	for si, n := range scale.Sizes {
 		var hops, traffic metrics.Sample
-		for gi := 0; gi < scale.GraphsPerSize; gi++ {
-			rng := rand.New(rand.NewSource(scale.Seed + int64(1000*si+gi)))
-			nw, err := buildOverlay(kind, n, scale.RandomDegree, rng)
-			if err != nil {
-				return nil, err
-			}
-			eng, err := mpil.NewEngine(nw, insertConfig(), rng)
-			if err != nil {
-				return nil, err
-			}
-			pairs, err := workload.RandomOrigins(scale.RequestsPerGraph, n, rng)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range pairs {
-				eng.Insert(p.InsertOrigin, p.Key, nil, 0)
-			}
-			for _, p := range pairs {
-				st, err := eng.LookupWith(lookupCfg, p.LookupOrigin, p.Key, 0)
-				if err != nil {
-					return nil, err
-				}
+		for _, stats := range cells[si] {
+			for _, st := range stats {
 				if st.Found {
 					hops.AddInt(st.FirstReplyHops)
 				}

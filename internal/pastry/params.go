@@ -8,9 +8,10 @@
 //
 // The original MSPastry is closed source (the paper used it under a
 // Microsoft Research license); this package is the substitution documented
-// in DESIGN.md. It runs on the same discrete-event simulator, ID space,
-// and availability models as the MPIL implementation, so the two can be
-// compared on equal footing (paper Sections 3 and 6.2).
+// under "Substitutions" in EXPERIMENTS.md. It runs on the same
+// discrete-event simulator, ID space, and availability models as the MPIL
+// implementation, so the two can be compared on equal footing (paper
+// Sections 3 and 6.2).
 package pastry
 
 import (
