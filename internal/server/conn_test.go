@@ -9,6 +9,7 @@ import (
 	"time"
 
 	discovery "discovery"
+	"discovery/internal/idspace"
 	"discovery/internal/wire"
 )
 
@@ -46,6 +47,39 @@ func TestErrorReplyForShortFrameUsesZeroReqID(t *testing.T) {
 	// The connection survives and correlates normally afterwards.
 	if _, err := c.Lookup(OriginAuto, discovery.NewID("after")); err != nil {
 		t.Fatalf("connection unusable after short frame: %v", err)
+	}
+}
+
+// TestRouteWithBadKindIsRefused pins where a TRoute wrapping a kind that
+// cannot be routed is refused: Decode rejects the frame, so the client
+// gets a TError naming the route kind and the connection keeps serving.
+func TestRouteWithBadKindIsRefused(t *testing.T) {
+	_, addr, _ := newTestServer(t, 2, 16)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	c := NewClient(nc)
+
+	// type | reqID | kind | cluster hash | untraced trailer | key | origin
+	body := make([]byte, 1+8+1+8+1+idspace.Bytes+4)
+	body[0] = byte(wire.TRoute)
+	binary.BigEndian.PutUint64(body[1:], 42)
+	body[9] = byte(wire.TStats)
+	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	if _, err := nc.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	var m wire.Msg
+	if err := c.Recv(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Type != wire.TError || m.ReqID != 42 || !strings.Contains(m.ErrorText(), "route kind") {
+		t.Fatalf("got %v reqID %d %q, want a TError for reqID 42 naming the route kind", m.Type, m.ReqID, m.ErrorText())
+	}
+	if _, err := c.Lookup(OriginAuto, discovery.NewID("after")); err != nil {
+		t.Fatalf("connection unusable after refused route: %v", err)
 	}
 }
 

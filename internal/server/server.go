@@ -524,8 +524,6 @@ func (s *Server) readLoop(c *conn) {
 					s.tracer.Record(tr, trace.KindWrongView, rstart, 0, s.clusterHash)
 				}
 				s.send(c, &wire.Msg{Type: wire.TWrongView, ReqID: m.ReqID, Cluster: s.clusterHash}, tr)
-			case m.RouteKind != wire.TInsert && m.RouteKind != wire.TLookup && m.RouteKind != wire.TDelete:
-				s.replyError(c, m.ReqID, "unexpected route kind "+m.RouteKind.String())
 			case s.owns != nil && !s.owns(m.Key):
 				s.replyError(c, m.ReqID, fmt.Sprintf("not the owner of %v", m.Key))
 			default:

@@ -9,96 +9,95 @@ import (
 
 // FuzzDecode feeds arbitrary bytes to Decode. Decoding must never panic,
 // and anything Decode accepts must re-encode to the exact same frame
-// (the codec is canonical: accepted bytes are a fixed point).
+// (the codec is canonical: accepted bytes are a fixed point), from a
+// fresh Msg and from a dirty one whose reused buffers hold stale state.
 func FuzzDecode(f *testing.F) {
-	for _, m := range sampleMsgs() {
-		frame, err := m.Append(nil)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(frame[lenWords:])
+	for _, body := range sampleBodies(f, func(Type) bool { return true }) {
+		f.Add(body)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var m Msg
-		if err := m.Decode(body); err != nil {
-			return
-		}
-		frame, err := m.Append(nil)
-		if err != nil {
-			t.Fatalf("decoded message fails to re-encode: %v", err)
-		}
-		if !bytes.Equal(frame[lenWords:], body) {
-			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", body, frame[lenWords:])
-		}
-		// Decoding into a dirty, previously-used Msg must agree with the
-		// fresh decode (buffer reuse cannot leak prior state).
-		reused := Msg{
-			Value: append([]byte(nil), "stale-stale-stale"...),
-			Stats: StatsReply{ShardRequests: []uint64{9, 9, 9, 9}},
-		}
-		if err := reused.Decode(body); err != nil {
-			t.Fatalf("reused decode rejects what fresh decode accepted: %v", err)
-		}
-		frame2, err := reused.Append(nil)
-		if err != nil {
-			t.Fatalf("reused re-encode: %v", err)
-		}
-		if !bytes.Equal(frame, frame2) {
-			t.Fatalf("reused decode diverges:\n fresh %x\n reuse %x", frame, frame2)
-		}
-	})
+	f.Add([]byte{byte(TRoute)})
+	f.Add(overrunRepairOK())
+	f.Fuzz(checkCanonicalDecode)
 }
 
-// FuzzPeerDecode feeds arbitrary bytes to Decode with peer-message frame
-// seeds. Like FuzzDecode, anything accepted must be canonical: it must
-// re-encode to the exact input bytes, from both a fresh and a dirty Msg.
+// FuzzPeerDecode is FuzzDecode's check over the peer-message seeds only,
+// which stay a regression corpus of their own under go test.
 func FuzzPeerDecode(f *testing.F) {
+	for _, body := range sampleBodies(f, isPeer) {
+		f.Add(body)
+	}
+	f.Add([]byte{byte(TRoute)})
+	f.Add(overrunRepairOK())
+	f.Fuzz(checkCanonicalDecode)
+}
+
+// isPeer reports whether t is a node-to-node message type.
+func isPeer(t Type) bool {
+	switch t {
+	case TPeerProbe, TRoute, TRepair, TReplicate, TPeerProbeOK, TRepairOK, TReplicateOK, TWrongView:
+		return true
+	}
+	return false
+}
+
+// sampleBodies returns the frame bodies of the sampleMsgs whose type
+// keep accepts, in sample order.
+func sampleBodies(f *testing.F, keep func(Type) bool) [][]byte {
+	var bodies [][]byte
 	for _, m := range sampleMsgs() {
-		switch m.Type {
-		case TPeerProbe, TRoute, TRepair, TReplicate, TPeerProbeOK, TRepairOK, TReplicateOK, TWrongView:
-		default:
+		if !keep(m.Type) {
 			continue
 		}
 		frame, err := m.Append(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(frame[lenWords:])
+		bodies = append(bodies, frame[lenWords:])
 	}
-	f.Add([]byte{byte(TRoute)})
-	// A TRepairOK whose entry count (0xFFFFFFFF) overruns its body.
-	f.Add(append(append([]byte{byte(TRepairOK)}, make([]byte, 8+4+1+24)...), 0xFF, 0xFF, 0xFF, 0xFF))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var m Msg
-		if err := m.Decode(body); err != nil {
-			return
-		}
-		frame, err := m.Append(nil)
-		if err != nil {
-			t.Fatalf("decoded message fails to re-encode: %v", err)
-		}
-		if !bytes.Equal(frame[lenWords:], body) {
-			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", body, frame[lenWords:])
-		}
-		reused := Msg{
-			Value: append([]byte(nil), "stale-stale-stale"...),
-			Entries: []Entry{
-				{Origin: 9, Value: []byte("stale")},
-			},
-		}
-		if err := reused.Decode(body); err != nil {
-			t.Fatalf("reused decode rejects what fresh decode accepted: %v", err)
-		}
-		frame2, err := reused.Append(nil)
-		if err != nil {
-			t.Fatalf("reused re-encode: %v", err)
-		}
-		if !bytes.Equal(frame, frame2) {
-			t.Fatalf("reused decode diverges:\n fresh %x\n reuse %x", frame, frame2)
-		}
-	})
+	return bodies
+}
+
+// overrunRepairOK is a TRepairOK body whose entry count (0xFFFFFFFF)
+// overruns it.
+func overrunRepairOK() []byte {
+	return append(append([]byte{byte(TRepairOK)}, make([]byte, 8+4+1+24)...), 0xFF, 0xFF, 0xFF, 0xFF)
+}
+
+// checkCanonicalDecode is the decode fuzzers' property: Decode never
+// panics, and whatever it accepts re-encodes to exactly the input, from
+// a fresh Msg and from a dirty one (buffer reuse cannot leak prior
+// state).
+func checkCanonicalDecode(t *testing.T, body []byte) {
+	var m Msg
+	if err := m.Decode(body); err != nil {
+		return
+	}
+	frame, err := m.Append(nil)
+	if err != nil {
+		t.Fatalf("decoded message fails to re-encode: %v", err)
+	}
+	if !bytes.Equal(frame[lenWords:], body) {
+		t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", body, frame[lenWords:])
+	}
+	reused := Msg{
+		Value:      append([]byte(nil), "stale-stale-stale"...),
+		Stats:      StatsReply{ShardRequests: []uint64{9, 9, 9, 9}},
+		Entries:    []Entry{{Origin: 9, Value: []byte("stale")}},
+		ClientAddr: []byte("stale:1"),
+		Members:    []string{"stale:2", "stale:3"},
+	}
+	if err := reused.Decode(body); err != nil {
+		t.Fatalf("reused decode rejects what fresh decode accepted: %v", err)
+	}
+	frame2, err := reused.Append(nil)
+	if err != nil {
+		t.Fatalf("reused re-encode: %v", err)
+	}
+	if !bytes.Equal(frame, frame2) {
+		t.Fatalf("reused decode diverges:\n fresh %x\n reuse %x", frame, frame2)
+	}
 }
 
 // FuzzPeerRoundTrip builds structured peer messages from fuzzed fields,

@@ -106,8 +106,12 @@
 // next page. When more is 0 the cursor must be zero (strict, canonical).
 //
 // Decoding is strict: bodies must have exactly the advertised layout, and
-// decoding arbitrary bytes never panics (fuzzed by FuzzDecode and
-// FuzzPeerDecode).
+// decoding arbitrary bytes never panics (fuzzed by FuzzDecode).
+//
+// The tables above are the protocol reference. Append and Decode code
+// each layout in one arm, in table order; messages that share a layout
+// share the arm. testdata/frames.hex pins the encoded bytes of every
+// type, so a format change shows as the frames it changes.
 package wire
 
 import (
@@ -187,50 +191,36 @@ const (
 	TWrongView   Type = 0x95
 )
 
+// typeNames names every assigned message type; an empty entry is an
+// unassigned type byte.
+var typeNames = [256]string{
+	TInsert:      "insert",
+	TLookup:      "lookup",
+	TDelete:      "delete",
+	TStats:       "stats",
+	TMembers:     "members",
+	TInsertOK:    "insert-ok",
+	TLookupOK:    "lookup-ok",
+	TDeleteOK:    "delete-ok",
+	TStatsOK:     "stats-ok",
+	TMembersOK:   "members-ok",
+	TError:       "error",
+	TPeerProbe:   "peer-probe",
+	TRoute:       "route",
+	TRepair:      "repair",
+	TReplicate:   "replicate",
+	TPeerProbeOK: "peer-probe-ok",
+	TRepairOK:    "repair-ok",
+	TReplicateOK: "replicate-ok",
+	TWrongView:   "wrong-view",
+}
+
 // String implements fmt.Stringer for log lines.
 func (t Type) String() string {
-	switch t {
-	case TInsert:
-		return "insert"
-	case TLookup:
-		return "lookup"
-	case TDelete:
-		return "delete"
-	case TStats:
-		return "stats"
-	case TMembers:
-		return "members"
-	case TInsertOK:
-		return "insert-ok"
-	case TLookupOK:
-		return "lookup-ok"
-	case TDeleteOK:
-		return "delete-ok"
-	case TStatsOK:
-		return "stats-ok"
-	case TMembersOK:
-		return "members-ok"
-	case TPeerProbe:
-		return "peer-probe"
-	case TRoute:
-		return "route"
-	case TRepair:
-		return "repair"
-	case TReplicate:
-		return "replicate"
-	case TPeerProbeOK:
-		return "peer-probe-ok"
-	case TRepairOK:
-		return "repair-ok"
-	case TReplicateOK:
-		return "replicate-ok"
-	case TWrongView:
-		return "wrong-view"
-	case TError:
-		return "error"
-	default:
-		return "unknown"
+	if name := typeNames[t]; name != "" {
+		return name
 	}
+	return "unknown"
 }
 
 // OriginAuto is the origin sentinel meaning "server picks the entry node"
@@ -409,210 +399,138 @@ type Msg struct {
 // ErrorText returns the error message of a TError response.
 func (m *Msg) ErrorText() string { return string(m.Value) }
 
-// bodyLen returns the body size of the message, excluding the frame
-// length word but including the type/reqID header.
-func (m *Msg) bodyLen() int {
-	n := headerLen
-	switch m.Type {
-	case TInsert:
-		n += idspace.Bytes + 4 + len(m.Value)
-	case TLookup, TDelete:
-		n += idspace.Bytes + 4
-	case TStats, TMembers:
-	case TInsertOK:
-		n += 5 * 4
-	case TLookupOK:
-		n += 1 + 6*4
-	case TDeleteOK:
-		n += 4
-	case TStatsOK:
-		n += 4 + 4*8 + 8*len(m.Stats.ShardRequests)
-	case TMembersOK:
-		n += 8 + 4 + 4
-		for _, a := range m.Members {
-			n += 2 + len(a)
-		}
-	case TPeerProbe:
-		n += 8 + 4 + 2 + len(m.ClientAddr)
-	case TPeerProbeOK:
-		n += 8 + 4 + 8 + 2 + len(m.ClientAddr)
-	case TRoute:
-		n += 1 + 8 + m.traceLen() + idspace.Bytes + 4
-		if m.RouteKind == TInsert {
-			n += len(m.Value)
-		}
-	case TRepair:
-		n += 8 + m.traceLen() + 4 + cursorLen
-	case TRepairOK:
-		n += 4 + 1 + cursorLen + 4 + entriesLen(m.Entries)
-	case TReplicate:
-		n += 1 + 8 + m.traceLen() + idspace.Bytes + 4
-		if m.RouteKind == TInsert {
-			n += len(m.Value)
-		}
-	case TReplicateOK:
-	case TWrongView:
-		n += 8
-	case TError:
-		n += len(m.Value)
-	}
-	return n
-}
-
-// traceLen is the encoded size of the trace trailer: the flags byte,
-// plus the trace ID when the request is traced.
-func (m *Msg) traceLen() int {
-	if m.Traced {
-		return 1 + 8
-	}
-	return 1
-}
-
-// entriesLen is the encoded size of an entry list.
-func entriesLen(entries []Entry) int {
-	n := 0
-	for i := range entries {
-		n += EntryOverhead + len(entries[i].Value)
-	}
-	return n
-}
-
 // Append encodes the message as one complete frame (length prefix
 // included) appended to dst, returning the extended slice. With
-// sufficient capacity in dst it performs no allocation. It returns
-// ErrOversize when the body would exceed MaxFrame and ErrShards when a
-// TStatsOK shard slice disagrees with its count.
+// sufficient capacity in dst it performs no allocation. It refuses a
+// message it cannot encode canonically (ErrType, ErrShards, ErrRoute,
+// ErrRepl, ErrCursor, ErrAddr) and one whose body would exceed MaxFrame
+// (ErrOversize); on error it returns dst as it was passed in.
 func (m *Msg) Append(dst []byte) ([]byte, error) {
-	body := m.bodyLen()
-	if body > MaxFrame {
-		return dst, ErrOversize
-	}
-	if m.Type == TStatsOK && int(m.Stats.Shards) != len(m.Stats.ShardRequests) {
-		return dst, ErrShards
-	}
-	if m.Type == TRoute && m.RouteKind != TInsert && m.RouteKind != TLookup && m.RouteKind != TDelete {
-		return dst, ErrRoute
-	}
-	if m.Type == TReplicate && m.RouteKind != TInsert && m.RouteKind != TDelete {
-		return dst, ErrRepl
-	}
-	if m.Type == TRepairOK && !m.More && !m.Cursor.IsZero() {
-		return dst, ErrCursor
-	}
-	if (m.Type == TPeerProbe || m.Type == TPeerProbeOK) && len(m.ClientAddr) > 0xFFFF {
-		return dst, ErrAddr
-	}
-	if m.Type == TMembersOK {
+	// The body is written first and its length patched in after, so it is
+	// walked once instead of sized and then written.
+	out := append(binary.BigEndian.AppendUint32(dst, 0), byte(m.Type))
+	out = binary.BigEndian.AppendUint64(out, m.ReqID)
+	switch m.Type {
+	case TInsert, TLookup, TDelete:
+		out = append(out, m.Key[:]...)
+		out = binary.BigEndian.AppendUint32(out, m.Origin)
+		if m.Type == TInsert {
+			out = append(out, m.Value...)
+		}
+	case TStats, TMembers, TReplicateOK:
+	case TInsertOK:
+		r := &m.Insert
+		out = binary.BigEndian.AppendUint32(out, r.Replicas)
+		out = binary.BigEndian.AppendUint32(out, r.Messages)
+		out = binary.BigEndian.AppendUint32(out, r.Duplicates)
+		out = binary.BigEndian.AppendUint32(out, r.Flows)
+		out = binary.BigEndian.AppendUint32(out, r.Dropped)
+	case TLookupOK:
+		r := &m.Lookup
+		out = appendBool(out, r.Found)
+		out = binary.BigEndian.AppendUint32(out, uint32(r.FirstReplyHops))
+		out = binary.BigEndian.AppendUint32(out, r.Replies)
+		out = binary.BigEndian.AppendUint32(out, r.Messages)
+		out = binary.BigEndian.AppendUint32(out, r.Duplicates)
+		out = binary.BigEndian.AppendUint32(out, r.Flows)
+		out = binary.BigEndian.AppendUint32(out, r.Dropped)
+	case TDeleteOK:
+		out = binary.BigEndian.AppendUint32(out, m.Deleted)
+	case TStatsOK:
+		s := &m.Stats
+		if int(s.Shards) != len(s.ShardRequests) {
+			return dst, ErrShards
+		}
+		out = binary.BigEndian.AppendUint32(out, s.Shards)
+		out = binary.BigEndian.AppendUint64(out, s.Inserts)
+		out = binary.BigEndian.AppendUint64(out, s.Lookups)
+		out = binary.BigEndian.AppendUint64(out, s.Deletes)
+		out = binary.BigEndian.AppendUint64(out, s.Found)
+		for _, v := range s.ShardRequests {
+			out = binary.BigEndian.AppendUint64(out, v)
+		}
+	case TMembersOK:
+		out = binary.BigEndian.AppendUint64(out, m.Cluster)
+		out = binary.BigEndian.AppendUint32(out, m.Replication)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(m.Members)))
 		for _, a := range m.Members {
 			if len(a) > 0xFFFF {
 				return dst, ErrAddr
 			}
+			out = binary.BigEndian.AppendUint16(out, uint16(len(a)))
+			out = append(out, a...)
 		}
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
-	dst = append(dst, byte(m.Type))
-	dst = binary.BigEndian.AppendUint64(dst, m.ReqID)
-	switch m.Type {
-	case TInsert:
-		dst = append(dst, m.Key[:]...)
-		dst = binary.BigEndian.AppendUint32(dst, m.Origin)
-		dst = append(dst, m.Value...)
-	case TLookup, TDelete:
-		dst = append(dst, m.Key[:]...)
-		dst = binary.BigEndian.AppendUint32(dst, m.Origin)
-	case TStats, TMembers:
-	case TInsertOK:
-		r := &m.Insert
-		dst = binary.BigEndian.AppendUint32(dst, r.Replicas)
-		dst = binary.BigEndian.AppendUint32(dst, r.Messages)
-		dst = binary.BigEndian.AppendUint32(dst, r.Duplicates)
-		dst = binary.BigEndian.AppendUint32(dst, r.Flows)
-		dst = binary.BigEndian.AppendUint32(dst, r.Dropped)
-	case TLookupOK:
-		r := &m.Lookup
-		if r.Found {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
+	case TError:
+		out = append(out, m.Value...)
+	case TPeerProbe, TPeerProbeOK:
+		if len(m.ClientAddr) > 0xFFFF {
+			return dst, ErrAddr
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(r.FirstReplyHops))
-		dst = binary.BigEndian.AppendUint32(dst, r.Replies)
-		dst = binary.BigEndian.AppendUint32(dst, r.Messages)
-		dst = binary.BigEndian.AppendUint32(dst, r.Duplicates)
-		dst = binary.BigEndian.AppendUint32(dst, r.Flows)
-		dst = binary.BigEndian.AppendUint32(dst, r.Dropped)
-	case TDeleteOK:
-		dst = binary.BigEndian.AppendUint32(dst, m.Deleted)
-	case TStatsOK:
-		s := &m.Stats
-		dst = binary.BigEndian.AppendUint32(dst, s.Shards)
-		dst = binary.BigEndian.AppendUint64(dst, s.Inserts)
-		dst = binary.BigEndian.AppendUint64(dst, s.Lookups)
-		dst = binary.BigEndian.AppendUint64(dst, s.Deletes)
-		dst = binary.BigEndian.AppendUint64(dst, s.Found)
-		for _, v := range s.ShardRequests {
-			dst = binary.BigEndian.AppendUint64(dst, v)
+		out = binary.BigEndian.AppendUint64(out, m.Cluster)
+		out = binary.BigEndian.AppendUint32(out, m.Origin)
+		if m.Type == TPeerProbeOK {
+			out = binary.BigEndian.AppendUint64(out, m.Held)
 		}
-	case TMembersOK:
-		dst = binary.BigEndian.AppendUint64(dst, m.Cluster)
-		dst = binary.BigEndian.AppendUint32(dst, m.Replication)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Members)))
-		for _, a := range m.Members {
-			dst = binary.BigEndian.AppendUint16(dst, uint16(len(a)))
-			dst = append(dst, a...)
+		out = binary.BigEndian.AppendUint16(out, uint16(len(m.ClientAddr)))
+		out = append(out, m.ClientAddr...)
+	case TRoute, TReplicate:
+		if err := kindErr(m.Type, m.RouteKind); err != nil {
+			return dst, err
 		}
-	case TPeerProbe:
-		dst = binary.BigEndian.AppendUint64(dst, m.Cluster)
-		dst = binary.BigEndian.AppendUint32(dst, m.Origin)
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.ClientAddr)))
-		dst = append(dst, m.ClientAddr...)
-	case TPeerProbeOK:
-		dst = binary.BigEndian.AppendUint64(dst, m.Cluster)
-		dst = binary.BigEndian.AppendUint32(dst, m.Origin)
-		dst = binary.BigEndian.AppendUint64(dst, m.Held)
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.ClientAddr)))
-		dst = append(dst, m.ClientAddr...)
-	case TRoute:
-		dst = append(dst, byte(m.RouteKind))
-		dst = binary.BigEndian.AppendUint64(dst, m.Cluster)
-		dst = m.appendTrace(dst)
-		dst = append(dst, m.Key[:]...)
-		dst = binary.BigEndian.AppendUint32(dst, m.Origin)
+		out = append(out, byte(m.RouteKind))
+		out = binary.BigEndian.AppendUint64(out, m.Cluster)
+		out = m.appendTrace(out)
+		out = append(out, m.Key[:]...)
+		out = binary.BigEndian.AppendUint32(out, m.Origin)
 		if m.RouteKind == TInsert {
-			dst = append(dst, m.Value...)
+			out = append(out, m.Value...)
 		}
 	case TRepair:
-		dst = binary.BigEndian.AppendUint64(dst, m.Cluster)
-		dst = m.appendTrace(dst)
-		dst = binary.BigEndian.AppendUint32(dst, m.Region)
-		dst = appendCursor(dst, m.Cursor)
+		out = binary.BigEndian.AppendUint64(out, m.Cluster)
+		out = m.appendTrace(out)
+		out = binary.BigEndian.AppendUint32(out, m.Region)
+		out = appendCursor(out, m.Cursor)
 	case TRepairOK:
-		dst = binary.BigEndian.AppendUint32(dst, m.Region)
-		if m.More {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
+		if !m.More && !m.Cursor.IsZero() {
+			return dst, ErrCursor
 		}
-		dst = appendCursor(dst, m.Cursor)
-		dst = appendEntries(dst, m.Entries)
-	case TReplicate:
-		dst = append(dst, byte(m.RouteKind))
-		dst = binary.BigEndian.AppendUint64(dst, m.Cluster)
-		dst = m.appendTrace(dst)
-		dst = append(dst, m.Key[:]...)
-		dst = binary.BigEndian.AppendUint32(dst, m.Origin)
-		if m.RouteKind == TInsert {
-			dst = append(dst, m.Value...)
-		}
-	case TReplicateOK:
+		out = binary.BigEndian.AppendUint32(out, m.Region)
+		out = appendBool(out, m.More)
+		out = appendCursor(out, m.Cursor)
+		out = appendEntries(out, m.Entries)
 	case TWrongView:
-		dst = binary.BigEndian.AppendUint64(dst, m.Cluster)
-	case TError:
-		dst = append(dst, m.Value...)
+		out = binary.BigEndian.AppendUint64(out, m.Cluster)
 	default:
-		return dst[:len(dst)-body-lenWords], ErrType
+		return dst, ErrType
 	}
-	return dst, nil
+	body := len(out) - len(dst) - lenWords
+	if body > MaxFrame {
+		return dst, ErrOversize
+	}
+	binary.BigEndian.PutUint32(out[len(dst):], uint32(body))
+	return out, nil
+}
+
+// kindErr is the error for a TRoute or TReplicate (t) wrapping request
+// kind k, or nil when t may wrap k. Lookups are routed but never
+// replicated: a replica fails a read over instead.
+func kindErr(t, k Type) error {
+	switch {
+	case k == TInsert || k == TDelete || k == TLookup && t == TRoute:
+		return nil
+	case t == TRoute:
+		return ErrRoute
+	default:
+		return ErrRepl
+	}
+}
+
+// appendBool encodes a strict 0/1 boolean byte.
+func appendBool(dst []byte, v bool) []byte {
+	if v {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
 }
 
 // appendTrace encodes the trace trailer onto dst: a lone 0x00 flags byte
@@ -697,20 +615,19 @@ func (m *Msg) Decode(body []byte) error {
 	m.ReqID = binary.BigEndian.Uint64(body[1:9])
 	b := body[headerLen:]
 	switch m.Type {
-	case TInsert:
+	case TInsert, TLookup, TDelete:
 		if len(b) < idspace.Bytes+4 {
 			return ErrShort
 		}
 		copy(m.Key[:], b)
 		m.Origin = binary.BigEndian.Uint32(b[idspace.Bytes:])
-		m.Value = append(m.Value[:0], b[idspace.Bytes+4:]...)
-	case TLookup, TDelete:
-		if len(b) != idspace.Bytes+4 {
-			return sizeErr(len(b), idspace.Bytes+4)
+		rest := b[idspace.Bytes+4:]
+		if m.Type == TInsert {
+			m.Value = append(m.Value[:0], rest...)
+		} else if len(rest) != 0 {
+			return ErrTrailing
 		}
-		copy(m.Key[:], b)
-		m.Origin = binary.BigEndian.Uint32(b[idspace.Bytes:])
-	case TStats, TMembers:
+	case TStats, TMembers, TReplicateOK:
 		if len(b) != 0 {
 			return ErrTrailing
 		}
@@ -729,14 +646,10 @@ func (m *Msg) Decode(body []byte) error {
 			return sizeErr(len(b), 1+6*4)
 		}
 		r := &m.Lookup
-		switch b[0] {
-		case 0:
-			r.Found = false
-		case 1:
-			r.Found = true
-		default:
+		if b[0] > 1 {
 			return ErrBool
 		}
+		r.Found = b[0] == 1
 		r.FirstReplyHops = int32(binary.BigEndian.Uint32(b[1:]))
 		r.Replies = binary.BigEndian.Uint32(b[5:])
 		r.Messages = binary.BigEndian.Uint32(b[9:])
@@ -767,29 +680,6 @@ func (m *Msg) Decode(body []byte) error {
 			s.ShardRequests = append(s.ShardRequests, binary.BigEndian.Uint64(rest))
 			rest = rest[8:]
 		}
-	case TPeerProbe:
-		if len(b) < 8+4+2 {
-			return ErrShort
-		}
-		m.Cluster = binary.BigEndian.Uint64(b[0:])
-		m.Origin = binary.BigEndian.Uint32(b[8:])
-		alen := int(binary.BigEndian.Uint16(b[12:]))
-		if len(b) != 8+4+2+alen {
-			return sizeErr(len(b), 8+4+2+alen)
-		}
-		m.ClientAddr = append(m.ClientAddr[:0], b[14:]...)
-	case TPeerProbeOK:
-		if len(b) < 8+4+8+2 {
-			return ErrShort
-		}
-		m.Cluster = binary.BigEndian.Uint64(b[0:])
-		m.Origin = binary.BigEndian.Uint32(b[8:])
-		m.Held = binary.BigEndian.Uint64(b[12:])
-		alen := int(binary.BigEndian.Uint16(b[20:]))
-		if len(b) != 8+4+8+2+alen {
-			return sizeErr(len(b), 8+4+8+2+alen)
-		}
-		m.ClientAddr = append(m.ClientAddr[:0], b[22:]...)
 	case TMembersOK:
 		if len(b) < 8+4+4 {
 			return ErrShort
@@ -819,7 +709,27 @@ func (m *Msg) Decode(body []byte) error {
 		if len(rest) != 0 {
 			return ErrTrailing
 		}
-	case TRoute:
+	case TError:
+		m.Value = append(m.Value[:0], b...)
+	case TPeerProbe, TPeerProbeOK:
+		fixed := 8 + 4 // cluster, sender or responder
+		if m.Type == TPeerProbeOK {
+			fixed += 8 // held
+		}
+		if len(b) < fixed+2 {
+			return ErrShort
+		}
+		m.Cluster = binary.BigEndian.Uint64(b[0:])
+		m.Origin = binary.BigEndian.Uint32(b[8:])
+		if m.Type == TPeerProbeOK {
+			m.Held = binary.BigEndian.Uint64(b[12:])
+		}
+		alen := int(binary.BigEndian.Uint16(b[fixed:]))
+		if len(b) != fixed+2+alen {
+			return sizeErr(len(b), fixed+2+alen)
+		}
+		m.ClientAddr = append(m.ClientAddr[:0], b[fixed+2:]...)
+	case TRoute, TReplicate:
 		if len(b) < 1+8 {
 			return ErrShort
 		}
@@ -835,15 +745,13 @@ func (m *Msg) Decode(body []byte) error {
 		copy(m.Key[:], rest)
 		m.Origin = binary.BigEndian.Uint32(rest[idspace.Bytes:])
 		rest = rest[idspace.Bytes+4:]
-		switch m.RouteKind {
-		case TInsert:
+		if err := kindErr(m.Type, m.RouteKind); err != nil {
+			return err
+		}
+		if m.RouteKind == TInsert {
 			m.Value = append(m.Value[:0], rest...)
-		case TLookup, TDelete:
-			if len(rest) != 0 {
-				return ErrTrailing
-			}
-		default:
-			return ErrRoute
+		} else if len(rest) != 0 {
+			return ErrTrailing
 		}
 	case TRepair:
 		if len(b) < 8 {
@@ -864,14 +772,10 @@ func (m *Msg) Decode(body []byte) error {
 			return ErrShort
 		}
 		m.Region = binary.BigEndian.Uint32(b)
-		switch b[4] {
-		case 0:
-			m.More = false
-		case 1:
-			m.More = true
-		default:
+		if b[4] > 1 {
 			return ErrBool
 		}
+		m.More = b[4] == 1
 		m.Cursor = decodeCursor(b[5:])
 		if !m.More && !m.Cursor.IsZero() {
 			return ErrCursor
@@ -879,43 +783,11 @@ func (m *Msg) Decode(body []byte) error {
 		if err := m.decodeEntries(b[5+cursorLen:]); err != nil {
 			return err
 		}
-	case TReplicate:
-		if len(b) < 1+8 {
-			return ErrShort
-		}
-		m.RouteKind = Type(b[0])
-		m.Cluster = binary.BigEndian.Uint64(b[1:])
-		rest, err := m.decodeTrace(b[9:])
-		if err != nil {
-			return err
-		}
-		if len(rest) < idspace.Bytes+4 {
-			return ErrShort
-		}
-		copy(m.Key[:], rest)
-		m.Origin = binary.BigEndian.Uint32(rest[idspace.Bytes:])
-		rest = rest[idspace.Bytes+4:]
-		switch m.RouteKind {
-		case TInsert:
-			m.Value = append(m.Value[:0], rest...)
-		case TDelete:
-			if len(rest) != 0 {
-				return ErrTrailing
-			}
-		default:
-			return ErrRepl
-		}
-	case TReplicateOK:
-		if len(b) != 0 {
-			return ErrTrailing
-		}
 	case TWrongView:
 		if len(b) != 8 {
 			return sizeErr(len(b), 8)
 		}
 		m.Cluster = binary.BigEndian.Uint64(b)
-	case TError:
-		m.Value = append(m.Value[:0], b...)
 	default:
 		return ErrType
 	}

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"discovery/internal/idspace"
@@ -384,6 +387,87 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestFramesGolden pins the byte layout of every message type: each
+// sampleMsgs frame must equal its line of testdata/frames.hex (one hex
+// frame per line, in sample order). A deliberate format change edits
+// exactly the lines of the frames it means to change.
+func TestFramesGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/frames.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(raw))
+	msgs := sampleMsgs()
+	if len(want) != len(msgs) {
+		t.Fatalf("%d golden frames for %d samples", len(want), len(msgs))
+	}
+	for i, m := range msgs {
+		frame, err := m.Append(nil)
+		if err != nil {
+			t.Fatalf("sample %d (%v): %v", i, m.Type, err)
+		}
+		if got := hex.EncodeToString(frame); got != want[i] {
+			t.Errorf("sample %d (%v):\n got  %s\n want %s", i, m.Type, got, want[i])
+		}
+	}
+}
+
+// TestMaxValueFitsEveryWrapper pins maxValueOverhead against the
+// encoder: a MaxValue-byte value fits a traced TRoute insert, a traced
+// TReplicate insert and the costliest wrapper, a one-entry TRepairOK page
+// with More and a nonzero cursor; one byte more does not fit that page.
+func TestMaxValueFitsEveryWrapper(t *testing.T) {
+	key := idspace.FromString("max")
+	page := func(n int) Msg {
+		return Msg{Type: TRepairOK, ReqID: 1, Region: 3, More: true,
+			Cursor:  RepairCursor{Shard: 1, Key: key},
+			Entries: []Entry{{Origin: 2, Key: key, Value: make([]byte, n)}}}
+	}
+	for _, m := range []Msg{
+		{Type: TRoute, ReqID: 1, RouteKind: TInsert, Cluster: 0xA1, Traced: true, Trace: 9,
+			Key: key, Origin: 2, Value: make([]byte, MaxValue)},
+		{Type: TReplicate, ReqID: 1, RouteKind: TInsert, Cluster: 0xA1, Traced: true, Trace: 9,
+			Key: key, Origin: 2, Value: make([]byte, MaxValue)},
+		page(MaxValue),
+	} {
+		if _, err := m.Append(nil); err != nil {
+			t.Errorf("%v carrying MaxValue bytes: %v", m.Type, err)
+		}
+	}
+	over := page(MaxValue + 1)
+	if _, err := over.Append(nil); err != ErrOversize {
+		t.Fatalf("repair page carrying MaxValue+1 bytes: got %v, want ErrOversize", err)
+	}
+}
+
+// TestTypeTableIsComplete walks all 256 type bytes. A byte has a name
+// exactly when sampleMsgs has a sample of it and Decode knows its
+// layout; Append and Decode refuse every other byte with ErrType, and
+// Append then hands dst back as it was.
+func TestTypeTableIsComplete(t *testing.T) {
+	sampled := map[Type]bool{}
+	for _, m := range sampleMsgs() {
+		sampled[m.Type] = true
+	}
+	var m Msg
+	for i := 0; i < 256; i++ {
+		ty := Type(i)
+		named := ty.String() != "unknown"
+		known := m.Decode(append([]byte{byte(ty)}, make([]byte, 8)...)) != ErrType
+		if named != sampled[ty] || named != known {
+			t.Errorf("type 0x%02x: named %v, sampled %v, decodable %v", i, named, sampled[ty], known)
+		}
+		if named {
+			continue
+		}
+		dst := append(make([]byte, 0, 64), "prefix"...)
+		out, err := (&Msg{Type: ty, ReqID: 7}).Append(dst)
+		if err != ErrType || string(out) != "prefix" {
+			t.Errorf("type 0x%02x: Append gave %q, %v; want dst unchanged and ErrType", i, out, err)
+		}
+	}
+}
+
 func TestReadFrameRejectsOversizeBeforeAllocating(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF} // 4 GiB claim
 	var scratch []byte
@@ -485,6 +569,45 @@ func BenchmarkDecodeLookupReply(b *testing.B) {
 		b.Fatal(err)
 	}
 	var m Msg
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := m.Decode(frame[lenWords:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeReplicate encodes the quorum fan-out frame: a traced
+// TReplicate insert with a 64-byte value.
+func BenchmarkEncodeReplicate(b *testing.B) {
+	m := Msg{Type: TReplicate, ReqID: 1, RouteKind: TInsert, Cluster: 0xA1, Traced: true, Trace: 7,
+		Key: idspace.FromString("k"), Origin: 3, Value: make([]byte, 64)}
+	buf := make([]byte, 0, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = m.Append(buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeRepairOK decodes a 64-entry anti-entropy page of 64-byte
+// values. Each entry value is allocated fresh by design (the receiver's
+// store keeps it), so this bench reports one allocation per entry.
+func BenchmarkDecodeRepairOK(b *testing.B) {
+	src := Msg{Type: TRepairOK, ReqID: 1, Region: 2}
+	for i := 0; i < 64; i++ {
+		src.Entries = append(src.Entries, Entry{Origin: uint32(i), Key: idspace.FromBytes([]byte{byte(i)}), Value: make([]byte, 64)})
+	}
+	frame, err := src.Append(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var m Msg
+	if err := m.Decode(frame[lenWords:]); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := m.Decode(frame[lenWords:]); err != nil {
