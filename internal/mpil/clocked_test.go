@@ -380,3 +380,68 @@ func idsOfNetwork(nw *overlay.Network) []idspace.ID {
 	}
 	return ids
 }
+
+// TestClockedConcurrentRequests runs three lookups and an insertion
+// through one engine at once, with duplicate suppression on, a retrying
+// transport and flapping availability: copies of different requests meet
+// at the same nodes, and retries deliver copies late, after other
+// requests' copies. Each request's counts are pinned, so duplicate
+// accounting that leaked between requests in flight would move them.
+func TestClockedConcurrentRequests(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const n = 200
+	g, err := topology.RandomRegular(n, 16, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := perturb.New(n, 2*time.Second, 2*time.Second, 0.5, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := overlay.New(g, rng, fl)
+	cfg := DefaultConfig()
+	cfg.DuplicateSuppression = true
+	cfg.MaxFlows = 20
+	e, err := NewEngine(nw, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := idspace.FromString("shared-object")
+	e.Insert(5, shared, nil, 0)
+
+	sim := eventsim.New(71)
+	c := NewClocked(e, sim, ConstantLatency(50*time.Millisecond))
+	c.SetTransport(Transport{Attempts: 3, Spacing: 500 * time.Millisecond})
+	sim.RunUntil(fl.StartTime() + 3*time.Second)
+
+	// Origins online at the start instant, so every request routes.
+	var origins []int
+	for i := 0; len(origins) < 4; i++ {
+		if nw.Online(i, sim.Now()) {
+			origins = append(origins, i)
+		}
+	}
+	fresh := idspace.FromString("fresh-object")
+	var lk [3]LookupStats
+	var ins InsertStats
+	c.LookupAsync(origins[0], shared, func(st LookupStats) { lk[0] = st })
+	c.InsertAsync(origins[1], fresh, nil, func(st InsertStats) { ins = st })
+	c.LookupAsync(origins[2], shared, func(st LookupStats) { lk[1] = st })
+	c.LookupAsync(origins[3], fresh, func(st LookupStats) { lk[2] = st })
+	sim.Run()
+
+	wantIns := InsertStats{Replicas: 16, Messages: 44, Duplicates: 9, Flows: 13, Dropped: 2}
+	if ins != wantIns {
+		t.Errorf("insert = %+v, want %+v", ins, wantIns)
+	}
+	wantLk := [3]LookupStats{
+		{Found: true, FirstReplyHops: 3, Replies: 2, Messages: 58, Duplicates: 4, Flows: 11, Dropped: 5},
+		{Found: true, FirstReplyHops: 7, Replies: 2, Messages: 40, Duplicates: 2, Flows: 8, Dropped: 4},
+		{Found: true, FirstReplyHops: 2, Replies: 4, Messages: 29, Duplicates: 2, Flows: 9, Dropped: 1},
+	}
+	for i := range lk {
+		if lk[i] != wantLk[i] {
+			t.Errorf("lookup %d = %+v, want %+v", i, lk[i], wantLk[i])
+		}
+	}
+}
