@@ -178,8 +178,3 @@ func (s *Service) Value(i int, key ID) ([]byte, bool) {
 	r, ok := s.eng.Stored(i, key)
 	return r.Value, ok
 }
-
-// ResetDuplicateState clears every node's seen-message memory. Call it
-// between logically distinct phases if duplicate suppression is enabled
-// and you re-issue identical workloads.
-func (s *Service) ResetDuplicateState() { s.eng.ResetDuplicateState() }

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -226,5 +227,45 @@ func TestIDHelpers(t *testing.T) {
 	}
 	if _, err := ParseID("nope"); err == nil {
 		t.Error("bad hex accepted")
+	}
+}
+
+// TestServiceHeapFlat pins that a long-lived Service keeps no per-request
+// state once a request returns: the heap it retains after 50 000 lookups
+// is the heap it retained before them, give or take allocator noise.
+func TestServiceHeapFlat(t *testing.T) {
+	ov, err := RandomOverlay(1000, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(ov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	keys := make([]ID, 200)
+	for i := range keys {
+		keys[i] = RandomID(rng)
+		svc.Insert(rng.Intn(ov.N()), keys[i], []byte("v"))
+	}
+	lookups := func(n int) {
+		for i := 0; i < n; i++ {
+			svc.Lookup(i%ov.N(), keys[i%len(keys)])
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	lookups(1000)
+	before := heap()
+	lookups(50000)
+	after := heap()
+	runtime.KeepAlive(svc)
+	const limit = 2 << 20
+	if after > before && after-before >= limit {
+		t.Errorf("retained heap grew %d B over 50 000 lookups (%d -> %d), want < %d", after-before, before, after, limit)
 	}
 }

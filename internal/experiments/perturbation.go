@@ -236,7 +236,6 @@ func runMPILPerturb(res PerturbResult, sim *eventsim.Sim, nw *pastry.Network, pa
 			return res, fmt.Errorf("experiments: static MPIL insertion stored nothing")
 		}
 	}
-	eng.ResetDuplicateState()
 
 	// Stage 2: flapping lookups, no maintenance of any kind. MPIL
 	// inherits the host transport's per-hop retransmission (message-

@@ -72,16 +72,16 @@ func (s Space) SetDigit(id ID, i, v int) ID {
 // CommonDigits is the MPIL routing metric (paper Section 4.1): the number
 // of digit positions at which a and b hold the same value — equivalently
 // the number of zero digits in a XOR b. Higher is closer.
-//
-// The count runs word-parallel (SWAR) over the 160-bit XOR viewed as two
-// 64-bit words plus one 32-bit word: each b-bit lane folds its bits into
-// a single flag bit and a popcount finishes the job. The trailing 32-bit
-// word is zero-extended to 64 bits, so its phantom high half contributes
-// exactly 32/b spurious zero digits, subtracted as a constant.
-func (s Space) CommonDigits(a, b ID) int {
-	a0, a1, a2 := a.words()
-	b0, b1, b2 := b.words()
-	x0, x1, x2 := a0^b0, a1^b1, uint64(a2^b2)
+func (s Space) CommonDigits(a, b ID) int { return s.CommonDigitsWords(a.Words(), b.Words()) }
+
+// CommonDigitsWords is CommonDigits on decoded IDs. The count runs
+// word-parallel (SWAR) over the 160-bit XOR as three 64-bit words: each
+// b-bit lane folds its bits into a single flag bit and a popcount
+// finishes the job. The trailing word is zero-extended from 32 bits, so
+// its phantom high half contributes exactly 32/b spurious zero digits,
+// subtracted as a constant.
+func (s Space) CommonDigitsWords(a, b Words) int {
+	x0, x1, x2 := a.W0^b.W0, a.W1^b.W1, a.W2^b.W2
 	switch s.b {
 	case 8:
 		return zeroBytes(x0) + zeroBytes(x1) + zeroBytes(x2) - 32/8
@@ -119,20 +119,21 @@ func zeroPairs(x uint64) int {
 }
 
 // SharedPrefix is Pastry's routing metric: the length (in digits) of the
-// longest common prefix of a and b. It ranges over [0, Digits()]. The
-// prefix length in digits is the number of leading zero bits of a XOR b,
-// truncated to a whole number of digits.
-func (s Space) SharedPrefix(a, b ID) int {
-	a0, a1, a2 := a.words()
-	b0, b1, b2 := b.words()
+// longest common prefix of a and b. It ranges over [0, Digits()].
+func (s Space) SharedPrefix(a, b ID) int { return s.SharedPrefixWords(a.Words(), b.Words()) }
+
+// SharedPrefixWords is SharedPrefix on decoded IDs. The prefix length in
+// digits is the number of leading zero bits of a XOR b, truncated to a
+// whole number of digits.
+func (s Space) SharedPrefixWords(a, b Words) int {
 	var lz int
 	switch {
-	case a0 != b0:
-		lz = bits.LeadingZeros64(a0 ^ b0)
-	case a1 != b1:
-		lz = 64 + bits.LeadingZeros64(a1^b1)
-	case a2 != b2:
-		lz = 128 + bits.LeadingZeros32(a2^b2)
+	case a.W0 != b.W0:
+		lz = bits.LeadingZeros64(a.W0 ^ b.W0)
+	case a.W1 != b.W1:
+		lz = 64 + bits.LeadingZeros64(a.W1^b.W1)
+	case a.W2 != b.W2:
+		lz = 128 + bits.LeadingZeros32(uint32(a.W2^b.W2))
 	default:
 		return s.Digits()
 	}

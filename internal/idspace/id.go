@@ -106,42 +106,49 @@ func (id ID) String() string { return hex.EncodeToString(id[:4]) }
 // IsZero reports whether the ID is the all-zeros identifier.
 func (id ID) IsZero() bool { return id == Zero }
 
-// words returns the ID as big-endian machine words: two 64-bit words and
-// a trailing 32-bit word, with w0 holding the most significant bits. All
-// hot arithmetic below runs word-parallel over this view instead of
-// looping per byte or per digit.
-func (id ID) words() (w0, w1 uint64, w2 uint32) {
-	return binary.BigEndian.Uint64(id[0:8]),
+// Words is an ID decoded into big-endian machine words: W0 holds the
+// most significant 64 bits, W1 the next 64 and W2 the trailing 32,
+// zero-extended. All hot arithmetic below runs word-parallel over this
+// form instead of looping per byte or per digit, and a caller that
+// measures many keys against the same IDs (MPIL's routing step) decodes
+// each ID once and keeps its Words.
+type Words struct{ W0, W1, W2 uint64 }
+
+// Words decodes the ID into its word form.
+func (id ID) Words() Words {
+	return Words{
+		binary.BigEndian.Uint64(id[0:8]),
 		binary.BigEndian.Uint64(id[8:16]),
-		binary.BigEndian.Uint32(id[16:20])
+		uint64(binary.BigEndian.Uint32(id[16:20])),
+	}
 }
 
-// fromWords is the inverse of words.
-func fromWords(w0, w1 uint64, w2 uint32) ID {
+// ID is the inverse of ID.Words. Bits of W2 above the low 32 are
+// dropped, which is the mod-2^160 wrap add and Sub rely on.
+func (w Words) ID() ID {
 	var id ID
-	binary.BigEndian.PutUint64(id[0:8], w0)
-	binary.BigEndian.PutUint64(id[8:16], w1)
-	binary.BigEndian.PutUint32(id[16:20], w2)
+	binary.BigEndian.PutUint64(id[0:8], w.W0)
+	binary.BigEndian.PutUint64(id[8:16], w.W1)
+	binary.BigEndian.PutUint32(id[16:20], uint32(w.W2))
 	return id
 }
 
 // Cmp compares two IDs as 160-bit unsigned integers, returning -1, 0 or +1.
 func (id ID) Cmp(other ID) int {
-	a0, a1, a2 := id.words()
-	b0, b1, b2 := other.words()
+	a, b := id.Words(), other.Words()
 	switch {
-	case a0 != b0:
-		if a0 < b0 {
+	case a.W0 != b.W0:
+		if a.W0 < b.W0 {
 			return -1
 		}
 		return 1
-	case a1 != b1:
-		if a1 < b1 {
+	case a.W1 != b.W1:
+		if a.W1 < b.W1 {
 			return -1
 		}
 		return 1
-	case a2 != b2:
-		if a2 < b2 {
+	case a.W2 != b.W2:
+		if a.W2 < b.W2 {
 			return -1
 		}
 		return 1
@@ -155,9 +162,8 @@ func (id ID) Less(other ID) bool { return id.Cmp(other) < 0 }
 // XOR returns the bitwise exclusive-or of two IDs, the raw material of the
 // Kademlia-style distance and of MPIL's common-digit count.
 func (id ID) XOR(other ID) ID {
-	a0, a1, a2 := id.words()
-	b0, b1, b2 := other.words()
-	return fromWords(a0^b0, a1^b1, a2^b2)
+	a, b := id.Words(), other.Words()
+	return Words{a.W0 ^ b.W0, a.W1 ^ b.W1, a.W2 ^ b.W2}.ID()
 }
 
 // Bit returns bit i of the ID, where bit 0 is the most significant.
@@ -170,23 +176,21 @@ func (id ID) Bit(i int) int {
 
 // add returns id+other mod 2^160.
 func (id ID) add(other ID) ID {
-	a0, a1, a2 := id.words()
-	b0, b1, b2 := other.words()
-	s2 := uint64(a2) + uint64(b2)
-	s1, c1 := bits.Add64(a1, b1, s2>>32)
-	s0, _ := bits.Add64(a0, b0, c1)
-	return fromWords(s0, s1, uint32(s2))
+	a, b := id.Words(), other.Words()
+	s2 := a.W2 + b.W2
+	s1, c1 := bits.Add64(a.W1, b.W1, s2>>32)
+	s0, _ := bits.Add64(a.W0, b.W0, c1)
+	return Words{s0, s1, s2}.ID()
 }
 
 // Sub returns id-other mod 2^160, i.e. the clockwise ring distance from
 // other to id.
 func (id ID) Sub(other ID) ID {
-	a0, a1, a2 := id.words()
-	b0, b1, b2 := other.words()
-	d2, borrow := bits.Sub64(uint64(a2), uint64(b2), 0)
-	d1, borrow := bits.Sub64(a1, b1, borrow)
-	d0, _ := bits.Sub64(a0, b0, borrow)
-	return fromWords(d0, d1, uint32(d2))
+	a, b := id.Words(), other.Words()
+	d2, borrow := bits.Sub64(a.W2, b.W2, 0)
+	d1, borrow := bits.Sub64(a.W1, b.W1, borrow)
+	d0, _ := bits.Sub64(a.W0, b.W0, borrow)
+	return Words{d0, d1, d2}.ID()
 }
 
 // RingDist returns the distance between two IDs on the circular 160-bit

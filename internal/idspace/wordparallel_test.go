@@ -1,6 +1,7 @@
 package idspace
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -130,6 +131,37 @@ func TestWordParallelDigitOpsAgainstNaive(t *testing.T) {
 	}
 }
 
+// TestWordsEntryPointsAgainstNaive checks the metrics on decoded IDs,
+// which MPIL's routing step calls directly, against the per-digit
+// references, and pins the XOR metric's top word against the top 64
+// bits of the byte-wise XOR distance it replaced.
+func TestWordsEntryPointsAgainstNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pairs := correlatedPairs(rng, 2000)
+	for i := 0; i < 2000; i++ {
+		pairs = append(pairs, [2]ID{Random(rng), Random(rng)})
+	}
+	for _, b := range []int{1, 2, 4, 8} {
+		s := MustSpace(b)
+		for _, p := range pairs {
+			x, y := p[0], p[1]
+			if got, want := s.CommonDigitsWords(x.Words(), y.Words()), naiveCommonDigits(s, x, y); got != want {
+				t.Fatalf("b=%d CommonDigitsWords(%v, %v) = %d, want %d", b, x.Hex(), y.Hex(), got, want)
+			}
+			if got, want := s.SharedPrefixWords(x.Words(), y.Words()), naiveSharedPrefix(s, x, y); got != want {
+				t.Fatalf("b=%d SharedPrefixWords(%v, %v) = %d, want %d", b, x.Hex(), y.Hex(), got, want)
+			}
+		}
+	}
+	for _, p := range pairs {
+		k, id := p[0], p[1]
+		x := naiveXOR(k, id)
+		if got, want := ^(k.Words().W0 ^ id.Words().W0), ^binary.BigEndian.Uint64(x[:8]); got != want {
+			t.Fatalf("XOR metric(%v, %v) = %#x, want %#x", k.Hex(), id.Hex(), got, want)
+		}
+	}
+}
+
 func TestWordParallelArithmeticAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, p := range correlatedPairs(rng, 2000) {
@@ -172,10 +204,7 @@ func TestWordParallelQuickProperties(t *testing.T) {
 }
 
 func TestWordsRoundTrip(t *testing.T) {
-	f := func(x ID) bool {
-		w0, w1, w2 := x.words()
-		return fromWords(w0, w1, w2) == x
-	}
+	f := func(x ID) bool { return x.Words().ID() == x }
 	if err := quick.Check(f, quickConfig()); err != nil {
 		t.Error(err)
 	}

@@ -79,7 +79,6 @@ func TestClockedLookupUnderTotalOutage(t *testing.T) {
 	c.InsertAsync(0, key, nil, nil)
 	sim.Run()
 	dark = true
-	c.Engine().ResetDuplicateState()
 
 	var lk LookupStats
 	c.LookupAsync(0, key, func(st LookupStats) { lk = st })
@@ -170,7 +169,6 @@ func runFlappingLookups(t *testing.T, prob float64) float64 {
 		t.Fatal(err)
 	}
 	e.ov = nwFlap
-	e.ResetDuplicateState()
 
 	sim := eventsim.New(41)
 	c := NewClocked(e, sim, ConstantLatency(10*time.Millisecond))
@@ -347,7 +345,6 @@ func TestTransportRetransmissionRecoversBriefOutage(t *testing.T) {
 		target = -1
 		c.InsertAsync(0, key, nil, nil)
 		sim.Run()
-		e.ResetDuplicateState()
 		// Knock out the origin's best next hop for the first 4s.
 		m := e.newMessage(KindLookup, 0, key, nil)
 		r := e.step(0, m)
@@ -355,7 +352,6 @@ func TestTransportRetransmissionRecoversBriefOutage(t *testing.T) {
 			t.Skip("origin is itself the destination; reseed")
 		}
 		target = r.forwards[0].to
-		e.ResetDuplicateState()
 
 		c.SetTransport(tr)
 		var st LookupStats

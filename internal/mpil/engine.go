@@ -1,7 +1,6 @@
 package mpil
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -10,10 +9,11 @@ import (
 	"discovery/internal/idspace"
 )
 
-// Engine executes MPIL over an overlay. It owns every node's object store
-// and duplicate-tracking state, which is the standard monolithic-simulator
-// arrangement: the algorithm logic stays a pure per-node step function,
-// and runners (synchronous or event-driven) decide when each step happens.
+// Engine executes MPIL over an overlay. It owns every node's object
+// store, which is the standard monolithic-simulator arrangement: the
+// algorithm logic stays a pure per-node step function, and runners
+// (synchronous or event-driven) decide when each step happens. Duplicate
+// tracking belongs to each request's messages, not to the engine.
 //
 // Engine is not safe for concurrent use; clone one per goroutine.
 type Engine struct {
@@ -21,8 +21,11 @@ type Engine struct {
 	ov  Overlay
 	rng *rand.Rand
 
+	// ids holds every node's overlay ID, decoded once at construction
+	// (an overlay's IDs are fixed for its life), so the routing metric
+	// reads words straight from memory.
+	ids     []idspace.Words
 	stores  []map[idspace.ID]Replica
-	seen    []map[uint64]bool // per node: message UIDs received
 	nextUID uint64
 
 	// cands and fwds are step()'s scratch buffers, reused across calls
@@ -32,19 +35,6 @@ type Engine struct {
 
 	// iterKeys is ForEachReplicaFrom's per-node sort scratch.
 	iterKeys []idspace.ID
-
-	// Score memo. score(key, ID(i)) is a pure function of the key and
-	// the node's immutable overlay ID, but the routing loop re-scores
-	// the same nodes at every hop of every flow — on dense overlays the
-	// single hottest computation in the daemon. The memo holds one value
-	// per node, validated by an era stamp: a step whose key differs from
-	// the previous one bumps scoreEra, invalidating everything at once
-	// without clearing. Routing outcomes are bit-identical with and
-	// without the memo (pinned by the seed-equivalence tests).
-	scoreVals []uint64
-	scoreGen  []uint64
-	scoreEra  uint64
-	scoreKey  idspace.ID
 }
 
 // NewEngine validates cfg and builds an engine over ov. The rng drives tie
@@ -61,18 +51,15 @@ func NewEngine(ov Overlay, cfg Config, rng *rand.Rand) (*Engine, error) {
 	}
 	n := ov.N()
 	e := &Engine{
-		cfg:       cfg,
-		ov:        ov,
-		rng:       rng,
-		stores:    make([]map[idspace.ID]Replica, n),
-		seen:      make([]map[uint64]bool, n),
-		scoreVals: make([]uint64, n),
-		scoreGen:  make([]uint64, n),
-		scoreEra:  1, // gen 0 means "never computed"
+		cfg:    cfg,
+		ov:     ov,
+		rng:    rng,
+		ids:    make([]idspace.Words, n),
+		stores: make([]map[idspace.ID]Replica, n),
 	}
 	for i := range e.stores {
+		e.ids[i] = ov.ID(i).Words()
 		e.stores[i] = make(map[idspace.ID]Replica)
-		e.seen[i] = make(map[uint64]bool)
 	}
 	return e, nil
 }
@@ -178,16 +165,6 @@ func (e *Engine) RemoveReplica(i int, key idspace.ID) bool {
 	return true
 }
 
-// ResetDuplicateState clears every node's seen-UID table. The perturbation
-// experiments call it between phases so that duplicate suppression state
-// does not leak from insertions into lookups. Tables are cleared in place,
-// keeping their buckets warm for the next phase.
-func (e *Engine) ResetDuplicateState() {
-	for i := range e.seen {
-		clear(e.seen[i])
-	}
-}
-
 // forward is one outgoing copy produced by a step.
 type forward struct {
 	to  int
@@ -200,7 +177,7 @@ type stepResult struct {
 	// discarded is true when duplicate suppression dropped the message
 	// before processing.
 	discarded bool
-	// duplicate is true when the node had seen the UID before
+	// duplicate is true when the node had seen the request before
 	// (counted whether or not DS then discards it).
 	duplicate bool
 	// stored is true when an insertion placed a replica here.
@@ -216,25 +193,25 @@ type stepResult struct {
 }
 
 // step runs the MPIL routing algorithm (paper Figure 5) at node n for
-// message m. It mutates only engine-owned per-node state (stores, seen
-// tables) and the message's ReplicasLeft before cloning children.
+// message m. It mutates only the engine's stores, the request's seen set
+// and the message's ReplicasLeft before cloning children.
 func (e *Engine) step(n int, m *Message) stepResult {
 	var res stepResult
 
-	if e.seen[n][m.UID] {
+	// One assignment marks n; the set not growing means n had the
+	// request already.
+	before := len(m.seen)
+	m.seen[n] = struct{}{}
+	if len(m.seen) == before {
 		res.duplicate = true
 		if e.cfg.DuplicateSuppression {
 			res.discarded = true
 			return res
 		}
 	}
-	e.seen[n][m.UID] = true
 
 	key := m.Key
-	if e.scoreKey != key {
-		e.scoreEra++
-		e.scoreKey = key
-	}
+	k := key.Words()
 
 	// Candidate list: argmax of the routing metric over neighbors not on
 	// the route (and never back to self — a simple graph has no
@@ -250,7 +227,7 @@ func (e *Engine) step(n int, m *Message) stepResult {
 		if nb == n {
 			continue
 		}
-		c := e.scoreMemo(key, nb)
+		c := e.score(k, e.ids[nb])
 		if !hasBestAll || c > bestAll {
 			hasBestAll = true
 			bestAll = c
@@ -270,7 +247,7 @@ func (e *Engine) step(n int, m *Message) stepResult {
 	}
 	e.cands = cands[:0] // retain any growth for the next step
 
-	selfVal := e.scoreMemo(key, n)
+	selfVal := e.score(k, e.ids[n])
 	isDest := !hasBestAll || selfVal >= bestAll // no neighbor strictly better: local maximum
 
 	switch m.Kind {
@@ -352,42 +329,31 @@ func (e *Engine) step(n int, m *Message) stepResult {
 	return res
 }
 
-// score evaluates the configured routing metric as an integer where
-// higher means closer to the key.
-// scoreMemo returns score(key, ID(i)) through the per-era memo. The
-// caller (step) has already synchronized scoreEra with key.
-func (e *Engine) scoreMemo(key idspace.ID, i int) uint64 {
-	if e.scoreGen[i] == e.scoreEra {
-		return e.scoreVals[i]
-	}
-	c := e.score(key, e.ov.ID(i))
-	e.scoreGen[i] = e.scoreEra
-	e.scoreVals[i] = c
-	return c
-}
-
-func (e *Engine) score(key, id idspace.ID) uint64 {
+// score evaluates the configured routing metric between a decoded key
+// and node ID as an integer where higher means closer to the key.
+func (e *Engine) score(key, id idspace.Words) uint64 {
 	switch e.cfg.Metric {
 	case MetricCommonDigits:
-		return uint64(e.cfg.Space.CommonDigits(key, id))
+		return uint64(e.cfg.Space.CommonDigitsWords(key, id))
 	case MetricSharedPrefix:
-		return uint64(e.cfg.Space.SharedPrefix(key, id))
+		return uint64(e.cfg.Space.SharedPrefixWords(key, id))
 	case MetricXOR:
 		// Inverted top 64 bits of the XOR distance: higher = closer.
 		// Ties require the top 64 bits of two distances to coincide,
 		// which for random IDs essentially never happens — the point
 		// of this ablation arm.
-		x := key.XOR(id)
-		return ^binary.BigEndian.Uint64(x[:8])
+		return ^(key.W0 ^ id.W0)
 	default:
 		panic(fmt.Sprintf("mpil: unknown metric %v", e.cfg.Metric))
 	}
 }
 
-// newMessage mints a request message with a fresh UID.
+// newMessage mints a request message with a fresh UID and an empty seen
+// set, which every copy of the request shares.
 func (e *Engine) newMessage(kind Kind, origin int, key idspace.ID, value []byte) *Message {
 	e.nextUID++
 	return &Message{
+		seen:         make(map[int]struct{}),
 		UID:          e.nextUID,
 		Kind:         kind,
 		Key:          key,

@@ -117,7 +117,6 @@ func TestPaperFigure6Lookup(t *testing.T) {
 	}
 	key := nibbleID(0b1011)
 	e.Insert(names["0001"], key, []byte("loc"), 0)
-	e.ResetDuplicateState()
 
 	st := e.Lookup(names["0001"], key, 0)
 	if !st.Found {
@@ -392,7 +391,6 @@ func TestCompleteGraphSingleLocalMaximum(t *testing.T) {
 	if !sawBest {
 		t.Errorf("holders = %v do not include the global best %d", holders, best)
 	}
-	e.ResetDuplicateState()
 	ls := e.Lookup(1, key, 0)
 	if !ls.Found || ls.FirstReplyHops > 1 {
 		t.Errorf("lookup on complete graph: found=%v hops=%d, want found in <= 1 hop", ls.Found, ls.FirstReplyHops)
@@ -474,7 +472,6 @@ func TestDelete(t *testing.T) {
 	if got := e.Delete(origin, key, 0); got != st.Replicas {
 		t.Errorf("Delete removed %d, want %d", got, st.Replicas)
 	}
-	e.ResetDuplicateState()
 	if ls := e.Lookup(3, key, 0); ls.Found {
 		t.Error("lookup found key after deletion")
 	}

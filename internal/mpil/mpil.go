@@ -28,7 +28,9 @@ import (
 type Overlay interface {
 	// N returns the number of nodes, indexed 0..N-1.
 	N() int
-	// ID returns node i's 160-bit identifier.
+	// ID returns node i's 160-bit identifier. A node's ID is fixed for
+	// the overlay's life: NewEngine decodes every ID once and routes on
+	// the decoded copy.
 	ID(i int) idspace.ID
 	// Neighbors returns node i's neighbor list. The engine treats the
 	// returned slice as read-only.
@@ -201,8 +203,13 @@ func (k Kind) String() string {
 }
 
 // Message is an MPIL protocol message. Each forwarded copy owns its Route
-// slice; UID ties copies of one request together for duplicate handling.
+// slice; UID names the request, and every copy of it shares one seen set
+// for duplicate handling (Section 4.3).
 type Message struct {
+	// seen holds the nodes that have received a copy of this request.
+	// child copies the map reference, so the set belongs to the request
+	// and is garbage once its last copy is.
+	seen map[int]struct{}
 	UID  uint64
 	Kind Kind
 	Key  idspace.ID

@@ -89,7 +89,6 @@ func TestFloodCostExplodes(t *testing.T) {
 	// The paper's positioning: flooding is robust but unscalable. Its
 	// traffic must vastly exceed MPIL's for the same lookup.
 	nw, eng, key := fixture(t, 3)
-	eng.ResetDuplicateState()
 	mpilStats := eng.Lookup(17, key, 0)
 	flood, err := Flood(nw, holderFunc(eng, key), 17, 6, 0)
 	if err != nil {

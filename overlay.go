@@ -13,7 +13,8 @@ import (
 // an ID per node, a neighbor list per node, and availability. MPIL asks
 // nothing else of the overlay — that is the overlay-independence claim.
 // Neighbor lists may be asymmetric (e.g. when adopting another protocol's
-// routing state as the overlay).
+// routing state as the overlay). A node's ID is fixed for the overlay's
+// life: New decodes every ID once, so an Overlay must never renumber.
 type Overlay = mpil.Overlay
 
 // StaticOverlay is a concrete Overlay backed by explicit adjacency lists
