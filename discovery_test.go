@@ -264,6 +264,7 @@ func TestServiceHeapFlat(t *testing.T) {
 	lookups(50000)
 	after := heap()
 	runtime.KeepAlive(svc)
+	t.Logf("retained heap %d B before, %d B after", before, after)
 	const limit = 2 << 20
 	if after > before && after-before >= limit {
 		t.Errorf("retained heap grew %d B over 50 000 lookups (%d -> %d), want < %d", after-before, before, after, limit)

@@ -24,9 +24,8 @@ type Engine struct {
 	// ids holds every node's overlay ID, decoded once at construction
 	// (an overlay's IDs are fixed for its life), so the routing metric
 	// reads words straight from memory.
-	ids     []idspace.Words
-	stores  []map[idspace.ID]Replica
-	nextUID uint64
+	ids    []idspace.Words
+	stores []map[idspace.ID]Replica
 
 	// cands and fwds are step()'s scratch buffers, reused across calls
 	// so the routing hot loop allocates nothing in steady state.
@@ -348,13 +347,11 @@ func (e *Engine) score(key, id idspace.Words) uint64 {
 	}
 }
 
-// newMessage mints a request message with a fresh UID and an empty seen
-// set, which every copy of the request shares.
+// newMessage mints a request message with an empty seen set, which
+// every copy of the request shares.
 func (e *Engine) newMessage(kind Kind, origin int, key idspace.ID, value []byte) *Message {
-	e.nextUID++
 	return &Message{
 		seen:         make(map[int]struct{}),
-		UID:          e.nextUID,
 		Kind:         kind,
 		Key:          key,
 		Value:        value,

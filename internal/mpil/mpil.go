@@ -83,9 +83,9 @@ type Config struct {
 	// maxima a flow may pass before giving up.
 	PerFlowReplicas int
 	// DuplicateSuppression ("DS", Section 6.2): when true a node
-	// silently discards any message UID it has already received. The
-	// paper finds DS saves traffic on static overlays but hurts success
-	// under perturbation.
+	// silently discards any copy of a request it has already received.
+	// The paper finds DS saves traffic on static overlays but hurts
+	// success under perturbation.
 	DuplicateSuppression bool
 	// MaxHops bounds any single flow's path length as a safety valve.
 	// Zero means the engine's default (the node count).
@@ -203,14 +203,13 @@ func (k Kind) String() string {
 }
 
 // Message is an MPIL protocol message. Each forwarded copy owns its Route
-// slice; UID names the request, and every copy of it shares one seen set
-// for duplicate handling (Section 4.3).
+// slice; every copy of one request shares one seen set for duplicate
+// handling (Section 4.3), which stands in for the request's unique ID.
 type Message struct {
 	// seen holds the nodes that have received a copy of this request.
 	// child copies the map reference, so the set belongs to the request
 	// and is garbage once its last copy is.
 	seen map[int]struct{}
-	UID  uint64
 	Kind Kind
 	Key  idspace.ID
 	// Value is the object pointer carried by insertions (nil for
@@ -270,8 +269,8 @@ type InsertStats struct {
 	// Messages is the insertion traffic: one count per message sent to a
 	// single neighbor.
 	Messages int
-	// Duplicates is how many times some node received this insertion's
-	// UID more than once.
+	// Duplicates is how many times some node received this insertion
+	// more than once.
 	Duplicates int
 	// Flows is the actual number of flows created (1 + one per
 	// additional branch).
@@ -293,7 +292,7 @@ type LookupStats struct {
 	Replies int
 	// Messages is the lookup forwarding traffic.
 	Messages int
-	// Duplicates is how many times some node received this lookup's UID
+	// Duplicates is how many times some node received this lookup
 	// more than once.
 	Duplicates int
 	// Flows is the actual number of flows created.
