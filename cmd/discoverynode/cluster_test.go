@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -20,6 +19,7 @@ import (
 	discovery "discovery"
 	"discovery/internal/cluster"
 	"discovery/internal/server"
+	"discovery/internal/testnet"
 )
 
 // This file is the end-to-end proof of the p2p deployment: three real
@@ -51,27 +51,6 @@ func buildNode(t testing.TB) string {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
-}
-
-// reservePeerAddrs grabs n loopback addresses for peer listeners by
-// binding and releasing ephemeral ports. Peer addresses must be known to
-// every member before any process starts, so they cannot be ":0".
-func reservePeerAddrs(t testing.TB, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	liss := make([]net.Listener, n)
-	for i := range addrs {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		liss[i] = lis
-		addrs[i] = lis.Addr().String()
-	}
-	for _, lis := range liss {
-		lis.Close()
-	}
-	return addrs
 }
 
 var clientAddrRe = regexp.MustCompile(`serving clients on (127\.0\.0\.1:\d+) \(region`)
@@ -212,7 +191,7 @@ func lookupWithRetry(c *server.Client, key discovery.ID) (found bool, err error)
 
 func TestClusterServeKillRecover(t *testing.T) {
 	bin := buildNode(t)
-	peerAddrs := reservePeerAddrs(t, 3)
+	peerAddrs := testnet.ReserveAddrs(t, 3)
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 
 	// A node's region is its peer address's rank in the sorted member
@@ -520,7 +499,7 @@ func lookupSmartRetry(c *cluster.Client, key discovery.ID) (found bool, err erro
 //     during the outage — is findable, on the restarted node itself.
 func TestClusterReplicatedKillFailover(t *testing.T) {
 	bin := buildNode(t)
-	peerAddrs := reservePeerAddrs(t, 3)
+	peerAddrs := testnet.ReserveAddrs(t, 3)
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 
 	sorted := append([]string(nil), peerAddrs...)

@@ -9,6 +9,7 @@ import (
 
 	discovery "discovery"
 	"discovery/internal/server"
+	"discovery/internal/testnet"
 	"discovery/internal/wire"
 )
 
@@ -30,7 +31,7 @@ import (
 func TestCrashRecoveryBatchedWrites(t *testing.T) {
 	bin := buildNode(t)
 	dataDir := t.TempDir()
-	peer := reservePeerAddrs(t, 1)[0]
+	peer := testnet.ReserveAddrs(t, 1)[0]
 	daemon := startSingle(t, bin, peer, dataDir)
 	addr := daemon.clientAddr
 

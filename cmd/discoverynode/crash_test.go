@@ -14,6 +14,7 @@ import (
 
 	discovery "discovery"
 	"discovery/internal/server"
+	"discovery/internal/testnet"
 )
 
 // startSingle launches a one-member cluster (-replication 1) with its
@@ -33,7 +34,7 @@ func startSingle(t *testing.T, bin, peerAddr, dataDir string) *nodeProc {
 func TestCrashRecovery(t *testing.T) {
 	bin := buildNode(t)
 	dataDir := t.TempDir()
-	peer := reservePeerAddrs(t, 1)[0]
+	peer := testnet.ReserveAddrs(t, 1)[0]
 
 	daemon := startSingle(t, bin, peer, dataDir)
 	addr := daemon.clientAddr

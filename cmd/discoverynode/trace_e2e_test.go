@@ -13,6 +13,7 @@ import (
 	discovery "discovery"
 	"discovery/internal/cluster"
 	"discovery/internal/server"
+	"discovery/internal/testnet"
 	"discovery/internal/trace"
 	"discovery/internal/wire"
 )
@@ -51,20 +52,36 @@ func fetchTraces(t *testing.T, addr string) []trace.JSONTrace {
 	return body.Traces
 }
 
-// findTrace retries briefly: the response-flush span is recorded by the
-// writer goroutine right after the vectored write, which can race the
-// client's read by a hair.
-func findTrace(t *testing.T, addr, id string) (trace.JSONTrace, bool) {
+// findTrace retries briefly until trace id holds a span of every wanted
+// kind: the response-flush span is recorded by the writer goroutine
+// right after the vectored write, which can race the client's read, so
+// the trace can be listed before that span joins it. It returns the last
+// sighting of the trace, complete or not, and whether it was seen at all;
+// the caller's checks name whatever is still missing.
+func findTrace(t *testing.T, addr, id string, want ...string) (trace.JSONTrace, bool) {
 	t.Helper()
+	var last trace.JSONTrace
+	seen := false
 	for attempt := 0; attempt < 20; attempt++ {
 		for _, tr := range fetchTraces(t, addr) {
-			if tr.ID == id {
+			if tr.ID != id {
+				continue
+			}
+			last, seen = tr, true
+			kinds := spanKinds(tr)
+			complete := true
+			for _, k := range want {
+				if len(kinds[k]) == 0 {
+					complete = false
+				}
+			}
+			if complete {
 				return tr, true
 			}
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	return trace.JSONTrace{}, false
+	return last, seen
 }
 
 // flattenSpans walks a trace's span tree into a flat list.
@@ -117,7 +134,7 @@ func rawRoute(t *testing.T, addr string, m *wire.Msg) *wire.Msg {
 
 func TestClusterTracing(t *testing.T) {
 	bin := buildNode(t)
-	peerAddrs := reservePeerAddrs(t, 3)
+	peerAddrs := testnet.ReserveAddrs(t, 3)
 
 	sorted := append([]string(nil), peerAddrs...)
 	sort.Strings(sorted)
@@ -175,7 +192,7 @@ func TestClusterTracing(t *testing.T) {
 	}
 	e2e := time.Since(t0)
 	owner := procByRegion[ownerRegion(directKey)]
-	tr, ok := findTrace(t, owner.metricsAddr, fmt.Sprintf("%016x", directID))
+	tr, ok := findTrace(t, owner.metricsAddr, fmt.Sprintf("%016x", directID), "queue_wait", "shard_exec", "wal_commit", "resp_flush")
 	if !ok {
 		t.Fatalf("trace %016x not found on the owner's /debug/traces", uint64(directID))
 	}
@@ -251,7 +268,7 @@ func TestClusterTracing(t *testing.T) {
 	if relayID == "" {
 		t.Fatal("no forwarded trace recorded on the relay node")
 	}
-	ownerTr, ok := findTrace(t, procByRegion[relayRegion].metricsAddr, relayID)
+	ownerTr, ok := findTrace(t, procByRegion[relayRegion].metricsAddr, relayID, "route_exec")
 	if !ok {
 		t.Fatalf("relayed trace %s did not join on the owner (no spans there)", relayID)
 	}
@@ -294,14 +311,14 @@ func TestClusterTracing(t *testing.T) {
 	if resp.Type != wire.TInsertOK {
 		t.Fatalf("retried TRoute got %v (%s), want TInsertOK", resp.Type, resp.ErrorText())
 	}
-	staleTr, ok := findTrace(t, stale.metricsAddr, fmt.Sprintf("%016x", uint64(retryID)))
+	staleTr, ok := findTrace(t, stale.metricsAddr, fmt.Sprintf("%016x", uint64(retryID)), "wrong_view")
 	if !ok {
 		t.Fatal("no spans for the stale-view bounce on the refusing node")
 	}
 	if kinds := spanKinds(staleTr); len(kinds["wrong_view"]) == 0 {
 		t.Fatalf("refusing node's trace has no wrong_view span: %+v", staleTr.Spans)
 	}
-	retryTr, ok := findTrace(t, procByRegion[retryRegion].metricsAddr, fmt.Sprintf("%016x", uint64(retryID)))
+	retryTr, ok := findTrace(t, procByRegion[retryRegion].metricsAddr, fmt.Sprintf("%016x", uint64(retryID)), "shard_exec")
 	if !ok {
 		t.Fatal("retried request left no spans on the owner")
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,6 +16,7 @@ import (
 	"discovery/internal/node"
 	"discovery/internal/perturb"
 	"discovery/internal/server"
+	"discovery/internal/testnet"
 )
 
 // Harness topology: every directed peer link i→j gets its own faultnet
@@ -57,38 +57,6 @@ type Harness struct {
 	cc *cluster.Client
 }
 
-// reserveAddrs grabs n loopback addresses by binding ephemeral ports,
-// HOLDING the listeners until the returned release func runs. Holding
-// matters: the harness binds 15 proxy listeners on :0 right after
-// reserving, and a released port is fair game for the kernel's next
-// ephemeral allocation — a proxy squatting on a node's reserved port
-// makes that node fail at bind and the cell die opaquely. The members
-// themselves bind fine after release (Go listeners set SO_REUSEADDR, and
-// nothing else *listens* on those ports by then).
-func reserveAddrs(t *testing.T, n int) ([]string, func()) {
-	t.Helper()
-	addrs := make([]string, n)
-	liss := make([]net.Listener, n)
-	for i := range addrs {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		liss[i] = lis
-		addrs[i] = lis.Addr().String()
-	}
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			for _, lis := range liss {
-				lis.Close()
-			}
-		})
-	}
-	t.Cleanup(release)
-	return addrs, release
-}
-
 // newHarness reserves addresses and builds the proxy mesh, but starts
 // no member yet.
 func newHarness(t *testing.T) *Harness {
@@ -98,12 +66,11 @@ func newHarness(t *testing.T) *Harness {
 
 	// Sorting the reserved peer addresses makes node index == region
 	// rank, so scenarios can say "node 1" and mean region 1. The
-	// reservations stay bound until the whole proxy mesh has claimed
-	// its own ports (see reserveAddrs).
-	var releasePeer, releaseClient func()
-	h.peerAddrs, releasePeer = reserveAddrs(t, nodes)
+	// reserved ports lie below the ephemeral range, so the proxy mesh's
+	// ":0" listeners cannot take them.
+	h.peerAddrs = testnet.ReserveAddrs(t, nodes)
 	sort.Strings(h.peerAddrs)
-	h.clientAddrs, releaseClient = reserveAddrs(t, nodes)
+	h.clientAddrs = testnet.ReserveAddrs(t, nodes)
 	h.dirs = make([]string, nodes)
 	for i := range h.dirs {
 		h.dirs[i] = t.TempDir()
@@ -133,8 +100,6 @@ func newHarness(t *testing.T) *Harness {
 		h.clientProxies[i] = p
 		h.proxies = append(h.proxies, p)
 	}
-	releasePeer()
-	releaseClient()
 	return h
 }
 

@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -12,28 +11,9 @@ import (
 	"discovery/internal/cluster"
 	"discovery/internal/p2p"
 	"discovery/internal/server"
+	"discovery/internal/testnet"
 	"discovery/internal/trace"
 )
-
-// reserveAddrs grabs n distinct loopback addresses by binding and
-// releasing ephemeral ports.
-func reserveAddrs(tb testing.TB, n int) []string {
-	tb.Helper()
-	addrs := make([]string, n)
-	liss := make([]net.Listener, n)
-	for i := range addrs {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		liss[i] = lis
-		addrs[i] = lis.Addr().String()
-	}
-	for _, lis := range liss {
-		lis.Close()
-	}
-	return addrs
-}
 
 // clusterNode is one in-process cluster member with its serving layer.
 type clusterNode struct {
@@ -111,7 +91,7 @@ func startNode(tb testing.TB, selfAddr string, peerAddrs []string, clientAddr st
 // Result is indexed by cluster slot.
 func startCluster(tb testing.TB, n int) []*clusterNode {
 	tb.Helper()
-	peerAddrs := reserveAddrs(tb, n)
+	peerAddrs := testnet.ReserveAddrs(tb, n)
 	bySlot := make([]*clusterNode, n)
 	for _, addr := range peerAddrs {
 		cn := startNode(tb, addr, peerAddrs, "127.0.0.1:0", true)
@@ -212,7 +192,7 @@ func TestClientRoutesDirectToOwners(t *testing.T) {
 // never advertises a client address is reached through the anchor node,
 // which forwards — correct results, counted as relays.
 func TestClientRelayFallback(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 2)
+	peerAddrs := testnet.ReserveAddrs(t, 2)
 	bySlot := make([]*clusterNode, 2)
 	for i, addr := range peerAddrs {
 		cn := startNode(t, addr, peerAddrs, "127.0.0.1:0", i != 1) // second-started node never advertises
@@ -274,8 +254,8 @@ func TestClientRelayFallback(t *testing.T) {
 // own the key under the NEW view — the fingerprint check runs before
 // the request does.
 func TestStaleClientRefreshesAndNeverWritesWrongRegion(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 3)
-	clientAddrs := reserveAddrs(t, 3)
+	peerAddrs := testnet.ReserveAddrs(t, 3)
+	clientAddrs := testnet.ReserveAddrs(t, 3)
 
 	// Cluster v1: two members on fixed client addresses.
 	v1 := make([]*clusterNode, 2)
@@ -413,8 +393,8 @@ func TestDialRefusesNonClusterServer(t *testing.T) {
 // wrong_view bounce and the new owner records the execution, both under
 // the one ID the caller chose.
 func TestStaleRetryKeepsTraceID(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 3)
-	clientAddrs := reserveAddrs(t, 3)
+	peerAddrs := testnet.ReserveAddrs(t, 3)
+	clientAddrs := testnet.ReserveAddrs(t, 3)
 
 	// Cluster v1: two members on fixed client addresses.
 	v1 := make([]*clusterNode, 2)

@@ -13,20 +13,8 @@ import (
 
 	discovery "discovery"
 	"discovery/internal/server"
+	"discovery/internal/testnet"
 )
-
-// freeAddr reserves a loopback address by binding and releasing an
-// ephemeral port. Peer addresses are membership identity, so a member's
-// must be known before it starts.
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	return lis.Addr().String()
-}
 
 // oneMember is a durable single-member configuration on dir.
 func oneMember(t *testing.T, peer, dir string) Config {
@@ -57,7 +45,7 @@ func waitGoroutines(t *testing.T, want int) {
 // TestRestartOnSameDirKeepsValue: a value inserted through the client
 // protocol survives Close and a fresh Start on the same data directory.
 func TestRestartOnSameDirKeepsValue(t *testing.T) {
-	cfg := oneMember(t, freeAddr(t), t.TempDir())
+	cfg := oneMember(t, testnet.ReserveAddrs(t, 1)[0], t.TempDir())
 	key := discovery.NewID("restart-key")
 
 	n, err := Start(cfg)
@@ -96,7 +84,8 @@ func TestRestartOnSameDirKeepsValue(t *testing.T) {
 // keeps failing its periodic anti-entropy passes; Close must still stop
 // the loop and drain promptly.
 func TestCloseWithDeadPeerIsPrompt(t *testing.T) {
-	self, dead := freeAddr(t), freeAddr(t)
+	addrs := testnet.ReserveAddrs(t, 2)
+	self, dead := addrs[0], addrs[1]
 	n, err := Start(Config{
 		Listen:           "127.0.0.1:0",
 		PeerListen:       self,
@@ -133,7 +122,7 @@ func TestStartUnwindsOnBindFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer taken.Close()
-	cfg := oneMember(t, freeAddr(t), t.TempDir())
+	cfg := oneMember(t, testnet.ReserveAddrs(t, 1)[0], t.TempDir())
 	cfg.SnapshotEvery = 1 // a background snapshotter the unwind must stop
 	before := runtime.NumGoroutine()
 
@@ -182,7 +171,8 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 // member count. Start refuses, the directory is left byte-identical, and
 // the original configuration still starts on it afterwards.
 func TestRestartUnderOtherPlacementRefused(t *testing.T) {
-	self, other := freeAddr(t), freeAddr(t)
+	addrs := testnet.ReserveAddrs(t, 2)
+	self, other := addrs[0], addrs[1]
 	dir := t.TempDir()
 	cfg := Config{
 		Listen:      "127.0.0.1:0",

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	discovery "discovery"
+	"discovery/internal/testnet"
 	"discovery/internal/wire"
 )
 
@@ -18,7 +19,7 @@ import (
 // of paying a syscall each.
 func BenchmarkPeerCallPipelined(b *testing.B) {
 	const burst = 64
-	peerAddrs := reserveAddrs(b, 2)
+	peerAddrs := testnet.ReserveAddrs(b, 2)
 	n0 := startTestNode(b, peerAddrs[0], peerAddrs, true)
 	n1 := startTestNode(b, peerAddrs[1], peerAddrs, true)
 

@@ -3,7 +3,6 @@ package p2p_test
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -12,30 +11,9 @@ import (
 	discovery "discovery"
 	"discovery/internal/p2p"
 	"discovery/internal/server"
+	"discovery/internal/testnet"
 	"discovery/internal/wire"
 )
-
-// reserveAddrs grabs n distinct loopback addresses by binding and
-// releasing ephemeral ports. The tiny window between release and reuse
-// is the standard cost of needing the address before the process that
-// binds it.
-func reserveAddrs(t testing.TB, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	liss := make([]net.Listener, n)
-	for i := range addrs {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		liss[i] = lis
-		addrs[i] = lis.Addr().String()
-	}
-	for _, lis := range liss {
-		lis.Close()
-	}
-	return addrs
-}
 
 // testNode is one in-process cluster member: runtime, serving layer, and
 // a client address.
@@ -194,7 +172,7 @@ func TestRemoteOverlayIsCompleteAndAlwaysOnline(t *testing.T) {
 }
 
 func TestForwardedRequestsServeWholeKeyspace(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 2)
+	peerAddrs := testnet.ReserveAddrs(t, 2)
 	n0 := startTestNode(t, peerAddrs[0], peerAddrs, true)
 	n1 := startTestNode(t, peerAddrs[1], peerAddrs, true)
 
@@ -268,7 +246,7 @@ func TestForwardedRequestsServeWholeKeyspace(t *testing.T) {
 }
 
 func TestDeadRegionFailsFastAndSurvivorsServe(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 2)
+	peerAddrs := testnet.ReserveAddrs(t, 2)
 	n0 := startTestNode(t, peerAddrs[0], peerAddrs, true)
 	// peerAddrs[1] is never started: that region is down from birth.
 
@@ -310,7 +288,7 @@ func TestDeadRegionFailsFastAndSurvivorsServe(t *testing.T) {
 }
 
 func TestProbeRefusesMembershipMismatch(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 2)
+	peerAddrs := testnet.ReserveAddrs(t, 2)
 	startTestNode(t, peerAddrs[0], peerAddrs, true)
 
 	// A node configured with an extra phantom member disagrees about
@@ -349,7 +327,7 @@ func TestProbeRefusesMembershipMismatch(t *testing.T) {
 }
 
 func TestJoinHandshake(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 3)
+	peerAddrs := testnet.ReserveAddrs(t, 3)
 	nodes := make([]*testNode, 3)
 	for i := range nodes {
 		nodes[i] = startTestNode(t, peerAddrs[i], peerAddrs, true)
@@ -366,7 +344,7 @@ func TestJoinHandshake(t *testing.T) {
 // entries of other regions) alone, and a second pull of an in-sync
 // region applies nothing.
 func TestPullRepairImportsRegion(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 2)
+	peerAddrs := testnet.ReserveAddrs(t, 2)
 	// Node 0's pool is unrestricted, so it can hold (and serve repair
 	// pages for) keys of node 1's region.
 	n0 := startTestNode(t, peerAddrs[0], peerAddrs, false)
@@ -411,7 +389,7 @@ func TestPullRepairImportsRegion(t *testing.T) {
 // pull converges with EVERY replica transferred — no silent prefix-only
 // repair (the pre-pagination blind spot).
 func TestPullRepairPaginatesLargeState(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 2)
+	peerAddrs := testnet.ReserveAddrs(t, 2)
 	n0 := startTestNode(t, peerAddrs[0], peerAddrs, false)
 	n1 := startTestNode(t, peerAddrs[1], peerAddrs, true)
 
@@ -501,7 +479,7 @@ func TestPullRepairPaginatesLargeState(t *testing.T) {
 // directions, so after every node joins, every node's Members() table
 // names every member's client address by cluster slot.
 func TestProbeTeachesClientAddrs(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 3)
+	peerAddrs := testnet.ReserveAddrs(t, 3)
 	nodes := make([]*testNode, 3)
 	for i := range nodes {
 		nodes[i] = startTestNode(t, peerAddrs[i], peerAddrs, true)
@@ -538,7 +516,7 @@ func TestProbeTeachesClientAddrs(t *testing.T) {
 // is still scheduling-dependent, so rounds accumulate until the
 // cumulative ratio clears the bar.
 func TestOutboundCoalescingSharesWrites(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 2)
+	peerAddrs := testnet.ReserveAddrs(t, 2)
 	n0 := startTestNode(t, peerAddrs[0], peerAddrs, true)
 	n1 := startTestNode(t, peerAddrs[1], peerAddrs, true)
 
@@ -586,7 +564,7 @@ func TestOutboundCoalescingSharesWrites(t *testing.T) {
 // and recovery are observed by the background prober alone — the test
 // never issues a call on the probing side.
 func TestProberFlipsAliveEagerly(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 2)
+	peerAddrs := testnet.ReserveAddrs(t, 2)
 	peer := startTestNode(t, peerAddrs[1], peerAddrs, true)
 
 	cluster, err := p2p.NewCluster(peerAddrs[0], peerAddrs, 1)
@@ -630,7 +608,7 @@ func TestProberFlipsAliveEagerly(t *testing.T) {
 // another origin replaces those entries instead of adding to them.
 func TestReplicatedKeysStoreOneEntryPerReplica(t *testing.T) {
 	const keys, repl = 60, 2
-	peerAddrs := reserveAddrs(t, 3)
+	peerAddrs := testnet.ReserveAddrs(t, 3)
 	nodes := make([]*testNode, len(peerAddrs))
 	for i := range nodes {
 		nodes[i] = startReplicatedNode(t, peerAddrs[i], peerAddrs, true, repl)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	discovery "discovery"
+	"discovery/internal/testnet"
 	"discovery/internal/wire"
 )
 
@@ -74,7 +75,7 @@ func probeOK(m *wire.Msg) wire.Msg {
 // re-importing the same batch. The non-empty page is the regression:
 // a guard keyed on page emptiness never fires against this responder.
 func TestPullRepairStuckCursorFails(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 2)
+	peerAddrs := testnet.ReserveAddrs(t, 2)
 	n := startTestNode(t, peerAddrs[0], peerAddrs, true)
 	region := n.cluster.Self()
 
@@ -128,7 +129,7 @@ func TestPullRepairStuckCursorFails(t *testing.T) {
 // a peer that comes up mid-join is caught by the retry loop — the join
 // converges without a fresh call.
 func TestJoinRetriesUntilPeerArrives(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 2)
+	peerAddrs := testnet.ReserveAddrs(t, 2)
 	n0 := startTestNode(t, peerAddrs[0], peerAddrs, true)
 
 	err := n0.node.Join(300 * time.Millisecond)
@@ -152,7 +153,7 @@ func TestJoinRetriesUntilPeerArrives(t *testing.T) {
 // exactly the unreachable peer, while the reachable peer's data still
 // converges in the same pass.
 func TestAntiEntropyAccountsDeadPeer(t *testing.T) {
-	peerAddrs := reserveAddrs(t, 3)
+	peerAddrs := testnet.ReserveAddrs(t, 3)
 	// holder is unregioned so it can hold (and serve repair pages for)
 	// keys of the puller's region; the third member never starts.
 	holder := startTestNode(t, peerAddrs[0], peerAddrs, false)

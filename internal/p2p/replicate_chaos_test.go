@@ -8,6 +8,7 @@ import (
 	"discovery/internal/faultnet"
 	"discovery/internal/p2p"
 	"discovery/internal/server"
+	"discovery/internal/testnet"
 	"discovery/internal/wire"
 )
 
@@ -25,7 +26,7 @@ import (
 // the request direction delivers, the reply direction blackholes, which
 // no in-process mock of Call can reproduce faithfully.
 func TestReplicateRetryIdempotent(t *testing.T) {
-	addrs := reserveAddrs(t, 2)
+	addrs := testnet.ReserveAddrs(t, 2)
 
 	// The replica node (B): a full in-process node with R=2, so it
 	// accepts TReplicate for every key.
@@ -83,7 +84,7 @@ func TestReplicateRetryIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := 1 // B's rank; addrs from reserveAddrs are sorted
+	target := 1 // B's rank, unless B's address sorts first
 	if clusterA.Addr(target) != addrs[1] {
 		target = 0
 	}
