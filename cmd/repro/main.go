@@ -8,7 +8,8 @@
 //	repro [-format text|csv|json] list
 //
 // where experiment is one of: fig1 fig7 fig8 fig9 fig10 fig11 fig12
-// table1 table2 table3 all, and list enumerates them with descriptions.
+// table1 table2 table3 ablations all, and list enumerates them with
+// descriptions. ablations runs one fixed overlay at every scale.
 // The default text format is the historical human-readable output; csv
 // and json emit the same tables machine-readably (timings move to
 // stderr so stdout stays pipeable).
@@ -36,22 +37,23 @@ func main() {
 // experimentOrder is the canonical sequence, used by "all" and "list".
 var experimentOrder = []string{
 	"fig7", "fig8", "fig9", "table1", "table2", "table3",
-	"fig10", "fig1", "fig11", "fig12",
+	"fig10", "fig1", "fig11", "fig12", "ablations",
 }
 
 // descriptions feeds the list subcommand.
 var descriptions = map[string]string{
-	"fig1":   "effect of perturbation on MSPastry success rate",
-	"fig7":   "expected number of local maxima, random regular topologies",
-	"fig8":   "expected number of replicas, complete topologies",
-	"fig9":   "MPIL insertion behavior vs overlay size",
-	"fig10":  "MPIL lookup latency and traffic",
-	"fig11":  "success rate under perturbation, all variants",
-	"fig12":  "lookup traffic and total traffic under flapping",
-	"table1": "MPIL lookup success rate grid, power-law overlays",
-	"table2": "MPIL lookup success rate grid, random overlays",
-	"table3": "actual number of flows of lookups",
-	"all":    "every experiment above, in order",
+	"fig1":      "effect of perturbation on MSPastry success rate",
+	"fig7":      "expected number of local maxima, random regular topologies",
+	"fig8":      "expected number of replicas, complete topologies",
+	"fig9":      "MPIL insertion behavior vs overlay size",
+	"fig10":     "MPIL lookup latency and traffic",
+	"fig11":     "success rate under perturbation, all variants",
+	"fig12":     "lookup traffic and total traffic under flapping",
+	"table1":    "MPIL lookup success rate grid, power-law overlays",
+	"table2":    "MPIL lookup success rate grid, random overlays",
+	"table3":    "actual number of flows of lookups",
+	"ablations": "MPIL design choices and unstructured search, static overlay",
+	"all":       "every experiment above, in order",
 }
 
 func run() int {
@@ -60,7 +62,7 @@ func run() int {
 	format := flag.String("format", "text", "output format: text, csv, or json")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: repro [-scale quick|medium|paper] [-seed N] [-format text|csv|json] <fig1|fig7|fig8|fig9|fig10|fig11|fig12|table1|table2|table3|all>\n"+
+			"usage: repro [-scale quick|medium|paper] [-seed N] [-format text|csv|json] <fig1|fig7|fig8|fig9|fig10|fig11|fig12|table1|table2|table3|ablations|all>\n"+
 				"       repro [-format text|csv|json] list\n")
 		flag.PrintDefaults()
 	}
@@ -105,6 +107,9 @@ func run() int {
 			return lookupTable(em, s, experiments.TopoRandom, "Table 2 (random)")
 		},
 		"table3": func(em emitter, s experiments.StaticScale, p experiments.PerturbScale) error { return table3(em, s) },
+		"ablations": func(em emitter, s experiments.StaticScale, p experiments.PerturbScale) error {
+			return ablations(em, s.Seed)
+		},
 	}
 	runOne := func(n string) error {
 		em, err := newEmitter(*format, n)
@@ -355,5 +360,21 @@ func fig12(em emitter, scale experiments.PerturbScale) error {
 		}
 		em.Table(tb)
 	}
+	return nil
+}
+
+// ablations prints success as a whole percentage (the fixture has 100
+// keys) and messages per lookup to four significant digits.
+func ablations(em emitter, seed int64) error {
+	rows, err := experiments.RunAblations(seed)
+	if err != nil {
+		return err
+	}
+	em.Title("Ablations: one MPIL setting changed at a time, and unstructured search (1500-node power-law overlay, 100 keys)")
+	tb := metrics.NewTable("variant", "success (%)", "msgs/lookup")
+	for _, r := range rows {
+		tb.AddRow(r.Variant, fmt.Sprintf("%.0f", r.SuccessPct), fmt.Sprintf("%.4g", r.Msgs))
+	}
+	em.Table(tb)
 	return nil
 }

@@ -117,6 +117,8 @@ func TestCellsMatchSerial(t *testing.T) {
 			table3, err := RunTable3(sscale, kind)
 			keep(fmt.Sprint("table3 ", kind), table3, err)
 		}
+		ablations, err := RunAblations(3)
+		keep("ablations", ablations, err)
 		return out
 	}
 	var serial, parallel map[string]any

@@ -10,6 +10,7 @@
 //	Table 3     actual flows of lookups                    (RunTable3)
 //	Figure 11   success under perturbation, all variants   (RunFig11)
 //	Figure 12   lookup and total traffic under flapping    (RunFig12)
+//	Ablations   MPIL design choices, unstructured search   (RunAblations)
 //
 // Every run is deterministic from its Scale's seed, at any core count: a
 // sweep's independent cells run on GOMAXPROCS goroutines and are merged

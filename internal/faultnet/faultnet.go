@@ -151,9 +151,6 @@ func Listen(listen, target string, logf func(format string, args ...any)) (*Prox
 // of the target.
 func (p *Proxy) Addr() string { return p.lis.Addr().String() }
 
-// Target is the fixed address every accepted connection forwards to.
-func (p *Proxy) Target() string { return p.target }
-
 // SetFaults installs the fault set for one direction, effective from
 // the next forwarded chunk on every current and future connection.
 func (p *Proxy) SetFaults(d Direction, f Faults) {
@@ -184,10 +181,6 @@ func (p *Proxy) Heal() {
 // Reset severs every live connection with an RST but keeps accepting —
 // a mid-stream connection-reset storm rather than a partition.
 func (p *Proxy) Reset() { p.severAll() }
-
-// SetRefuseNew toggles only whether new connections are reset on
-// accept, without touching live ones.
-func (p *Proxy) SetRefuseNew(refuse bool) { p.refuse.Store(refuse) }
 
 // Stats returns a snapshot of the proxy's counters.
 func (p *Proxy) Stats() Stats {

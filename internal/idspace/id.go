@@ -217,14 +217,6 @@ func (id ID) CloserRing(target, rival ID) bool {
 	return id.Cmp(rival) < 0
 }
 
-// CloserXOR reports whether id is strictly closer to target than rival is,
-// under the XOR metric.
-func (id ID) CloserXOR(target, rival ID) bool {
-	a := id.XOR(target)
-	b := rival.XOR(target)
-	return a.Cmp(b) < 0
-}
-
 // Between reports whether id lies on the clockwise arc (low, high], the
 // ring-interval test used when deciding leaf-set coverage. When low ==
 // high the arc is the full ring and every ID qualifies.

@@ -31,9 +31,6 @@ type Engine struct {
 	// so the routing hot loop allocates nothing in steady state.
 	cands []int
 	fwds  []forward
-
-	// iterKeys is ForEachReplicaFrom's per-node sort scratch.
-	iterKeys []idspace.ID
 }
 
 // NewEngine validates cfg and builds an engine over ov. The rng drives tie
@@ -85,72 +82,6 @@ func (e *Engine) HoldersOf(key idspace.ID) []int {
 func (e *Engine) Stored(i int, key idspace.ID) (Replica, bool) {
 	r, ok := e.stores[i][key]
 	return r, ok
-}
-
-// ForEachReplica visits every stored replica, in ascending node order
-// with unspecified key order within a node. Snapshot export uses it; the
-// callback must not mutate engine state.
-func (e *Engine) ForEachReplica(fn func(node int, r Replica)) {
-	for i, st := range e.stores {
-		for _, r := range st {
-			fn(i, r)
-		}
-	}
-}
-
-// ForEachReplicaFrom visits stored replicas in ascending (node, key)
-// order, starting at the first replica with node > fromNode, or
-// node == fromNode and key >= fromKey. fn returning false stops the walk
-// at that replica; ForEachReplicaFrom reports whether it instead reached
-// the end of the store. Unlike ForEachReplica the visit order is total
-// and stable, which is what lets a caller resume a stopped walk at the
-// rejected replica: per visited node the keys are collected into a
-// reused scratch slice and sorted, and nodes past a stop are never
-// touched. The callback must not mutate engine state.
-func (e *Engine) ForEachReplicaFrom(fromNode int, fromKey idspace.ID, fn func(node int, r Replica) bool) bool {
-	if fromNode < 0 {
-		fromNode = 0
-	}
-	for i := fromNode; i < len(e.stores); i++ {
-		st := e.stores[i]
-		if len(st) == 0 {
-			continue
-		}
-		e.iterKeys = e.iterKeys[:0]
-		for k := range st {
-			if i == fromNode && k.Cmp(fromKey) < 0 {
-				continue
-			}
-			e.iterKeys = append(e.iterKeys, k)
-		}
-		sort.Slice(e.iterKeys, func(a, b int) bool { return e.iterKeys[a].Cmp(e.iterKeys[b]) < 0 })
-		for _, k := range e.iterKeys {
-			if !fn(i, st[k]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// PutReplica places a replica directly into node i's store, bypassing
-// routing. Snapshot restore uses it to rebuild a shard's state; normal
-// insertion never does.
-func (e *Engine) PutReplica(i int, r Replica) error {
-	if i < 0 || i >= len(e.stores) {
-		return fmt.Errorf("mpil: PutReplica node %d out of range (%d nodes)", i, len(e.stores))
-	}
-	e.stores[i][r.Key] = r
-	return nil
-}
-
-// ReplicaCount returns the total number of stored replicas.
-func (e *Engine) ReplicaCount() int {
-	n := 0
-	for _, st := range e.stores {
-		n += len(st)
-	}
-	return n
 }
 
 // RemoveReplica deletes key's replica at node i, reporting whether one was

@@ -1,9 +1,7 @@
 package mpil
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
@@ -524,86 +522,4 @@ func idsOf(nw *overlay.Network) []idspace.ID {
 		ids[i] = nw.ID(i)
 	}
 	return ids
-}
-
-// TestForEachReplicaFromOrderAndResume pins the resumable-iteration
-// contract: a total, stable (node, key) ascending order, a correct
-// early-stop report, and lossless resumption from the rejected replica —
-// the primitive beneath paginated peer repair.
-func TestForEachReplicaFromOrderAndResume(t *testing.T) {
-	nw, _ := figure6(t)
-	e, err := NewEngine(nw, fig6Config(), rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	type pos struct {
-		node int
-		key  idspace.ID
-	}
-	var want []pos
-	for node := 0; node < nw.N(); node += 3 {
-		for k := 0; k < 5; k++ {
-			key := idspace.FromString(fmt.Sprintf("iter-%d-%d", node, k))
-			if err := e.PutReplica(node, Replica{Key: key, Value: []byte("v")}); err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, pos{node, key})
-		}
-	}
-	sort.Slice(want, func(a, b int) bool {
-		if want[a].node != want[b].node {
-			return want[a].node < want[b].node
-		}
-		return want[a].key.Cmp(want[b].key) < 0
-	})
-
-	// A full walk delivers exactly the sorted placements.
-	var got []pos
-	if done := e.ForEachReplicaFrom(0, idspace.ID{}, func(node int, r Replica) bool {
-		got = append(got, pos{node, r.Key})
-		return true
-	}); !done {
-		t.Fatal("uninterrupted walk reported an early stop")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("walk visited %d replicas, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("walk position %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-
-	// Pagination: accept `page` replicas per walk, resume at the rejected
-	// one; the concatenation must reproduce the full walk exactly once.
-	for _, page := range []int{1, 3, 7} {
-		var paged []pos
-		fromNode, fromKey := 0, idspace.ID{}
-		for rounds := 0; ; rounds++ {
-			if rounds > len(want)+1 {
-				t.Fatalf("page size %d: pagination never terminated", page)
-			}
-			n := 0
-			done := e.ForEachReplicaFrom(fromNode, fromKey, func(node int, r Replica) bool {
-				if n == page {
-					fromNode, fromKey = node, r.Key
-					return false
-				}
-				n++
-				paged = append(paged, pos{node, r.Key})
-				return true
-			})
-			if done {
-				break
-			}
-		}
-		if len(paged) != len(want) {
-			t.Fatalf("page size %d: visited %d replicas, want %d", page, len(paged), len(want))
-		}
-		for i := range want {
-			if paged[i] != want[i] {
-				t.Fatalf("page size %d: position %d = %v, want %v", page, i, paged[i], want[i])
-			}
-		}
-	}
 }

@@ -135,8 +135,8 @@ func (m Metric) String() string {
 	}
 }
 
-// QuotaSplit enumerates quota-division rules, ablated in the benchmark
-// suite.
+// QuotaSplit enumerates quota-division rules, ablated by
+// experiments.RunAblations.
 type QuotaSplit int
 
 // Quota-division rules.

@@ -3,6 +3,7 @@ package p2p_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -506,15 +507,16 @@ func TestProbeTeachesClientAddrs(t *testing.T) {
 	}
 }
 
-// TestOutboundCoalescingSharesWrites proves the tentpole syscall claim on
-// a live connection: a burst of concurrent calls to one peer leaves the
-// transport with more frames written than write(2) invocations — the
-// out-queue drain coalesced queued frames into shared vectored writes.
-// Each round releases every caller through one barrier so their frames
-// genuinely land in the queue together (steady one-at-a-time pipelining
-// on a fast loopback drains at depth 1 and proves nothing); coalescing
-// is still scheduling-dependent, so rounds accumulate until the
-// cumulative ratio clears the bar.
+// TestOutboundCoalescingSharesWrites proves the syscall claim of
+// outbound coalescing on a live connection: a burst of concurrent calls
+// to one peer leaves the transport with more frames written than
+// write(2) invocations — the out-queue drain coalesced queued frames into
+// shared vectored writes. Each round issues its whole burst with
+// Transport.Go from one goroutine, so the frames land in the queue
+// together: callers that each block in Call can, on a loaded host, run
+// one at a time and wake the writer for their own frame, draining at
+// depth 1. Coalescing is still scheduling-dependent, so rounds accumulate
+// until the cumulative ratio clears the bar.
 func TestOutboundCoalescingSharesWrites(t *testing.T) {
 	peerAddrs := testnet.ReserveAddrs(t, 2)
 	n0 := startTestNode(t, peerAddrs[0], peerAddrs, true)
@@ -526,26 +528,34 @@ func TestOutboundCoalescingSharesWrites(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for round := 0; ; round++ {
-		release := make(chan struct{})
 		var wg sync.WaitGroup
-		for g := range keys {
+		for _, name := range keys {
+			m := &wire.Msg{Type: wire.TRoute, RouteKind: wire.TLookup, Cluster: n0.cluster.Hash(),
+				Key: discovery.NewID(name), Origin: wire.OriginAuto}
 			wg.Add(1)
-			go func(name string) {
-				defer wg.Done()
-				m := &wire.Msg{Type: wire.TRoute, RouteKind: wire.TLookup, Cluster: n0.cluster.Hash(),
-					Key: discovery.NewID(name), Origin: wire.OriginAuto}
-				<-release
-				if _, err := tr.Call(target, m); err != nil {
+			tr.Go(target, m, func(_ *wire.Msg, err error) {
+				if err != nil {
 					t.Errorf("call: %v", err)
 				}
-			}(keys[g])
+				wg.Done()
+			})
 		}
-		close(release)
 		wg.Wait()
 		if t.Failed() {
 			t.FailNow()
 		}
+		// A write is counted after WriteTo returns, which can be after
+		// the reply reached its caller: wait until the counters cover
+		// every call issued so far. The two counters are read one after
+		// the other, so wait for a nonzero write count too. Yield rather
+		// than sleep: a sleeping test lets the runtime park idle threads,
+		// and the next burst then barely coalesces on a loaded host.
+		calls := uint64((round + 1) * len(keys))
 		writes, frames := tr.WriteStats()
+		for (frames < calls || writes == 0) && time.Now().Before(deadline) {
+			runtime.Gosched()
+			writes, frames = tr.WriteStats()
+		}
 		if writes == 0 {
 			t.Fatal("no writes counted")
 		}

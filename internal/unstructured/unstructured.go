@@ -3,8 +3,8 @@
 // related work): Gnutella-style TTL-bounded flooding — "perturbation-
 // resistant and overlay-independent, but neither efficient nor scalable" —
 // and Lv et al.-style random walks. They share MPIL's Overlay interface so
-// the comparison benches run all three over identical overlays and replica
-// placements.
+// experiments.RunAblations runs all three over identical overlays and
+// replica placements.
 //
 // Random walks also give an empirical handle on the paper's Section 5
 // analysis: the expected number of hops for a walk to reach a local
