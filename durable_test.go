@@ -722,8 +722,9 @@ func TestDurablePoolRecoveryExactOnAnyOverlay(t *testing.T) {
 	}
 	dump := func(p *Pool) []byte {
 		var b []byte
-		p.ForEachReplica(func(origin uint32, key ID, value []byte) {
+		p.ForEachReplicaFrom(ReplicaCursor{}, func(origin uint32, key ID, value []byte) bool {
 			b = fmt.Appendf(b, "%d %x %q\n", origin, key, value)
+			return true
 		})
 		return b
 	}

@@ -1,11 +1,12 @@
 // Package batchio coalesces queued frames into vectored writes: the one
-// writer loop behind every connection in the serving stack — the client
-// listener's response writers (internal/server), the peer listener's
-// response writers (internal/p2p) and the request writer of every
-// outbound connection (internal/rpc).
+// writer loop behind every connection in the serving stack. Both halves
+// of a connection live in internal/rpc — the served half the client and
+// peer listeners run for each accepted connection (rpc.Listener) and the
+// calling half every outbound connection runs (rpc.Conn) — and each runs
+// its writer through WriteLoop.
 //
-// A producer encodes each frame into a pooled buffer and sends the
-// pointer down a channel. The consumer blocks for the first frame, then
+// A producer encodes each frame into a pooled buffer and sends a record
+// carrying it down a channel. The consumer blocks for the first frame, then
 // greedily drains whatever else is already queued — bounded by a frame
 // count and a byte budget — and hands the whole run to the kernel as one
 // writev(2) via net.Buffers. A pipelining peer's frames therefore cost
@@ -71,9 +72,9 @@ func (st *Stats) observe(frames int, n int) {
 // first frame arrives, then drains already-queued frames without
 // blocking, stopping at MaxFrames frames or once MaxBytes bytes have
 // been gathered (the first frame always counts, so a single oversized
-// frame still forms a batch of one). Frame pointers are appended to
+// frame still forms a batch of one). Frame records are appended to
 // *slots — for returning buffers to their pool after the write — and
-// the byte slices to *bufs, the writev argument.
+// their encoded bytes, extracted by buf, to *bufs, the writev argument.
 //
 // A queue ends one of two ways. A listener's response queue has one
 // owner who closes ch after the last producer is done (dead is nil).
@@ -83,16 +84,7 @@ func (st *Stats) observe(frames int, n int) {
 // collected. Either way Collect reports false when the queue has ended
 // and nothing was collected; an end that lands mid-drain still returns
 // the partial batch, and the next call then reports false.
-func Collect(ch <-chan *[]byte, dead <-chan struct{}, slots *[]*[]byte, bufs *net.Buffers) bool {
-	return CollectFunc(ch, dead, slots, bufs, deref)
-}
-
-// deref is the frame accessor for the plain pooled-buffer instantiation.
-func deref(bp *[]byte) []byte { return *bp }
-
-// CollectFunc is Collect generalized over the queued frame type; buf
-// extracts each frame's encoded bytes for the writev argument.
-func CollectFunc[F any](ch <-chan F, dead <-chan struct{}, slots *[]F, bufs *net.Buffers, buf func(F) []byte) bool {
+func Collect[F any](ch <-chan F, dead <-chan struct{}, slots *[]F, bufs *net.Buffers, buf func(F) []byte) bool {
 	var f F
 	var ok bool
 	select {
@@ -132,31 +124,23 @@ func CollectFunc[F any](ch <-chan F, dead <-chan struct{}, slots *[]F, bufs *net
 // WriteLoop is the coalescing writer every connection runs: it drains ch
 // batch by batch (Collect) until the queue ends, flushing each batch as
 // one vectored write with a fresh write deadline, and hands every frame
-// pointer to put for recycling. The first failed or timed-out write
+// record to put for recycling. The first failed or timed-out write
 // calls onBroken exactly once — the hook severs the connection — and
 // the loop keeps draining (and recycling) without writing, so producers
 // never block on a dead peer. WriteLoop returns when the queue has ended
-// (see Collect) and is drained. st, when non-nil, meters each successful
-// flush (see Stats).
-func WriteLoop(nc net.Conn, ch <-chan *[]byte, dead <-chan struct{}, timeout time.Duration, put func(*[]byte), onBroken func(error), st *Stats) {
-	WriteLoopFunc(nc, ch, dead, timeout, deref, put, onBroken, nil, st)
-}
-
-// WriteLoopFunc is WriteLoop generalized over the queued frame type:
-// producers may send any record F that carries its encoded bytes
-// (extracted by buf) plus per-frame metadata — e.g. a trace ID and
-// enqueue timestamp. onFlushed, when non-nil, observes each batch right
-// after its successful vectored write and before the frames are
-// recycled, which is where enqueue→flush spans are measured. It is not
-// called for batches discarded on a broken connection.
-func WriteLoopFunc[F any](nc net.Conn, ch <-chan F, dead <-chan struct{}, timeout time.Duration, buf func(F) []byte, put func(F), onBroken func(error), onFlushed func([]F), st *Stats) {
+// (see Collect) and is drained. onFlushed, when non-nil, observes each
+// batch right after its successful vectored write and before the frames
+// are recycled, which is where enqueue→flush spans are measured; it is
+// not called for batches discarded on a broken connection. st, when
+// non-nil, meters each successful flush (see Stats).
+func WriteLoop[F any](nc net.Conn, ch <-chan F, dead <-chan struct{}, timeout time.Duration, buf func(F) []byte, put func(F), onBroken func(error), onFlushed func([]F), st *Stats) {
 	broken := false
 	var slots []F
 	var backing net.Buffers
 	for {
 		slots = slots[:0]
 		bufs := backing[:0]
-		if !CollectFunc(ch, dead, &slots, &bufs, buf) {
+		if !Collect(ch, dead, &slots, &bufs, buf) {
 			return
 		}
 		// WriteTo consumes the bufs header as it flushes; keep the grown

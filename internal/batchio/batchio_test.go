@@ -10,6 +10,9 @@ import (
 	"discovery/internal/metrics"
 )
 
+// deref is the frame accessor for a queue of plain buffers.
+func deref(bp *[]byte) []byte { return *bp }
+
 func frame(n int, fill byte) *[]byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -25,7 +28,7 @@ func TestCollectDrainsQueuedFrames(t *testing.T) {
 	}
 	var slots []*[]byte
 	var bufs net.Buffers
-	if !Collect(ch, nil, &slots, &bufs) {
+	if !Collect(ch, nil, &slots, &bufs, deref) {
 		t.Fatal("Collect reported a closed channel")
 	}
 	if len(slots) != 5 || len(bufs) != 5 {
@@ -45,7 +48,7 @@ func TestCollectFrameCap(t *testing.T) {
 	}
 	var slots []*[]byte
 	var bufs net.Buffers
-	if !Collect(ch, nil, &slots, &bufs) {
+	if !Collect(ch, nil, &slots, &bufs, deref) {
 		t.Fatal("Collect reported a closed channel")
 	}
 	if len(slots) != MaxFrames {
@@ -53,7 +56,7 @@ func TestCollectFrameCap(t *testing.T) {
 	}
 	// The rest stays queued for the next batch.
 	slots, bufs = slots[:0], bufs[:0]
-	if !Collect(ch, nil, &slots, &bufs) || len(slots) != 6 {
+	if !Collect(ch, nil, &slots, &bufs, deref) || len(slots) != 6 {
 		t.Fatalf("second batch collected %d frames, want 6", len(slots))
 	}
 }
@@ -68,7 +71,7 @@ func TestCollectByteBudget(t *testing.T) {
 	// 256 KiB: the first frame (100 KiB) is under budget, the second makes
 	// 200 (still under), the third reaches 300 >= 256 after collection —
 	// the budget is a stop condition checked before each extra receive.
-	if !Collect(ch, nil, &slots, &bufs) {
+	if !Collect(ch, nil, &slots, &bufs, deref) {
 		t.Fatal("Collect reported a closed channel")
 	}
 	if len(slots) != 3 {
@@ -83,7 +86,7 @@ func TestCollectOversizeFirstFrame(t *testing.T) {
 	var slots []*[]byte
 	var bufs net.Buffers
 	// A first frame above the byte budget still forms a batch of one.
-	if !Collect(ch, nil, &slots, &bufs) {
+	if !Collect(ch, nil, &slots, &bufs, deref) {
 		t.Fatal("Collect reported a closed channel")
 	}
 	if len(slots) != 1 || len(bufs[0]) != MaxBytes+1 {
@@ -99,7 +102,7 @@ func TestCollectClosedChannel(t *testing.T) {
 	var slots []*[]byte
 	var bufs net.Buffers
 	// The queued frames drain as one final batch...
-	if !Collect(ch, nil, &slots, &bufs) || len(slots) != 2 {
+	if !Collect(ch, nil, &slots, &bufs, deref) || len(slots) != 2 {
 		t.Fatalf("final batch: %d frames", len(slots))
 	}
 	// ...then the closed channel reports done, without blocking.
@@ -107,7 +110,7 @@ func TestCollectClosedChannel(t *testing.T) {
 	go func() {
 		var s []*[]byte
 		var b net.Buffers
-		done <- Collect(ch, nil, &s, &b)
+		done <- Collect(ch, nil, &s, &b, deref)
 	}()
 	select {
 	case ok := <-done:
@@ -125,7 +128,7 @@ func TestCollectBlocksForFirstFrame(t *testing.T) {
 	go func() {
 		var s []*[]byte
 		var b net.Buffers
-		Collect(ch, nil, &s, &b)
+		Collect(ch, nil, &s, &b, deref)
 		got <- len(s)
 	}()
 	select {
@@ -159,7 +162,7 @@ func TestCollectZeroAllocs(t *testing.T) {
 	for _, f := range frames {
 		ch <- f
 	}
-	Collect(ch, nil, &slots, &bufs)
+	Collect(ch, nil, &slots, &bufs, deref)
 	backing := bufs[:0]
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, f := range frames {
@@ -167,7 +170,7 @@ func TestCollectZeroAllocs(t *testing.T) {
 		}
 		slots = slots[:0]
 		bufs = backing
-		if !Collect(ch, nil, &slots, &bufs) || len(slots) != 32 {
+		if !Collect(ch, nil, &slots, &bufs, deref) || len(slots) != 32 {
 			t.Fatal("collect failed")
 		}
 	})
@@ -194,9 +197,9 @@ func TestWriteLoopFlushesAndRecycles(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		WriteLoop(srv, ch, nil, time.Second,
+		WriteLoop(srv, ch, nil, time.Second, deref,
 			func(bp *[]byte) { recycled <- bp },
-			func(error) { srv.Close() }, st)
+			func(error) { srv.Close() }, nil, st)
 	}()
 	var want []byte
 	for i := 0; i < 5; i++ {
@@ -247,9 +250,9 @@ func TestWriteLoopSurvivesBrokenPeer(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		WriteLoop(srv, ch, nil, 50*time.Millisecond,
+		WriteLoop(srv, ch, nil, 50*time.Millisecond, deref,
 			func(*[]byte) { rec <- struct{}{} },
-			func(err error) { broke <- err; srv.Close() }, nil)
+			func(err error) { broke <- err; srv.Close() }, nil, nil)
 	}()
 	// The peer never reads: the first write trips the deadline.
 	ch <- frame(10, 1)

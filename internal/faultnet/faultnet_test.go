@@ -75,7 +75,12 @@ func TestFaithfulRelay(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("echo mismatch: got %q", got)
 	}
+	// A chunk is counted once its write returns, which can be after the
+	// echo has already come back: poll until both directions show.
 	st := p.Stats()
+	for deadline := time.Now().Add(2 * time.Second); (st.ForwardBytes == 0 || st.BackwardBytes == 0) && time.Now().Before(deadline); st = p.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Accepted != 1 || st.ForwardBytes == 0 || st.BackwardBytes == 0 {
 		t.Fatalf("unexpected stats: %+v", st)
 	}

@@ -11,7 +11,7 @@ import (
 	"discovery/internal/wire"
 )
 
-// TestCoordinatorsCannotStarveEachOther pins the invariant handleConn's
+// TestCoordinatorsCannotStarveEachOther pins the invariant peerHandler's
 // TReplicate lane and the pool's commit combiner share: a replica apply
 // waits only on local work (a worker of its own lane, the local log),
 // never on a peer. Two durable nodes, each the other's only co-replica,

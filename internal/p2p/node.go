@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -98,14 +97,10 @@ type Node struct {
 	addrMu      sync.Mutex
 	clientAddrs []string
 
-	wg sync.WaitGroup
-
-	// pwstats meters the inbound peer-connection writers (response
-	// coalescing), shared across connections; nil when Config.Metrics is
-	// nil, which leaves connWriter unmetered.
-	pwstats *batchio.Stats
-
-	bufs sync.Pool // *[]byte pooled peer-reply frame buffers
+	// scfg is the inbound peer connections' reader and writer settings;
+	// its Writes meters their response coalescing when Config.Metrics is
+	// set.
+	scfg rpc.ServeConfig
 }
 
 // errNodeClosed aborts maintenance passes interrupted by shutdown.
@@ -137,19 +132,16 @@ func NewNode(cfg Config) (*Node, error) {
 		fwdSem:      make(chan struct{}, cfg.MaxForwards),
 		quit:        make(chan struct{}),
 		clientAddrs: make([]string, cfg.Cluster.N()),
+		scfg:        rpc.ServeConfig{Name: "p2p", Logf: cfg.Logf},
 	}
 	n.tr.tracer = cfg.Tracer
 	if reg := cfg.Metrics; reg != nil {
-		n.pwstats = &batchio.Stats{
+		n.scfg.Writes = &batchio.Stats{
 			Writes:         reg.Counter("p2p.peer_writes"),
 			Frames:         reg.Counter("p2p.peer_frames"),
 			Bytes:          reg.Counter("p2p.peer_write_bytes"),
 			FramesPerWrite: reg.Histogram("p2p.peer_frames_per_write", 1),
 		}
-	}
-	n.bufs.New = func() any {
-		b := make([]byte, 0, 512)
-		return &b
 	}
 	n.tr.OnPeerClientAddr(n.learnClientAddr)
 	n.tr.StartProber(cfg.ProbeInterval)
@@ -359,14 +351,7 @@ func (n *Node) Start(addr string) (net.Addr, error) {
 	if !n.ln.Bind(lis) {
 		return nil, errors.New("p2p: node closed")
 	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		n.ln.Serve(func(nc net.Conn) { //nolint:errcheck // an accept error ends serving, as it always has
-			n.wg.Add(1)
-			go n.handleConn(nc)
-		})
-	}()
+	go n.ln.Serve(n.scfg, n.peerHandler) //nolint:errcheck // an accept error ends serving, as it always has
 	return lis.Addr(), nil
 }
 
@@ -379,7 +364,7 @@ func (n *Node) StopServing() {
 	if n.ln.Close() {
 		close(n.quit)
 	}
-	n.wg.Wait()
+	n.ln.Wait()
 }
 
 // Close stops inbound serving and severs outbound peer connections.
@@ -395,30 +380,14 @@ func (n *Node) Close() {
 // CallTimeout against a perfectly healthy owner.
 const inboundWorkers = 32
 
-// handleConn serves one inbound peer connection: frames are read and
+// peerHandler serves one inbound peer connection's frames: each is
 // decoded in order, then executed concurrently (bounded by
-// inboundWorkers); responses flow through a per-connection writer that
-// coalesces queued frames into vectored writes (internal/batchio) — a
-// peer multiplexing many calls costs about one writev(2) per batch.
-// Responses may complete out of request order, which reqID correlation
-// on the sending side tolerates by design.
-func (n *Node) handleConn(nc net.Conn) {
-	defer n.wg.Done()
-	var reqWg sync.WaitGroup
-	out := make(chan *[]byte, inboundWorkers)
-	writerDone := make(chan struct{})
-	go n.connWriter(nc, out, writerDone)
-	defer func() {
-		// Close the socket first: in-flight handlers blocked on the out
-		// queue of a wedged writer fail fast instead of holding the
-		// drain for the write deadline. Handlers are the only producers,
-		// so out closes only after the last of them finishes.
-		nc.Close()
-		reqWg.Wait()
-		close(out)
-		<-writerDone
-		n.ln.Forget(nc)
-	}()
+// inboundWorkers), and its reply is queued for the connection's
+// coalescing writer (rpc.ServedConn) — a peer multiplexing many calls
+// costs about one writev(2) per batch. Responses may complete out of
+// request order, which reqID correlation on the sending side tolerates
+// by design.
+func (n *Node) peerHandler(c *rpc.ServedConn) func(body []byte) bool {
 	sem := make(chan struct{}, inboundWorkers)
 	// The reader parks when a lane is full, with later frames — another
 	// node's TReplicate among them — unread behind it. So no worker may
@@ -432,18 +401,9 @@ func (n *Node) handleConn(nc net.Conn) {
 	// pool's commit combiner — waits only on the local log.
 	// TestCoordinatorsCannotStarveEachOther pins all of it.
 	replSem := make(chan struct{}, inboundWorkers)
-	// Sized buffered reader: a pipelined burst from a peer decodes
-	// several frames per read(2), the symmetric twin of the coalesced
-	// writer on the other side.
-	br := bufio.NewReaderSize(nc, batchio.ReadBufferSize)
-	var scratch []byte
-	for {
-		body, err := wire.ReadFrame(br, &scratch)
-		if err != nil {
-			return // EOF, peer reset, or framing error
-		}
-		// Decode before the next ReadFrame reuses scratch; the Msg owns
-		// copies of every variable-length field.
+	return func(body []byte) bool {
+		// Decode before the next frame reuses body; the Msg owns copies
+		// of every variable-length field.
 		m := new(wire.Msg)
 		derr := m.Decode(body)
 		lane := sem
@@ -451,9 +411,9 @@ func (n *Node) handleConn(nc net.Conn) {
 			lane = replSem
 		}
 		lane <- struct{}{} // backpressure: stop reading at the cap
-		reqWg.Add(1)
+		c.Add()
 		go func() {
-			defer reqWg.Done()
+			defer c.Done()
 			held := true
 			release := func() {
 				if held {
@@ -469,31 +429,10 @@ func (n *Node) handleConn(nc net.Conn) {
 				n.handlePeer(m, &reply, release)
 				reply.ReqID = m.ReqID
 			}
-			bp := n.bufs.Get().(*[]byte)
-			frame, err := reply.Append((*bp)[:0])
-			if err != nil {
-				n.cfg.Logf("p2p: encode %v reply: %v", reply.Type, err)
-				frame, _ = (&wire.Msg{Type: wire.TError, ReqID: m.ReqID, Value: []byte("internal encode error")}).Append((*bp)[:0])
-			}
-			*bp = frame
-			out <- bp // the writer always drains, even after a write error
+			c.Send(&reply, 0)
 		}()
+		return true
 	}
-}
-
-// connWriter flushes one inbound connection's response queue with
-// coalesced vectored writes until the queue closes (batchio.WriteLoop),
-// recycling frame buffers. After a failed or timed-out write it severs
-// the socket (which also unblocks the connection's reader) and keeps
-// draining so response producers never block on a dead peer.
-func (n *Node) connWriter(nc net.Conn, out <-chan *[]byte, done chan<- struct{}) {
-	defer close(done)
-	batchio.WriteLoop(nc, out, nil, batchio.DefaultWriteTimeout,
-		func(bp *[]byte) { n.bufs.Put(bp) },
-		func(err error) {
-			n.cfg.Logf("p2p: write to %v: %v", nc.RemoteAddr(), err)
-			nc.Close()
-		}, n.pwstats)
 }
 
 // handlePeer executes one decoded peer request into reply (reqID is
@@ -578,7 +517,7 @@ func (n *Node) admitKeyed(m, reply *wire.Msg) (origin uint32, ok bool) {
 // of replicas (this one included) has committed — the sender may be
 // failing over from the dead primary, so ANY live replica can
 // coordinate. release is called once the local execution is done and
-// only the quorum wait remains (see handleConn).
+// only the quorum wait remains (see peerHandler).
 func (n *Node) handleRoute(m, reply *wire.Msg, release func()) {
 	origin, ok := n.admitKeyed(m, reply)
 	if !ok {

@@ -1,10 +1,18 @@
-// Package rpc is the client half of every connection in the serving
-// stack, written once: one lazily dialed, single-flight redialed TCP
-// connection to one address, multiplexing concurrent requests by reqID.
-// The peer transport (internal/p2p) keeps one per peer and the
-// cluster-smart client (internal/cluster) one per node; what differs
-// between them — who is called, what a failure means, what is counted —
-// stays with the owner.
+// Package rpc holds both halves of every connection in the serving
+// stack, each written once.
+//
+// The calling half (Mux, Conn) is one lazily dialed, single-flight
+// redialed TCP connection to one address, multiplexing concurrent
+// requests by reqID. The peer transport (internal/p2p) keeps one per peer
+// and the cluster-smart client (internal/cluster) one per node; what
+// differs between them — who is called, what a failure means, what is
+// counted — stays with the owner.
+//
+// The served half (Listener, ServedConn) is what the client listener
+// (internal/server) and the peer listener (internal/p2p) run for every
+// connection they accept: the buffered frame reader, the in-flight count
+// that orders the drain, the response encoder and the coalescing writer.
+// The owner supplies only a per-frame handler.
 //
 // A call completes through a callback (Conn.Go), invoked exactly once by
 // whoever removes the call's entry from the pending map: the connection's
@@ -13,17 +21,18 @@
 // request cannot be sent. Conn.Call wraps that in a wait. Either way calls
 // pipeline freely over the shared connection.
 //
-// Outbound writes are coalesced like the listeners' responses: Go encodes
-// its frame into a pooled buffer and queues it on the connection's
-// out-queue, and the connection's writer (batchio.WriteLoop) drains the
-// queue into vectored writes. Concurrent callers therefore cost about one
-// write(2) per batch instead of one per call. Replies are read through a
+// Writes are coalesced the same way on both halves: a frame is encoded
+// into a pooled buffer and queued on the connection's out-queue, and the
+// connection's writer (batchio.WriteLoop) drains the queue into vectored
+// writes. Concurrent callers or responders therefore cost about one
+// write(2) per batch instead of one per frame. Frames are read through a
 // sized buffered reader, several frames per read(2).
 package rpc
 
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -70,7 +79,7 @@ type Config struct {
 }
 
 // Mux owns the connections of one owner: their shared configuration and
-// frame-buffer pool, and the one sweeper that times their calls out.
+// the one sweeper that times their calls out.
 // Create with New, stop with Close.
 type Mux struct {
 	cfg       Config
@@ -82,8 +91,62 @@ type Mux struct {
 
 	quit chan struct{} // stops the sweeper
 	wg   sync.WaitGroup
+}
 
-	bufs sync.Pool // *[]byte outbound frame buffers
+// frame is one encoded frame queued for a connection writer: the pooled
+// buffer plus, on the served half, the trace context a flush hook needs.
+type frame struct {
+	bp    *[]byte
+	trace uint64 // trace ID of the originating request; 0 = untraced
+	enq   int64  // unix-nano enqueue instant; set only when traced
+}
+
+// frames recycles the encode buffers of every connection, both halves.
+var frames = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+func frameBytes(f frame) []byte { return *f.bp }
+
+func putFrame(f frame) { frames.Put(f.bp) }
+
+// FrameReader reads length-prefixed frames off a connection through a
+// sized buffered reader, so a pipelined burst decodes several frames per
+// read(2). It is the frame reader of both halves of every connection,
+// and of the listener's plain client (server.Client).
+type FrameReader struct {
+	r       io.Reader
+	scratch []byte
+}
+
+// NewFrameReader reads nc through a buffer of size bytes: 0 selects
+// batchio.ReadBufferSize, and a negative size reads the raw socket.
+func NewFrameReader(nc net.Conn, size int) *FrameReader {
+	fr := &FrameReader{r: nc}
+	if size >= 0 {
+		if size == 0 {
+			size = batchio.ReadBufferSize
+		}
+		fr.r = bufio.NewReaderSize(nc, size)
+	}
+	return fr
+}
+
+// Next returns the next frame's body, valid until the following Next.
+func (fr *FrameReader) Next() ([]byte, error) { return wire.ReadFrame(fr.r, &fr.scratch) }
+
+// readFrames hands each frame read off nc (see NewFrameReader for size)
+// to handle, until the connection fails or handle returns false. The
+// body is valid only until handle returns.
+func readFrames(nc net.Conn, size int, handle func(body []byte) bool) {
+	fr := NewFrameReader(nc, size)
+	for {
+		body, err := fr.Next()
+		if err != nil || !handle(body) {
+			return
+		}
+	}
 }
 
 // New builds a Mux and starts its timeout sweeper.
@@ -105,10 +168,6 @@ func New(cfg Config) *Mux {
 		errClosed: fmt.Errorf("%s: connections closed", cfg.Name),
 		conns:     make(map[string]*Conn),
 		quit:      make(chan struct{}),
-	}
-	x.bufs.New = func() any {
-		b := make([]byte, 0, 512)
-		return &b
 	}
 	x.wg.Add(1)
 	go x.sweep()
@@ -221,7 +280,7 @@ func (x *Mux) sweep() {
 // reader goroutines of a dead connection never touch the new one.
 type connState struct {
 	nc   net.Conn
-	out  chan *[]byte  // encoded request frames (pooled); sized to one full write batch
+	out  chan frame    // encoded request frames (pooled); sized to one full write batch
 	dead chan struct{} // closed when the connection is torn down
 	once sync.Once
 }
@@ -322,20 +381,20 @@ func (c *Conn) post(cs *connState, m *wire.Msg, cl call, block bool) (queued boo
 	c.pending[id] = cl
 	c.mu.Unlock()
 	m.ReqID = id
-	bp := x.bufs.Get().(*[]byte)
-	frame, err := m.Append((*bp)[:0])
+	f := frame{bp: frames.Get().(*[]byte)}
+	b, err := m.Append((*f.bp)[:0])
 	full := false
 	if err == nil {
-		*bp = frame
+		*f.bp = b
 		if block {
 			select {
-			case cs.out <- bp:
+			case cs.out <- f:
 				return true, nil
 			case <-cs.dead:
 			}
 		} else {
 			select {
-			case cs.out <- bp:
+			case cs.out <- f:
 				return true, nil
 			case <-cs.dead:
 			default:
@@ -343,7 +402,7 @@ func (c *Conn) post(cs *connState, m *wire.Msg, cl call, block bool) (queued boo
 			}
 		}
 	}
-	x.bufs.Put(bp)
+	putFrame(f)
 	c.mu.Lock()
 	_, mine := c.pending[id]
 	delete(c.pending, id)
@@ -398,7 +457,7 @@ func (c *Conn) conn() (*connState, error) {
 		}
 		return nil, fmt.Errorf("%s: dial %s: %w", x.cfg.Name, c.addr, err)
 	}
-	cs = &connState{nc: nc, out: make(chan *[]byte, batchio.MaxFrames), dead: make(chan struct{})}
+	cs = &connState{nc: nc, out: make(chan frame, batchio.MaxFrames), dead: make(chan struct{})}
 	c.mu.Lock()
 	// Re-check closed under c.mu: Close tears connections down under this
 	// lock, so either we see closed here, or Close runs after us and
@@ -430,12 +489,11 @@ func (c *Conn) conn() (*connState, error) {
 // failed or timed-out write tears the connection down.
 func (c *Conn) writeLoop(cs *connState) {
 	x := c.x
-	batchio.WriteLoop(cs.nc, cs.out, cs.dead, x.cfg.CallTimeout,
-		func(bp *[]byte) { x.bufs.Put(bp) },
+	batchio.WriteLoop(cs.nc, cs.out, cs.dead, x.cfg.CallTimeout, frameBytes, putFrame,
 		func(err error) {
 			x.cfg.Logf("%s: write to %s: %v", x.cfg.Name, c.addr, err)
 			c.teardown(cs)
-		}, x.cfg.Writes)
+		}, nil, x.cfg.Writes)
 }
 
 // readLoop decodes responses off one connection and completes the
@@ -443,17 +501,11 @@ func (c *Conn) writeLoop(cs *connState) {
 // gets a fresh Msg: it is owned by the call it completes. A reply nobody
 // is waiting for — its call timed out — is dropped.
 func (c *Conn) readLoop(cs *connState) {
-	br := bufio.NewReaderSize(cs.nc, batchio.ReadBufferSize)
-	var scratch []byte
-	for {
-		body, err := wire.ReadFrame(br, &scratch)
-		if err != nil {
-			break
-		}
+	readFrames(cs.nc, 0, func(body []byte) bool {
 		m := new(wire.Msg)
 		if err := m.Decode(body); err != nil {
 			c.x.cfg.Logf("%s: %s: bad response frame: %v", c.x.cfg.Name, c.addr, err)
-			break
+			return false
 		}
 		c.mu.Lock()
 		cl, ok := c.pending[m.ReqID]
@@ -463,7 +515,8 @@ func (c *Conn) readLoop(cs *connState) {
 			c.health(true)
 			cl.done(m, nil)
 		}
-	}
+		return true
+	})
 	c.teardown(cs)
 }
 

@@ -17,8 +17,7 @@ import (
 // discipline: the exact producer/consumer cycle between Go (encode into a
 // pooled buffer, enqueue) and the connection writer (collect into reused
 // writev slots, recycle) allocates nothing once the pool and slices are
-// warm. This is the out-queue twin of the serving layer's response-path
-// gate.
+// warm. This is the out-queue twin of TestResponsePathZeroAllocs.
 func TestCollectOutZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool does not cache under the race detector")
@@ -27,24 +26,24 @@ func TestCollectOutZeroAllocs(t *testing.T) {
 	defer x.Close()
 
 	const burst = 8
-	cs := &connState{out: make(chan *[]byte, burst), dead: make(chan struct{})}
-	frame := []byte("\x00\x00\x00\x0d\x01\x00\x00\x00\x00\x00\x00\x00\x07body")
-	var slots []*[]byte
+	cs := &connState{out: make(chan frame, burst), dead: make(chan struct{})}
+	body := []byte("\x00\x00\x00\x0d\x01\x00\x00\x00\x00\x00\x00\x00\x07body")
+	var slots []frame
 	var bufs net.Buffers
 
 	cycle := func() {
 		for i := 0; i < burst; i++ {
-			bp := x.bufs.Get().(*[]byte)
-			*bp = append((*bp)[:0], frame...)
-			cs.out <- bp
+			f := frame{bp: frames.Get().(*[]byte)}
+			*f.bp = append((*f.bp)[:0], body...)
+			cs.out <- f
 		}
 		slots = slots[:0]
 		bufs = bufs[:0]
-		if !batchio.Collect(cs.out, cs.dead, &slots, &bufs) || len(slots) != burst {
+		if !batchio.Collect(cs.out, cs.dead, &slots, &bufs, frameBytes) || len(slots) != burst {
 			t.Fatal("collect failed")
 		}
-		for _, bp := range slots {
-			x.bufs.Put(bp)
+		for _, f := range slots {
+			putFrame(f)
 		}
 	}
 	cycle() // warm the buffer pool and the coalesce slices
@@ -89,12 +88,12 @@ func TestWriteLoopCoalescesQueuedFrames(t *testing.T) {
 	}
 
 	c := x.Conn(lis.Addr().String(), lis.Addr().String(), nil)
-	cs := &connState{nc: nc, out: make(chan *[]byte, 64), dead: make(chan struct{})}
+	cs := &connState{nc: nc, out: make(chan frame, 64), dead: make(chan struct{})}
 
 	const queued = 32
 	for i := 0; i < queued; i++ {
 		b := []byte("frame-bytes")
-		cs.out <- &b
+		cs.out <- frame{bp: &b}
 	}
 	done := make(chan struct{})
 	go func() { defer close(done); c.writeLoop(cs) }()
@@ -136,7 +135,8 @@ func TestCallTimeoutLateReply(t *testing.T) {
 	// buffers round-trip (Get -> write -> Put), steady sequential calls
 	// reuse one buffer and the allocator runs a bounded number of times.
 	var fresh atomic.Int64
-	x.bufs.New = func() any {
+	defer func(prev func() any) { frames.New = prev }(frames.New)
+	frames.New = func() any {
 		fresh.Add(1)
 		b := make([]byte, 0, 512)
 		return &b
@@ -226,22 +226,22 @@ func TestCallTimeoutLateReply(t *testing.T) {
 // that raced in just before death is still collected and recycled —
 // never stranded.
 func TestCollectOutDeath(t *testing.T) {
-	cs := &connState{out: make(chan *[]byte, 4), dead: make(chan struct{})}
-	var slots []*[]byte
+	cs := &connState{out: make(chan frame, 4), dead: make(chan struct{})}
+	var slots []frame
 	var bufs net.Buffers
 
 	// Frame queued, then death: the frame must still come out.
 	b := []byte("frame")
-	cs.out <- &b
+	cs.out <- frame{bp: &b}
 	cs.kill()
-	if !batchio.Collect(cs.out, cs.dead, &slots, &bufs) || len(slots) != 1 {
+	if !batchio.Collect(cs.out, cs.dead, &slots, &bufs, frameBytes) || len(slots) != 1 {
 		t.Fatalf("racing frame lost at death: collected %d", len(slots))
 	}
 
 	// Dead and empty: the drain ends.
 	slots, bufs = slots[:0], bufs[:0]
 	done := make(chan bool, 1)
-	go func() { done <- batchio.Collect(cs.out, cs.dead, &slots, &bufs) }()
+	go func() { done <- batchio.Collect(cs.out, cs.dead, &slots, &bufs, frameBytes) }()
 	select {
 	case got := <-done:
 		if got {

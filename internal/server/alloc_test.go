@@ -1,66 +1,15 @@
 package server
 
 import (
-	"net"
 	"testing"
 
-	discovery "discovery"
-	"discovery/internal/batchio"
 	"discovery/internal/wire"
 )
 
-// These gates pin the PR-1 allocation discipline on the two batched hot
-// paths this layer owns: the response path (encode into a pooled buffer,
-// enqueue, coalesce into writev slots, recycle) and the shard workers'
-// batch dequeue loop. The engine's own per-request allocations are out
-// of scope here — these tests prove the serving layer adds none.
-
-// TestResponsePathZeroAllocs drives send → Collect → Put, the exact
-// producer/consumer cycle between a shard worker and a connection
-// writer, and requires zero allocations once pool and slices are warm.
-func TestResponsePathZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool does not cache under the race detector")
-	}
-	ov, err := discovery.CompleteOverlay(16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := discovery.NewPool(ov, 1, discovery.WithMaxHops(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Pool: pool, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	const burst = 8
-	c := &conn{out: make(chan outFrame, burst), dead: make(chan struct{})}
-	m := wire.Msg{Type: wire.TLookupOK, ReqID: 42, Lookup: wire.LookupReply{Found: true, FirstReplyHops: 2, Replies: 1}}
-	var slots []outFrame
-	var bufs net.Buffers
-
-	cycle := func() {
-		for i := 0; i < burst; i++ {
-			s.send(c, &m, 0)
-		}
-		slots = slots[:0]
-		bufs = bufs[:0]
-		if !batchio.CollectFunc(c.out, nil, &slots, &bufs, func(f outFrame) []byte { return *f.bp }) || len(slots) != burst {
-			t.Fatal("collect failed")
-		}
-		for _, f := range slots {
-			s.bufs.Put(f.bp)
-		}
-	}
-	cycle() // warm the buffer pool and the coalesce slices
-
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Fatalf("response path allocates %.1f per %d-frame batch, want 0", allocs, burst)
-	}
-}
+// This gate pins the allocation discipline of the shard workers' batch
+// dequeue loop. The response path's twin, TestResponsePathZeroAllocs,
+// lives with the served connection in internal/rpc. The engine's own
+// per-request allocations are out of scope here.
 
 // TestBatchDequeueZeroAllocs pins the shard workers' drain loop: pulling
 // a full batch of queued tasks into the reused task slice allocates

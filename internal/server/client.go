@@ -6,6 +6,7 @@ import (
 	"net"
 
 	"discovery/internal/idspace"
+	"discovery/internal/rpc"
 	"discovery/internal/wire"
 )
 
@@ -14,13 +15,12 @@ import (
 // lower-level Send/Flush/Recv API for request pipelining. A Client is not
 // safe for concurrent use; open one per goroutine.
 type Client struct {
-	nc      net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	enc     []byte // encode scratch
-	scratch []byte // frame-read scratch
-	msg     wire.Msg
-	nextID  uint64
+	nc     net.Conn
+	fr     *rpc.FrameReader
+	bw     *bufio.Writer
+	enc    []byte // encode scratch
+	msg    wire.Msg
+	nextID uint64
 }
 
 // OriginAuto, passed as the origin of Insert/Lookup/Delete, lets the
@@ -40,7 +40,7 @@ func Dial(addr string) (*Client, error) {
 func NewClient(nc net.Conn) *Client {
 	return &Client{
 		nc: nc,
-		br: bufio.NewReaderSize(nc, 32<<10),
+		fr: rpc.NewFrameReader(nc, 0),
 		bw: bufio.NewWriterSize(nc, 32<<10),
 	}
 }
@@ -80,7 +80,7 @@ func (c *Client) Flush() error { return c.bw.Flush() }
 // Recv reads one response frame into m. The returned message's buffers
 // are reused by the next Recv on this client.
 func (c *Client) Recv(m *wire.Msg) error {
-	body, err := wire.ReadFrame(c.br, &c.scratch)
+	body, err := c.fr.Next()
 	if err != nil {
 		return err
 	}

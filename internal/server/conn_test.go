@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/binary"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -80,63 +79,6 @@ func TestRouteWithBadKindIsRefused(t *testing.T) {
 	}
 	if _, err := c.Lookup(OriginAuto, discovery.NewID("after")); err != nil {
 		t.Fatalf("connection unusable after refused route: %v", err)
-	}
-}
-
-// TestWriteLoopShedsStalledReader drives writeLoop directly over a
-// net.Pipe (whose writes block until the peer reads, and which honors
-// write deadlines): a peer that never reads must trip the write timeout,
-// get its socket closed, and stop blocking producers.
-func TestWriteLoopShedsStalledReader(t *testing.T) {
-	ov, err := discovery.CompleteOverlay(16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := discovery.NewPool(ov, 1, discovery.WithMaxHops(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Pool: pool, WriteTimeout: 100 * time.Millisecond, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	srvSide, cliSide := net.Pipe()
-	defer cliSide.Close()
-	c := &conn{nc: srvSide, out: make(chan outFrame, 4), dead: make(chan struct{})}
-	s.connWg.Add(1)
-	go s.writeLoop(c)
-
-	frame := func() outFrame {
-		b, err := (&wire.Msg{Type: wire.TDeleteOK, ReqID: 1}).Append(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outFrame{bp: &b}
-	}
-
-	// The peer never reads: the first write must give up within the
-	// deadline and mark the connection dead.
-	c.out <- frame()
-	select {
-	case <-c.dead:
-	case <-time.After(5 * time.Second):
-		t.Fatal("write timeout never tripped; stalled reader would wedge its shard")
-	}
-
-	// Producers no longer block: a send drains via the dead path even
-	// with the writer past its socket.
-	for i := 0; i < 10; i++ {
-		s.send(c, &wire.Msg{Type: wire.TDeleteOK, ReqID: uint64(i)}, 0)
-	}
-	close(c.out)
-
-	// The server closed its side, so the peer sees EOF rather than a
-	// silent hang.
-	cliSide.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	if _, err := io.ReadAll(cliSide); err != nil && err != io.EOF && err != io.ErrClosedPipe {
-		t.Logf("peer read ended with %v (acceptable: connection severed)", err)
 	}
 }
 

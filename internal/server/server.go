@@ -3,15 +3,17 @@
 //
 // # Architecture
 //
-// Each accepted connection gets a reader goroutine and a writer goroutine.
-// The reader decodes frames and dispatches keyed requests to a bounded
-// per-shard queue; one worker goroutine per shard pops requests and
-// executes them on the shard that owns the key (the same key-hash mapping
-// discovery.Pool uses), so one shard's requests execute in queue order.
-// Responses carry the request's correlator back and are
-// handed to the connection's writer, which means a client may pipeline
-// requests freely — responses for different shards can complete out of
-// order, and the reqID is what ties them together.
+// The served connection lives in internal/rpc: rpc.Listener accepts each
+// client connection and runs its buffered frame reader and coalescing
+// writer (rpc.ServedConn), and this package supplies the per-frame
+// handler. The handler decodes frames and dispatches keyed requests to a
+// bounded per-shard queue; one worker goroutine per shard pops requests
+// and executes them on the shard that owns the key (the same key-hash
+// mapping discovery.Pool uses), so one shard's requests execute in queue
+// order. Responses carry the request's correlator back and are queued
+// for the connection's writer (ServedConn.Send), which means a client
+// may pipeline requests freely — responses for different shards can
+// complete out of order, and the reqID is what ties them together.
 //
 // # Batching
 //
@@ -42,10 +44,8 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -145,30 +145,25 @@ type Config struct {
 // Server serves the wire protocol over TCP. Create with New, start with
 // Serve or Start, stop with Close.
 type Server struct {
-	pool         *discovery.Pool
-	logf         func(format string, args ...any)
-	owns         func(key idspace.ID) bool
-	forward      func(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64, respond func(*wire.Msg))
-	replicate    func(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64, done func(error))
-	replication  uint32
-	tracer       *trace.Tracer
-	slowNanos    int64
-	slowLogf     func(format string, args ...any)
-	queues       []chan task
-	writeTimeout time.Duration
-	maxBatch     int
-	readBuffer   int
-	clusterHash  uint64
-	members      func() []string
+	pool        *discovery.Pool
+	logf        func(format string, args ...any)
+	owns        func(key idspace.ID) bool
+	forward     func(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64, respond func(*wire.Msg))
+	replicate   func(typ wire.Type, key idspace.ID, origin uint32, value []byte, trc uint64, done func(error))
+	replication uint32
+	tracer      *trace.Tracer
+	slowNanos   int64
+	slowLogf    func(format string, args ...any)
+	queues      []chan task
+	maxBatch    int
+	clusterHash uint64
+	members     func() []string
 
-	ln rpc.Listener
+	ln   rpc.Listener
+	scfg rpc.ServeConfig // the served connections' reader and writer settings
 
 	done     chan struct{}
-	readerWg sync.WaitGroup // connection readers
 	workerWg sync.WaitGroup // shard workers
-	connWg   sync.WaitGroup // writers and per-connection drainers
-
-	bufs sync.Pool // *[]byte response frame buffers
 
 	// Instrumentation (all nil without Config.Metrics; metered guards
 	// the timestamping so the unmetered hot path stays untouched).
@@ -186,12 +181,11 @@ type Server struct {
 	svcLookup  *metrics.Histogram
 	svcDelete  *metrics.Histogram
 	batchTasks *metrics.Histogram // tasks per executed shard batch
-	wstats     batchio.Stats      // response writev coalescing
 }
 
 // task is one keyed request bound for a shard worker.
 type task struct {
-	c      *conn
+	c      *rpc.ServedConn
 	typ    wire.Type
 	reqID  uint64
 	key    idspace.ID
@@ -207,7 +201,7 @@ type task struct {
 // whichever half lands second sends the reply.
 type replJoin struct {
 	s     *Server
-	c     *conn
+	c     *rpc.ServedConn
 	typ   wire.Type
 	reqID uint64
 	trace uint64
@@ -254,55 +248,27 @@ func (j *replJoin) quorum(err error) {
 // quorum half's failure as read under j.mu — a local failure answers
 // before the quorum lands, which may then still be writing j.err. When
 // it may not block and the client's response queue is full, the send
-// moves to a goroutine of its own (the connection's drainer waits for it
-// through inflight).
+// moves to a goroutine of its own (the connection's drain waits for it
+// through the request's Done).
 func (j *replJoin) finish(mayBlock bool, qerr error) {
-	s, m := j.s, &j.reply
+	m := &j.reply
 	if qerr != nil && m.Type != wire.TError {
 		// Local commit without quorum must not be acked: the client would
 		// treat it as replicated. The replicas reconcile via anti-entropy.
-		s.logf("server: %v: %v", j.typ, qerr)
+		j.s.logf("server: %v: %v", j.typ, qerr)
 		m = &wire.Msg{Type: wire.TError, ReqID: j.reqID, Value: []byte("replication: " + qerr.Error())}
 	}
-	f := s.encode(m, j.trace)
-	if !mayBlock {
-		select {
-		case j.c.out <- f:
-		case <-j.c.dead:
-			s.bufs.Put(f.bp)
-		default:
-			go func() {
-				s.offer(j.c, f)
-				j.c.inflight.Done()
-			}()
-			return
-		}
-	} else {
-		s.offer(j.c, f)
+	if mayBlock {
+		j.c.Send(m, j.trace)
+	} else if !j.c.TrySend(m, j.trace) {
+		go func() {
+			j.c.Send(m, j.trace)
+			j.c.Done()
+		}()
+		return
 	}
-	j.c.inflight.Done()
+	j.c.Done()
 }
-
-// outFrame is one encoded response bound for a connection writer: the
-// pooled frame buffer plus the trace context the flush span needs.
-type outFrame struct {
-	bp    *[]byte
-	trace uint64 // trace ID of the originating request; 0 = untraced
-	enq   int64  // unix-nano enqueue instant; set only when traced
-}
-
-// conn pairs a network connection with its outbound response queue.
-type conn struct {
-	nc       net.Conn
-	out      chan outFrame // encoded response frames (pooled)
-	dead     chan struct{} // closed when the writer gives up
-	deadOnce sync.Once
-	inflight sync.WaitGroup // keyed requests not yet answered
-}
-
-// kill marks the connection's writer as gone so shard workers stop
-// offering it responses.
-func (c *conn) kill() { c.deadOnce.Do(func() { close(c.dead) }) }
 
 // New builds a Server and starts its shard workers. The server is ready
 // for Serve immediately.
@@ -324,10 +290,6 @@ func New(cfg Config) (*Server, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	wt := cfg.WriteTimeout
-	if wt <= 0 {
-		wt = batchio.DefaultWriteTimeout
-	}
 	maxBatch := cfg.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = 64
@@ -336,28 +298,28 @@ func New(cfg Config) (*Server, error) {
 		maxBatch = depth + 1 // one blocking receive + a full queue drain
 	}
 	s := &Server{
-		pool:         cfg.Pool,
-		logf:         logf,
-		owns:         cfg.Owns,
-		forward:      cfg.Forward,
-		replicate:    cfg.Replicate,
-		replication:  cfg.Replication,
-		tracer:       cfg.Tracer,
-		slowNanos:    int64(cfg.SlowThreshold),
-		queues:       make([]chan task, cfg.Pool.NumShards()),
-		writeTimeout: wt,
-		maxBatch:     maxBatch,
-		readBuffer:   cfg.ReadBuffer,
-		clusterHash:  cfg.ClusterHash,
-		members:      cfg.Members,
-		done:         make(chan struct{}),
+		pool:        cfg.Pool,
+		logf:        logf,
+		owns:        cfg.Owns,
+		forward:     cfg.Forward,
+		replicate:   cfg.Replicate,
+		replication: cfg.Replication,
+		tracer:      cfg.Tracer,
+		slowNanos:   int64(cfg.SlowThreshold),
+		queues:      make([]chan task, cfg.Pool.NumShards()),
+		maxBatch:    maxBatch,
+		clusterHash: cfg.ClusterHash,
+		members:     cfg.Members,
+		scfg:        rpc.ServeConfig{Name: "server", ReadBuffer: cfg.ReadBuffer, WriteTimeout: cfg.WriteTimeout, Logf: logf},
+		done:        make(chan struct{}),
 	}
 	if s.replication == 0 {
 		s.replication = 1
 	}
-	s.bufs.New = func() any {
-		b := make([]byte, 0, 512)
-		return &b
+	if s.tracer != nil {
+		s.scfg.Flushed = func(tr uint64, enq, now int64, batch int) {
+			s.tracer.RecordNanos(tr, trace.KindRespFlush, enq, now-enq, uint64(batch))
+		}
 	}
 	if s.slowNanos > 0 {
 		// A saturated run makes every request "slow"; the limiter keeps
@@ -379,12 +341,13 @@ func New(cfg Config) (*Server, error) {
 		s.svcLookup = reg.Histogram("server.service_seconds{op=lookup}", 1e-9)
 		s.svcDelete = reg.Histogram("server.service_seconds{op=delete}", 1e-9)
 		s.batchTasks = reg.Histogram("server.batch_tasks", 1)
-		s.wstats = batchio.Stats{
+		s.scfg.Writes = &batchio.Stats{
 			Writes:         reg.Counter("server.writes"),
 			Frames:         reg.Counter("server.frames"),
 			Bytes:          reg.Counter("server.write_bytes"),
 			FramesPerWrite: reg.Histogram("server.frames_per_write", 1),
 		}
+		s.scfg.Severed = s.shed.Inc
 		reg.GaugeFunc("server.connections", func() float64 { return float64(s.ln.Len()) })
 	}
 	for i := range s.queues {
@@ -418,124 +381,85 @@ func (s *Server) Serve(lis net.Listener) error {
 	if !s.ln.Bind(lis) {
 		return errors.New("server: already closed")
 	}
-	return s.ln.Serve(func(nc net.Conn) {
-		c := &conn{
-			nc:   nc,
-			out:  make(chan outFrame, 64),
-			dead: make(chan struct{}),
-		}
-		s.connWg.Add(1)
-		go s.writeLoop(c)
-		s.readerWg.Add(1)
-		go s.readLoop(c)
+	return s.ln.Serve(s.scfg, func(c *rpc.ServedConn) func([]byte) bool {
+		var m wire.Msg // decoded into frame after frame; requests copy what they keep
+		return func(body []byte) bool { return s.serveFrame(c, &m, body) }
 	})
 }
 
-// Close shuts the server down: stop accepting, sever connections, drain
-// the shard queues, and wait for every goroutine. Safe to call once.
+// Close shuts the server down: stop accepting, sever connections, wait
+// for every connection to answer its in-flight requests, then drain the
+// shard queues. Safe to call once.
 func (s *Server) Close() {
 	if !s.ln.Close() {
 		return
 	}
+	// Readers stop (their sockets are closed, and done unblocks one
+	// waiting on a full queue), so no new tasks enter the queues; the
+	// workers answer the queued ones before the connections finish.
 	close(s.done)
-	// Readers stop (their sockets are closed), so no new tasks enter the
-	// queues; then workers drain what remains; then writers finish.
-	s.readerWg.Wait()
+	s.ln.Wait()
 	for _, q := range s.queues {
 		close(q)
 	}
 	s.workerWg.Wait()
-	s.connWg.Wait()
 }
 
-// readLoop decodes frames off one connection and dispatches them.
-func (s *Server) readLoop(c *conn) {
-	defer s.readerWg.Done()
-	defer func() {
-		// The reader is the only task producer for this connection. Once
-		// it exits, wait out in-flight tasks, then let the writer drain
-		// and close the socket.
-		s.connWg.Add(1)
-		go func() {
-			defer s.connWg.Done()
-			c.inflight.Wait()
-			close(c.out)
-		}()
-	}()
-
-	// Buffered reads: a pipelining client's burst decodes several frames
-	// per read(2). ReadBuffer < 0 keeps the raw socket for tests that
-	// need byte-accurate backpressure.
-	var r io.Reader = c.nc
-	if s.readBuffer >= 0 {
-		size := s.readBuffer
-		if size == 0 {
-			size = batchio.ReadBufferSize
-		}
-		r = bufio.NewReaderSize(c.nc, size)
-	}
-	var scratch []byte
-	var m wire.Msg
+// serveFrame decodes one request frame into m and dispatches it. It
+// reports false, ending the connection's reader, when the server shut
+// down mid-enqueue.
+func (s *Server) serveFrame(c *rpc.ServedConn, m *wire.Msg, body []byte) bool {
 	var rstart time.Time
-	for {
-		body, err := wire.ReadFrame(r, &scratch)
-		if err != nil {
-			return // EOF, peer reset, or framing error: drop the connection
-		}
-		if s.tracer != nil {
-			// Dispatch spans start when the frame is fully read; taken
-			// before sampling decides, so a sampled request's first span
-			// covers its own decode + validation.
-			rstart = time.Now()
-		}
-		if err := m.Decode(body); err != nil {
-			// Framing is intact, the body is not. Tell the client and
-			// keep serving the connection.
-			s.replyError(c, m.ReqID, "bad request: "+err.Error())
-			continue
-		}
-		switch m.Type {
-		case wire.TStats:
-			s.reqStats.Inc()
-			s.replyStats(c, m.ReqID)
-		case wire.TMembers:
-			s.replyMembers(c, m.ReqID)
-		case wire.TInsert, wire.TLookup, wire.TDelete:
-			if !s.dispatchKeyed(c, m.Type, &m, false, rstart) {
-				return
-			}
-		case wire.TRoute:
-			// A cluster-smart client computed the owner itself and sent the
-			// request here directly. The fingerprint decides staleness:
-			// a mismatched view gets TWrongView (refresh and retry), a
-			// matched-view misroute gets TError (the client's owner math is
-			// broken, not stale). Either way the request NEVER forwards —
-			// route-direct means exactly one hop.
-			switch {
-			case s.clusterHash == 0:
-				s.replyError(c, m.ReqID, "not a cluster node: direct routing unavailable")
-			case m.Cluster != s.clusterHash:
-				s.wrongview.Inc()
-				var tr uint64
-				if m.Traced && s.tracer != nil {
-					// A zero-duration span marks which node bounced the
-					// stale view, so the retry's trace shows the detour.
-					tr = m.Trace
-					s.tracer.Record(tr, trace.KindWrongView, rstart, 0, s.clusterHash)
-				}
-				s.send(c, &wire.Msg{Type: wire.TWrongView, ReqID: m.ReqID, Cluster: s.clusterHash}, tr)
-			case s.owns != nil && !s.owns(m.Key):
-				s.replyError(c, m.ReqID, fmt.Sprintf("not the owner of %v", m.Key))
-			default:
-				s.routed.Inc()
-				if !s.dispatchKeyed(c, m.RouteKind, &m, true, rstart) {
-					return
-				}
-			}
-		default:
-			s.replyError(c, m.ReqID, "unexpected message type "+m.Type.String())
-		}
+	if s.tracer != nil {
+		// Dispatch spans start when the frame is fully read; taken
+		// before sampling decides, so a sampled request's first span
+		// covers its own decode + validation.
+		rstart = time.Now()
 	}
+	if err := m.Decode(body); err != nil {
+		// Framing is intact, the body is not. Tell the client and
+		// keep serving the connection.
+		s.replyError(c, m.ReqID, "bad request: "+err.Error())
+		return true
+	}
+	switch m.Type {
+	case wire.TStats:
+		s.reqStats.Inc()
+		s.replyStats(c, m.ReqID)
+	case wire.TMembers:
+		s.replyMembers(c, m.ReqID)
+	case wire.TInsert, wire.TLookup, wire.TDelete:
+		return s.dispatchKeyed(c, m.Type, m, false, rstart)
+	case wire.TRoute:
+		// A cluster-smart client computed the owner itself and sent the
+		// request here directly. The fingerprint decides staleness:
+		// a mismatched view gets TWrongView (refresh and retry), a
+		// matched-view misroute gets TError (the client's owner math is
+		// broken, not stale). Either way the request NEVER forwards —
+		// route-direct means exactly one hop.
+		switch {
+		case s.clusterHash == 0:
+			s.replyError(c, m.ReqID, "not a cluster node: direct routing unavailable")
+		case m.Cluster != s.clusterHash:
+			s.wrongview.Inc()
+			var tr uint64
+			if m.Traced && s.tracer != nil {
+				// A zero-duration span marks which node bounced the
+				// stale view, so the retry's trace shows the detour.
+				tr = m.Trace
+				s.tracer.Record(tr, trace.KindWrongView, rstart, 0, s.clusterHash)
+			}
+			c.Send(&wire.Msg{Type: wire.TWrongView, ReqID: m.ReqID, Cluster: s.clusterHash}, tr)
+		case s.owns != nil && !s.owns(m.Key):
+			s.replyError(c, m.ReqID, fmt.Sprintf("not the owner of %v", m.Key))
+		default:
+			s.routed.Inc()
+			return s.dispatchKeyed(c, m.RouteKind, m, true, rstart)
+		}
+	default:
+		s.replyError(c, m.ReqID, "unexpected message type "+m.Type.String())
+	}
+	return true
 }
 
 // dispatchKeyed validates one keyed request and hands it to its shard
@@ -547,7 +471,7 @@ func (s *Server) readLoop(c *conn) {
 // tracer); direct requests are sampled here, routed ones inherit the
 // trailer's trace ID. It reports false when the server shut down
 // mid-enqueue.
-func (s *Server) dispatchKeyed(c *conn, typ wire.Type, m *wire.Msg, routed bool, rstart time.Time) bool {
+func (s *Server) dispatchKeyed(c *rpc.ServedConn, typ wire.Type, m *wire.Msg, routed bool, rstart time.Time) bool {
 	if typ == wire.TInsert && len(m.Value) > wire.MaxValue {
 		// The limit is the forwardable maximum, enforced uniformly so an
 		// insert never succeeds on the owning node but fails through any
@@ -590,7 +514,7 @@ func (s *Server) dispatchKeyed(c *conn, typ wire.Type, m *wire.Msg, routed bool,
 			value = append([]byte(nil), m.Value...)
 		}
 		s.forwarded.Inc()
-		c.inflight.Add(1)
+		c.Add()
 		reqID := m.ReqID
 		var once sync.Once
 		s.forward(typ, m.Key, origin, value, tr, func(resp *wire.Msg) {
@@ -601,8 +525,8 @@ func (s *Server) dispatchKeyed(c *conn, typ wire.Type, m *wire.Msg, routed bool,
 					s.tracer.Record(tr, trace.KindForward, rstart, time.Since(rstart), uint64(typ))
 				}
 				resp.ReqID = reqID
-				s.send(c, resp, tr)
-				c.inflight.Done()
+				c.Send(resp, tr)
+				c.Done()
 			})
 		})
 		return true
@@ -620,7 +544,7 @@ func (s *Server) dispatchKeyed(c *conn, typ wire.Type, m *wire.Msg, routed bool,
 	if s.replicate != nil && (typ == wire.TInsert || typ == wire.TDelete) {
 		t.repl = &replJoin{s: s, c: c, typ: typ, reqID: m.ReqID, trace: tr}
 	}
-	c.inflight.Add(1)
+	c.Add()
 	if t.repl != nil {
 		// Start the replica fan-out before the task even queues so the
 		// peer round trips overlap the local shard execution; the ack
@@ -632,7 +556,7 @@ func (s *Server) dispatchKeyed(c *conn, typ wire.Type, m *wire.Msg, routed bool,
 	select {
 	case s.queues[s.pool.ShardOf(m.Key)] <- t: // may block: backpressure
 	case <-s.done:
-		c.inflight.Done()
+		c.Done()
 		return false
 	}
 	return true
@@ -641,13 +565,13 @@ func (s *Server) dispatchKeyed(c *conn, typ wire.Type, m *wire.Msg, routed bool,
 // replyMembers answers a TMembers request with the membership
 // fingerprint and the client-serving address table, or an error when
 // this server is not part of a cluster.
-func (s *Server) replyMembers(c *conn, reqID uint64) {
+func (s *Server) replyMembers(c *rpc.ServedConn, reqID uint64) {
 	if s.members == nil {
 		s.replyError(c, reqID, "not a cluster node: no member table")
 		return
 	}
 	m := wire.Msg{Type: wire.TMembersOK, ReqID: reqID, Cluster: s.clusterHash, Replication: s.replication, Members: s.members()}
-	s.send(c, &m, 0)
+	c.Send(&m, 0)
 }
 
 // shardWorker executes tasks for shard i in arrival order, a batch at a
@@ -827,13 +751,13 @@ func (s *Server) execBatch(tasks []task, ops *[]discovery.BatchOp) {
 			t.repl.local(&m, op.Err != nil)
 			continue
 		}
-		s.send(t.c, &m, t.trace)
-		t.c.inflight.Done()
+		t.c.Send(&m, t.trace)
+		t.c.Done()
 	}
 }
 
 // replyStats answers a stats request inline with a pool snapshot.
-func (s *Server) replyStats(c *conn, reqID uint64) {
+func (s *Server) replyStats(c *rpc.ServedConn, reqID uint64) {
 	st := s.pool.Stats()
 	m := wire.Msg{Type: wire.TStatsOK, ReqID: reqID}
 	m.Stats = wire.StatsReply{
@@ -847,88 +771,11 @@ func (s *Server) replyStats(c *conn, reqID uint64) {
 	for i, ss := range st.PerShard {
 		m.Stats.ShardRequests[i] = ss.Requests
 	}
-	s.send(c, &m, 0)
+	c.Send(&m, 0)
 }
 
 // replyError sends a TError frame carrying text.
-func (s *Server) replyError(c *conn, reqID uint64, text string) {
+func (s *Server) replyError(c *rpc.ServedConn, reqID uint64, text string) {
 	m := wire.Msg{Type: wire.TError, ReqID: reqID, Value: []byte(text)}
-	s.send(c, &m, 0)
-}
-
-// send encodes m and offers it to the connection's writer. tr is the
-// originating request's trace ID (0 = untraced).
-func (s *Server) send(c *conn, m *wire.Msg, tr uint64) {
-	s.offer(c, s.encode(m, tr))
-}
-
-// encode frames m into a pooled buffer. A traced frame is timestamped so
-// the writer can record its enqueue→flush span.
-func (s *Server) encode(m *wire.Msg, tr uint64) outFrame {
-	bp := s.bufs.Get().(*[]byte)
-	frame, err := m.Append((*bp)[:0])
-	if err != nil {
-		// Response construction bugs must not kill the worker; log and
-		// substitute an error frame.
-		s.logf("server: encode %v response: %v", m.Type, err)
-		frame, _ = (&wire.Msg{Type: wire.TError, ReqID: m.ReqID, Value: []byte("internal encode error")}).Append((*bp)[:0])
-	}
-	*bp = frame
-	f := outFrame{bp: bp, trace: tr}
-	if tr != 0 {
-		f.enq = time.Now().UnixNano()
-	}
-	return f
-}
-
-// offer hands f to the connection's writer, waiting for queue room, and
-// drops it if the writer is gone.
-func (s *Server) offer(c *conn, f outFrame) {
-	select {
-	case c.out <- f:
-	case <-c.dead:
-		s.bufs.Put(f.bp)
-	}
-}
-
-// writeLoop writes encoded frames to the socket until the out channel
-// closes, then closes the socket. Frames are coalesced: the loop blocks
-// for one response, drains whatever else the workers have queued (up to
-// the coalesce budgets), and issues the run as one vectored write — a
-// pipelining client costs about one writev(2) per batch. Each batch
-// carries a write deadline: a peer that stops reading is treated as
-// gone, its socket is closed at once (which also unblocks this
-// connection's reader), and the loop keeps draining so producers never
-// block on a dead connection.
-func (s *Server) writeLoop(c *conn) {
-	defer s.connWg.Done()
-	defer s.ln.Forget(c.nc)
-	defer c.nc.Close()
-	defer c.kill()
-	var onFlushed func([]outFrame)
-	if s.tracer != nil {
-		onFlushed = func(batch []outFrame) {
-			// One clock read per flushed batch, taken lazily so batches
-			// with no traced frames cost nothing extra.
-			var now int64
-			for _, f := range batch {
-				if f.trace == 0 {
-					continue
-				}
-				if now == 0 {
-					now = time.Now().UnixNano()
-				}
-				s.tracer.RecordNanos(f.trace, trace.KindRespFlush, f.enq, now-f.enq, uint64(len(batch)))
-			}
-		}
-	}
-	batchio.WriteLoopFunc(c.nc, c.out, nil, s.writeTimeout,
-		func(f outFrame) []byte { return *f.bp },
-		func(f outFrame) { s.bufs.Put(f.bp) },
-		func(err error) {
-			s.shed.Inc()
-			s.logf("server: write to %v: %v", c.nc.RemoteAddr(), err)
-			c.kill()
-			c.nc.Close()
-		}, onFlushed, &s.wstats)
+	c.Send(&m, 0)
 }

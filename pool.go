@@ -575,17 +575,6 @@ func (p *Pool) ImportBatch(entries []ReplicaEntry) (fresh int, firstErr error) {
 	return fresh, firstErr
 }
 
-// ForEachReplica visits every stored entry in (shard, key) order, locking
-// each shard in turn. The value slice aliases store memory and must be
-// treated as read-only; it remains valid after the callback returns
-// (the store never mutates stored bytes).
-func (p *Pool) ForEachReplica(fn func(origin uint32, key ID, value []byte)) {
-	p.ForEachReplicaFrom(ReplicaCursor{}, func(origin uint32, key ID, value []byte) bool {
-		fn(origin, key, value)
-		return true
-	})
-}
-
 // ReplicaCursor marks a resume position in the pool's stable iteration
 // order: shard ascending, then key ascending. The zero cursor is the
 // start of the store. Cursors are meaningful across calls (and across
@@ -604,8 +593,9 @@ type ReplicaCursor struct {
 // byte-budgeted caller (peer repair) cheap on a large store. next is the
 // cursor of the first unvisited entry — the one fn rejected — so passing
 // it back resumes the walk there; done reports that the walk reached the
-// end of the store instead. Values alias store memory, exactly as in
-// ForEachReplica.
+// end of the store instead. The value slice aliases store memory and must
+// be treated as read-only; it remains valid after fn returns (the store
+// never mutates stored bytes).
 //
 // Entries added or removed between paginated calls may be missed or
 // revisited, as with any cursor over live state; anti-entropy converges
