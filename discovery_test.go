@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -268,5 +269,52 @@ func TestServiceHeapFlat(t *testing.T) {
 	const limit = 2 << 20
 	if after > before && after-before >= limit {
 		t.Errorf("retained heap grew %d B over 50 000 lookups (%d -> %d), want < %d", after-before, before, after, limit)
+	}
+}
+
+// TestDuplicateSuppressionSavesLookupMessages is the static half of
+// WithDuplicateSuppression's claim: on a stable overlay, nodes that
+// discard request copies they have already seen answer the same lookups
+// with fewer messages. Both services run the same inserts and lookups
+// (same keys, same origins, same seed) on one power-law overlay, with
+// suppression on and off; `repro ablations` makes the same comparison.
+func TestDuplicateSuppressionSavesLookupMessages(t *testing.T) {
+	const nodes, pairs = 1500, 100
+	ov, err := PowerLawOverlay(nodes, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	keys := make([]ID, pairs)
+	inserters := make([]int, pairs)
+	lookers := make([]int, pairs)
+	for i := range keys {
+		keys[i] = NewID(fmt.Sprintf("ds-%d", i))
+		inserters[i] = rng.Intn(nodes)
+		lookers[i] = rng.Intn(nodes)
+	}
+	lookups := func(ds bool) (msgs, found int) {
+		svc, err := New(ov, WithPerFlowReplicas(3), WithDuplicateSuppression(ds), WithSeed(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			svc.Insert(inserters[i], k, nil)
+		}
+		for i, k := range keys {
+			res := svc.Lookup(lookers[i], k)
+			msgs += res.Messages
+			if res.Found {
+				found++
+			}
+		}
+		return msgs, found
+	}
+	onMsgs, onFound := lookups(true)
+	offMsgs, offFound := lookups(false)
+	t.Logf("%d lookups: suppression on %d messages (%d found), off %d messages (%d found)",
+		pairs, onMsgs, onFound, offMsgs, offFound)
+	if onMsgs >= offMsgs {
+		t.Fatalf("duplicate suppression sent %d lookup messages, no fewer than the %d without it", onMsgs, offMsgs)
 	}
 }

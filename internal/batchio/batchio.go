@@ -14,13 +14,24 @@
 // keep a single flush from monopolizing the socket (or pinning an
 // unbounded amount of pooled memory) when the queue is deep.
 //
-// Collect appends into caller-owned slices, so a writer loop that
-// truncates and reuses them runs allocation-free in steady state — the
-// same buffer discipline as internal/wire and internal/wal.
+// Callers that each block for their own reply do not queue ahead of the
+// writer: each caller's frame wakes it, and the callers woken by the
+// previous batch's replies are runnable but have not run yet, so the
+// drain finds the queue empty and every write carries one frame. The
+// first time a drain finds the queue empty, the writer therefore yields
+// the processor once (runtime.Gosched) and drains again, letting those
+// callers queue into the same batch. A yield with nothing else runnable
+// returns at once, so a lone frame is still written immediately; there
+// is no timer.
+//
+// The writer appends into slices it owns and reuses, so it runs
+// allocation-free in steady state — the same buffer discipline as
+// internal/wire and internal/wal.
 package batchio
 
 import (
 	"net"
+	"runtime"
 	"time"
 
 	"discovery/internal/metrics"
@@ -68,23 +79,25 @@ func (st *Stats) observe(frames int, n int) {
 	st.FramesPerWrite.Observe(int64(frames))
 }
 
-// Collect gathers one coalesced write batch from ch: it blocks until a
+// collect gathers one coalesced write batch from ch: it blocks until a
 // first frame arrives, then drains already-queued frames without
 // blocking, stopping at MaxFrames frames or once MaxBytes bytes have
 // been gathered (the first frame always counts, so a single oversized
-// frame still forms a batch of one). Frame records are appended to
-// *slots — for returning buffers to their pool after the write — and
-// their encoded bytes, extracted by buf, to *bufs, the writev argument.
+// frame still forms a batch of one). The first time the drain finds the
+// queue empty it yields once and drains again (see the package doc).
+// Frame records are appended to *slots — for returning buffers to their
+// pool after the write — and their encoded bytes, extracted by buf, to
+// *bufs, the writev argument.
 //
 // A queue ends one of two ways. A listener's response queue has one
 // owner who closes ch after the last producer is done (dead is nil).
 // An outbound connection's request queue has any number of racing
 // producers, so ch is never closed; dead is closed instead, producers
 // stop offering, and whatever they queued the instant before is still
-// collected. Either way Collect reports false when the queue has ended
+// collected. Either way collect reports false when the queue has ended
 // and nothing was collected; an end that lands mid-drain still returns
 // the partial batch, and the next call then reports false.
-func Collect[F any](ch <-chan F, dead <-chan struct{}, slots *[]F, bufs *net.Buffers, buf func(F) []byte) bool {
+func collect[F any](ch <-chan F, dead <-chan struct{}, slots *[]F, bufs *net.Buffers, buf func(F) []byte) bool {
 	var f F
 	var ok bool
 	select {
@@ -104,6 +117,7 @@ func Collect[F any](ch <-chan F, dead <-chan struct{}, slots *[]F, bufs *net.Buf
 	*slots = append(*slots, f)
 	*bufs = append(*bufs, b)
 	total := len(b)
+	yielded := false
 	for len(*slots) < MaxFrames && total < MaxBytes {
 		select {
 		case f, ok := <-ch:
@@ -115,20 +129,24 @@ func Collect[F any](ch <-chan F, dead <-chan struct{}, slots *[]F, bufs *net.Buf
 			*bufs = append(*bufs, b)
 			total += len(b)
 		default:
-			return true
+			if yielded {
+				return true
+			}
+			yielded = true
+			runtime.Gosched()
 		}
 	}
 	return true
 }
 
 // WriteLoop is the coalescing writer every connection runs: it drains ch
-// batch by batch (Collect) until the queue ends, flushing each batch as
+// batch by batch (collect) until the queue ends, flushing each batch as
 // one vectored write with a fresh write deadline, and hands every frame
 // record to put for recycling. The first failed or timed-out write
 // calls onBroken exactly once — the hook severs the connection — and
 // the loop keeps draining (and recycling) without writing, so producers
 // never block on a dead peer. WriteLoop returns when the queue has ended
-// (see Collect) and is drained. onFlushed, when non-nil, observes each
+// (see collect) and is drained. onFlushed, when non-nil, observes each
 // batch right after its successful vectored write and before the frames
 // are recycled, which is where enqueue→flush spans are measured; it is
 // not called for batches discarded on a broken connection. st, when
@@ -136,11 +154,13 @@ func Collect[F any](ch <-chan F, dead <-chan struct{}, slots *[]F, bufs *net.Buf
 func WriteLoop[F any](nc net.Conn, ch <-chan F, dead <-chan struct{}, timeout time.Duration, buf func(F) []byte, put func(F), onBroken func(error), onFlushed func([]F), st *Stats) {
 	broken := false
 	var slots []F
-	var backing net.Buffers
+	// bufs is declared once: WriteTo takes its address, so a header
+	// declared per batch would escape to the heap on every batch.
+	var backing, bufs net.Buffers
 	for {
 		slots = slots[:0]
-		bufs := backing[:0]
-		if !Collect(ch, dead, &slots, &bufs, buf) {
+		bufs = backing[:0]
+		if !collect(ch, dead, &slots, &bufs, buf) {
 			return
 		}
 		// WriteTo consumes the bufs header as it flushes; keep the grown

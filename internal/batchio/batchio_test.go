@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ func TestCollectDrainsQueuedFrames(t *testing.T) {
 	}
 	var slots []*[]byte
 	var bufs net.Buffers
-	if !Collect(ch, nil, &slots, &bufs, deref) {
+	if !collect(ch, nil, &slots, &bufs, deref) {
 		t.Fatal("Collect reported a closed channel")
 	}
 	if len(slots) != 5 || len(bufs) != 5 {
@@ -48,7 +49,7 @@ func TestCollectFrameCap(t *testing.T) {
 	}
 	var slots []*[]byte
 	var bufs net.Buffers
-	if !Collect(ch, nil, &slots, &bufs, deref) {
+	if !collect(ch, nil, &slots, &bufs, deref) {
 		t.Fatal("Collect reported a closed channel")
 	}
 	if len(slots) != MaxFrames {
@@ -56,7 +57,7 @@ func TestCollectFrameCap(t *testing.T) {
 	}
 	// The rest stays queued for the next batch.
 	slots, bufs = slots[:0], bufs[:0]
-	if !Collect(ch, nil, &slots, &bufs, deref) || len(slots) != 6 {
+	if !collect(ch, nil, &slots, &bufs, deref) || len(slots) != 6 {
 		t.Fatalf("second batch collected %d frames, want 6", len(slots))
 	}
 }
@@ -71,7 +72,7 @@ func TestCollectByteBudget(t *testing.T) {
 	// 256 KiB: the first frame (100 KiB) is under budget, the second makes
 	// 200 (still under), the third reaches 300 >= 256 after collection —
 	// the budget is a stop condition checked before each extra receive.
-	if !Collect(ch, nil, &slots, &bufs, deref) {
+	if !collect(ch, nil, &slots, &bufs, deref) {
 		t.Fatal("Collect reported a closed channel")
 	}
 	if len(slots) != 3 {
@@ -86,7 +87,7 @@ func TestCollectOversizeFirstFrame(t *testing.T) {
 	var slots []*[]byte
 	var bufs net.Buffers
 	// A first frame above the byte budget still forms a batch of one.
-	if !Collect(ch, nil, &slots, &bufs, deref) {
+	if !collect(ch, nil, &slots, &bufs, deref) {
 		t.Fatal("Collect reported a closed channel")
 	}
 	if len(slots) != 1 || len(bufs[0]) != MaxBytes+1 {
@@ -102,7 +103,7 @@ func TestCollectClosedChannel(t *testing.T) {
 	var slots []*[]byte
 	var bufs net.Buffers
 	// The queued frames drain as one final batch...
-	if !Collect(ch, nil, &slots, &bufs, deref) || len(slots) != 2 {
+	if !collect(ch, nil, &slots, &bufs, deref) || len(slots) != 2 {
 		t.Fatalf("final batch: %d frames", len(slots))
 	}
 	// ...then the closed channel reports done, without blocking.
@@ -110,7 +111,7 @@ func TestCollectClosedChannel(t *testing.T) {
 	go func() {
 		var s []*[]byte
 		var b net.Buffers
-		done <- Collect(ch, nil, &s, &b, deref)
+		done <- collect(ch, nil, &s, &b, deref)
 	}()
 	select {
 	case ok := <-done:
@@ -128,7 +129,7 @@ func TestCollectBlocksForFirstFrame(t *testing.T) {
 	go func() {
 		var s []*[]byte
 		var b net.Buffers
-		Collect(ch, nil, &s, &b, deref)
+		collect(ch, nil, &s, &b, deref)
 		got <- len(s)
 	}()
 	select {
@@ -162,7 +163,7 @@ func TestCollectZeroAllocs(t *testing.T) {
 	for _, f := range frames {
 		ch <- f
 	}
-	Collect(ch, nil, &slots, &bufs, deref)
+	collect(ch, nil, &slots, &bufs, deref)
 	backing := bufs[:0]
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, f := range frames {
@@ -170,12 +171,71 @@ func TestCollectZeroAllocs(t *testing.T) {
 		}
 		slots = slots[:0]
 		bufs = backing
-		if !Collect(ch, nil, &slots, &bufs, deref) || len(slots) != 32 {
+		if !collect(ch, nil, &slots, &bufs, deref) || len(slots) != 32 {
 			t.Fatal("collect failed")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("Collect allocates %.1f per batch, want 0", allocs)
+	}
+}
+
+// oneProc runs the rest of the test on one processor, so a goroutine
+// made runnable by the test runs only once the test goroutine yields or
+// blocks.
+func oneProc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	runtime.GC() // a collection mid-test could run the producers early
+}
+
+// TestCollectYieldJoinsRunnableProducer pins the point of the yield: a
+// producer made runnable just before the drain — a caller just woken by
+// its reply, about to send its next request — gets its frame into the
+// same batch instead of the next write. The yield hands the processor
+// to the producer, but the runtime's fairness check can hand it straight
+// back (about one schedule in 61), so a trial may miss; without the
+// yield every trial misses.
+func TestCollectYieldJoinsRunnableProducer(t *testing.T) {
+	oneProc(t)
+	ch := make(chan *[]byte, 4)
+	for trial := 0; trial < 5; trial++ {
+		var slots []*[]byte
+		var bufs net.Buffers
+		ch <- frame(10, 1)
+		go func(f *[]byte) { ch <- f }(frame(10, 2)) // runnable, not yet run
+		if !collect(ch, nil, &slots, &bufs, deref) {
+			t.Fatal("Collect reported a closed channel")
+		}
+		if len(slots) == 2 {
+			return
+		}
+		<-ch // let the producer run and take its frame
+	}
+	t.Fatal("a runnable producer's frame never joined the batch")
+}
+
+// TestCollectLoneFrameReturnsAtOnce: with nothing else runnable the yield
+// returns at once, so a lone frame is a batch of one with no wait. Every
+// batch yields; a timer or sleep behind the yield would show as the
+// elapsed time of a thousand batches.
+func TestCollectLoneFrameReturnsAtOnce(t *testing.T) {
+	oneProc(t)
+	ch := make(chan *[]byte, 1)
+	f := frame(10, 1)
+	var slots []*[]byte
+	var bufs net.Buffers
+	const batches = 1000
+	start := time.Now()
+	for i := 0; i < batches; i++ {
+		slots, bufs = slots[:0], bufs[:0]
+		ch <- f
+		if !collect(ch, nil, &slots, &bufs, deref) || len(slots) != 1 {
+			t.Fatalf("batch %d: %d frames, want a batch of one", i, len(slots))
+		}
+	}
+	if el := time.Since(start); el > 500*time.Millisecond {
+		t.Fatalf("%d lone-frame batches took %v; the drain waits", batches, el)
 	}
 }
 

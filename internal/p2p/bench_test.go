@@ -1,7 +1,9 @@
 package p2p_test
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	discovery "discovery"
@@ -68,5 +70,56 @@ func BenchmarkPeerCallPipelined(b *testing.B) {
 	writes, frames := tr.WriteStats()
 	if dw := writes - writes0; dw > 0 {
 		b.ReportMetric(float64(frames-frames0)/float64(dw), "frames/write")
+	}
+}
+
+// BenchmarkPeerCallBlocking measures the commonest peer-call shape:
+// callers that each block in Transport.Call for their reply and issue
+// the next call as soon as it returns, with no barrier between calls —
+// forwarding goroutines, cluster clients, the load generator. Each
+// caller's frame wakes the connection writer, so frames/write above 1.0
+// means callers woken by one batch's replies queued into a shared write
+// instead of paying a syscall each.
+func BenchmarkPeerCallBlocking(b *testing.B) {
+	peerAddrs := testnet.ReserveAddrs(b, 2)
+	n0 := startTestNode(b, peerAddrs[0], peerAddrs, true)
+	n1 := startTestNode(b, peerAddrs[1], peerAddrs, true)
+	tr := n0.node.Transport()
+	target := n1.cluster.Self()
+	keys := keysOwnedBy(target, 2, 64, "peer-blocking")
+	lookup := func(g int) *wire.Msg {
+		return &wire.Msg{Type: wire.TRoute, RouteKind: wire.TLookup, Cluster: n0.cluster.Hash(),
+			Key: discovery.NewID(keys[g%len(keys)]), Origin: wire.OriginAuto}
+	}
+	// Warm the connection so dialing is off the clock.
+	if _, err := tr.Call(target, lookup(0)); err != nil {
+		b.Fatal(err)
+	}
+	for _, callers := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			writes0, frames0 := tr.WriteStats()
+			var issued atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func(m *wire.Msg) {
+					defer wg.Done()
+					for issued.Add(1) <= int64(b.N) {
+						if _, err := tr.Call(target, m); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(lookup(g))
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			writes, frames := tr.WriteStats()
+			if dw := writes - writes0; dw > 0 {
+				b.ReportMetric(float64(frames-frames0)/float64(dw), "frames/write")
+			}
+		})
 	}
 }

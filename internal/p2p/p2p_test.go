@@ -511,13 +511,59 @@ func TestProbeTeachesClientAddrs(t *testing.T) {
 // outbound coalescing on a live connection: a burst of concurrent calls
 // to one peer leaves the transport with more frames written than
 // write(2) invocations — the out-queue drain coalesced queued frames into
-// shared vectored writes. Each round issues its whole burst with
-// Transport.Go from one goroutine, so the frames land in the queue
-// together: callers that each block in Call can, on a loaded host, run
-// one at a time and wake the writer for their own frame, draining at
-// depth 1. Coalescing is still scheduling-dependent, so rounds accumulate
-// until the cumulative ratio clears the bar.
+// shared vectored writes. It covers two shapes of burst. In "go-burst"
+// one goroutine issues the whole burst with Transport.Go, so the frames
+// land in the queue together. In "blocking-callers" 64 goroutines each
+// block in Transport.Call, so each frame wakes the writer on its own;
+// they share writes because the writer yields once before writing a
+// batch, letting callers just woken by the previous batch's replies
+// queue their next frame into it. Coalescing is still
+// scheduling-dependent, so rounds accumulate until the cumulative ratio
+// clears the bar.
 func TestOutboundCoalescingSharesWrites(t *testing.T) {
+	const callers = 64
+	t.Run("go-burst", func(t *testing.T) {
+		requireCoalescing(t, callers, func(tr *p2p.Transport, target int, msgs []*wire.Msg) {
+			var wg sync.WaitGroup
+			for _, m := range msgs {
+				wg.Add(1)
+				tr.Go(target, m, func(_ *wire.Msg, err error) {
+					if err != nil {
+						t.Errorf("call: %v", err)
+					}
+					wg.Done()
+				})
+			}
+			wg.Wait()
+		})
+	})
+	t.Run("blocking-callers", func(t *testing.T) {
+		const callsEach = 8
+		requireCoalescing(t, callers*callsEach, func(tr *p2p.Transport, target int, msgs []*wire.Msg) {
+			var wg sync.WaitGroup
+			for _, m := range msgs {
+				wg.Add(1)
+				go func(m *wire.Msg) {
+					defer wg.Done()
+					for i := 0; i < callsEach; i++ {
+						if _, err := tr.Call(target, m); err != nil {
+							t.Errorf("call: %v", err)
+							return
+						}
+					}
+				}(m)
+			}
+			wg.Wait()
+		})
+	})
+}
+
+// requireCoalescing starts two nodes and runs rounds of calls from the
+// first to the second until the first's transport has written at least
+// 1.2 frames per write, failing after 30 s. Each round calls round once
+// with 64 lookups of keys the target owns; round issues callsPerRound
+// calls in all and returns once every one has completed.
+func requireCoalescing(t *testing.T, callsPerRound int, round func(tr *p2p.Transport, target int, msgs []*wire.Msg)) {
 	peerAddrs := testnet.ReserveAddrs(t, 2)
 	n0 := startTestNode(t, peerAddrs[0], peerAddrs, true)
 	n1 := startTestNode(t, peerAddrs[1], peerAddrs, true)
@@ -525,22 +571,15 @@ func TestOutboundCoalescingSharesWrites(t *testing.T) {
 	tr := n0.node.Transport()
 	target := n1.cluster.Self()
 	keys := keysOwnedBy(target, 2, 64, "coalesce")
+	msgs := make([]*wire.Msg, len(keys))
 
 	deadline := time.Now().Add(30 * time.Second)
-	for round := 0; ; round++ {
-		var wg sync.WaitGroup
-		for _, name := range keys {
-			m := &wire.Msg{Type: wire.TRoute, RouteKind: wire.TLookup, Cluster: n0.cluster.Hash(),
+	for r := 0; ; r++ {
+		for i, name := range keys {
+			msgs[i] = &wire.Msg{Type: wire.TRoute, RouteKind: wire.TLookup, Cluster: n0.cluster.Hash(),
 				Key: discovery.NewID(name), Origin: wire.OriginAuto}
-			wg.Add(1)
-			tr.Go(target, m, func(_ *wire.Msg, err error) {
-				if err != nil {
-					t.Errorf("call: %v", err)
-				}
-				wg.Done()
-			})
 		}
-		wg.Wait()
+		round(tr, target, msgs)
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -550,7 +589,7 @@ func TestOutboundCoalescingSharesWrites(t *testing.T) {
 		// the other, so wait for a nonzero write count too. Yield rather
 		// than sleep: a sleeping test lets the runtime park idle threads,
 		// and the next burst then barely coalesces on a loaded host.
-		calls := uint64((round + 1) * len(keys))
+		calls := uint64((r + 1) * callsPerRound)
 		writes, frames := tr.WriteStats()
 		for (frames < calls || writes == 0) && time.Now().Before(deadline) {
 			runtime.Gosched()
@@ -561,11 +600,11 @@ func TestOutboundCoalescingSharesWrites(t *testing.T) {
 		}
 		ratio := float64(frames) / float64(writes)
 		if ratio >= 1.2 {
-			t.Logf("coalescing after %d rounds: %d frames over %d writes (%.2f frames/write)", round+1, frames, writes, ratio)
+			t.Logf("coalescing after %d rounds: %d frames over %d writes (%.2f frames/write)", r+1, frames, writes, ratio)
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after %d rounds still %.2f frames/write (%d frames, %d writes); outbound writes are not coalescing", round+1, ratio, frames, writes)
+			t.Fatalf("after %d rounds still %.2f frames/write (%d frames, %d writes); outbound writes are not coalescing", r+1, ratio, frames, writes)
 		}
 	}
 }

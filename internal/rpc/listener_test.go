@@ -10,37 +10,36 @@ import (
 	"discovery/internal/wire"
 )
 
-// TestResponsePathZeroAllocs drives Send → Collect → recycle, the exact
-// producer/consumer cycle between a responder and a served connection's
-// writer, and requires zero allocations once the pool and slices are
-// warm. The served half of both listeners runs this path.
+// TestResponsePathZeroAllocs drives Send → the served connection's writer
+// → recycle, the exact producer/consumer cycle between a responder and a
+// served connection, and requires zero allocations once the pool and the
+// writer's slices are warm. The served half of both listeners runs this
+// path. The frames are traced, so the Flushed hook's path runs too.
 func TestResponsePathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool does not cache under the race detector")
 	}
 	const burst = 8
-	c := newServedConn(nil, &ServeConfig{Logf: t.Logf})
+	flushed := make(chan struct{}, burst)
+	c := newServedConn(&sinkConn{}, &ServeConfig{Logf: t.Logf,
+		Flushed: func(uint64, int64, int64, int) { flushed <- struct{}{} }})
+	done := make(chan struct{})
+	go func() { defer close(done); c.writeLoop() }()
+	defer func() { close(c.out); <-done }()
 	m := wire.Msg{Type: wire.TLookupOK, ReqID: 42, Lookup: wire.LookupReply{Found: true, FirstReplyHops: 2, Replies: 1}}
-	var slots []frame
-	var bufs net.Buffers
 
 	cycle := func() {
 		for i := 0; i < burst; i++ {
-			c.Send(&m, 0)
+			c.Send(&m, 1)
 		}
-		slots = slots[:0]
-		bufs = bufs[:0]
-		if !batchio.Collect(c.out, nil, &slots, &bufs, frameBytes) || len(slots) != burst {
-			t.Fatal("collect failed")
-		}
-		for _, f := range slots {
-			putFrame(f)
+		for i := 0; i < burst; i++ {
+			<-flushed
 		}
 	}
-	cycle() // warm the buffer pool and the coalesce slices
+	cycle() // warm the buffer pool and the writer's slices
 
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Fatalf("response path allocates %.1f per %d-frame batch, want 0", allocs, burst)
+		t.Fatalf("response path allocates %.1f per %d-frame burst, want 0", allocs, burst)
 	}
 }
 

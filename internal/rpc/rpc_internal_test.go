@@ -13,23 +13,43 @@ import (
 	"discovery/internal/wire"
 )
 
+// sinkConn is a peer that reads everything at once: writes succeed and
+// are discarded, and n counts their bytes. A connection writer runs
+// against it without a socket.
+type sinkConn struct {
+	net.Conn
+	n atomic.Int64
+}
+
+func (c *sinkConn) Write(b []byte) (int, error) {
+	c.n.Add(int64(len(b)))
+	return len(b), nil
+}
+
+func (*sinkConn) SetWriteDeadline(time.Time) error { return nil }
+
 // TestCollectOutZeroAllocs pins the outbound drain path's allocation
 // discipline: the exact producer/consumer cycle between Go (encode into a
 // pooled buffer, enqueue) and the connection writer (collect into reused
-// writev slots, recycle) allocates nothing once the pool and slices are
-// warm. This is the out-queue twin of TestResponsePathZeroAllocs.
+// writev slots, write, recycle) allocates nothing once the pool and the
+// writer's slices are warm. This is the out-queue twin of
+// TestResponsePathZeroAllocs.
 func TestCollectOutZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool does not cache under the race detector")
 	}
-	x := New(Config{Name: "test", Logf: t.Logf})
-	defer x.Close()
-
 	const burst = 8
 	cs := &connState{out: make(chan frame, burst), dead: make(chan struct{})}
+	flushed := make(chan int, burst)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		batchio.WriteLoop(&sinkConn{}, cs.out, cs.dead, time.Second, frameBytes, putFrame,
+			func(err error) { t.Errorf("write: %v", err) },
+			func(batch []frame) { flushed <- len(batch) }, nil)
+	}()
+	defer func() { cs.kill(); <-done }()
 	body := []byte("\x00\x00\x00\x0d\x01\x00\x00\x00\x00\x00\x00\x00\x07body")
-	var slots []frame
-	var bufs net.Buffers
 
 	cycle := func() {
 		for i := 0; i < burst; i++ {
@@ -37,19 +57,14 @@ func TestCollectOutZeroAllocs(t *testing.T) {
 			*f.bp = append((*f.bp)[:0], body...)
 			cs.out <- f
 		}
-		slots = slots[:0]
-		bufs = bufs[:0]
-		if !batchio.Collect(cs.out, cs.dead, &slots, &bufs, frameBytes) || len(slots) != burst {
-			t.Fatal("collect failed")
-		}
-		for _, f := range slots {
-			putFrame(f)
+		for n := 0; n < burst; {
+			n += <-flushed
 		}
 	}
-	cycle() // warm the buffer pool and the coalesce slices
+	cycle() // warm the buffer pool and the writer's slices
 
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Fatalf("out-queue drain allocates %.1f per %d-frame batch, want 0", allocs, burst)
+		t.Fatalf("out-queue drain allocates %.1f per %d-frame burst, want 0", allocs, burst)
 	}
 }
 
@@ -221,34 +236,31 @@ func TestCallTimeoutLateReply(t *testing.T) {
 	}
 }
 
-// TestCollectOutDeath pins the writer's shutdown contract: a dead
-// connection with an empty queue ends the drain (false), but a frame
-// that raced in just before death is still collected and recycled —
-// never stranded.
+// TestCollectOutDeath pins the writer's shutdown contract: a frame that
+// raced in just before the connection died is still written and
+// recycled — never stranded — and the dead, empty queue then ends the
+// writer.
 func TestCollectOutDeath(t *testing.T) {
 	cs := &connState{out: make(chan frame, 4), dead: make(chan struct{})}
-	var slots []frame
-	var bufs net.Buffers
-
-	// Frame queued, then death: the frame must still come out.
 	b := []byte("frame")
 	cs.out <- frame{bp: &b}
 	cs.kill()
-	if !batchio.Collect(cs.out, cs.dead, &slots, &bufs, frameBytes) || len(slots) != 1 {
-		t.Fatalf("racing frame lost at death: collected %d", len(slots))
-	}
 
-	// Dead and empty: the drain ends.
-	slots, bufs = slots[:0], bufs[:0]
-	done := make(chan bool, 1)
-	go func() { done <- batchio.Collect(cs.out, cs.dead, &slots, &bufs, frameBytes) }()
+	var sink sinkConn
+	recycled := 0
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		batchio.WriteLoop(&sink, cs.out, cs.dead, time.Second, frameBytes,
+			func(frame) { recycled++ }, func(err error) { t.Errorf("write: %v", err) }, nil, nil)
+	}()
 	select {
-	case got := <-done:
-		if got {
-			t.Fatal("Collect reported a batch from a dead, empty queue")
-		}
+	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Collect blocked on a dead connection")
+		t.Fatal("the writer blocked on a dead connection")
+	}
+	if sink.n.Load() != int64(len(b)) || recycled != 1 {
+		t.Fatalf("racing frame at death: %d bytes written, %d recycled; want %d and 1", sink.n.Load(), recycled, len(b))
 	}
 }
 

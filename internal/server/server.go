@@ -30,9 +30,10 @@
 // rest of its queue (up to batchio's fixed frame and byte budget), and hands
 // the run to the kernel as one writev(2) via net.Buffers, so a pipelining
 // client costs about one syscall per batch instead of one per response.
-// Under light load every batch has size one and behavior is identical to
-// the unbatched path; batches emerge exactly when queues are non-empty,
-// which is when the amortization pays.
+// When the drain first finds the queue empty the writer yields once, so
+// responders that are runnable but have not yet queued join the batch
+// (see batchio). Under light load every batch has size one and behavior
+// is identical to the unbatched path.
 //
 // # Backpressure
 //
