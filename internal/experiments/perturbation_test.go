@@ -159,3 +159,17 @@ func TestVariantStrings(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPerturbCell runs one quick-scale MSPastry cell of the
+// perturbation sweep (30:30 flapping, p = 0.5): network build, inserts,
+// then lookups under maintenance. Pastry's maintenance loop dominates
+// it, which makes it the microbenchmark of the Figure 1/11/12 drivers.
+func BenchmarkPerturbCell(b *testing.B) {
+	scale := QuickPerturbScale()
+	setting := quickSetting("30:30", 30*time.Second, 30*time.Second)
+	for i := 0; i < b.N; i++ {
+		if _, err := RunPerturb(scale, setting, 0.5, VariantPastry); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -110,8 +110,9 @@ func (id ID) IsZero() bool { return id == Zero }
 // most significant 64 bits, W1 the next 64 and W2 the trailing 32,
 // zero-extended. All hot arithmetic below runs word-parallel over this
 // form instead of looping per byte or per digit, and a caller that
-// measures many keys against the same IDs (MPIL's routing step) decodes
-// each ID once and keeps its Words.
+// measures many keys against the same IDs decodes each ID once and keeps
+// its Words: MPIL's routing step, and Pastry's leaf-set ordering and
+// routing rule.
 type Words struct{ W0, W1, W2 uint64 }
 
 // Words decodes the ID into its word form.
@@ -124,7 +125,7 @@ func (id ID) Words() Words {
 }
 
 // ID is the inverse of ID.Words. Bits of W2 above the low 32 are
-// dropped, which is the mod-2^160 wrap add and Sub rely on.
+// dropped, which is the mod-2^160 wrap add relies on.
 func (w Words) ID() ID {
 	var id ID
 	binary.BigEndian.PutUint64(id[0:8], w.W0)
@@ -133,28 +134,60 @@ func (w Words) ID() ID {
 	return id
 }
 
-// Cmp compares two IDs as 160-bit unsigned integers, returning -1, 0 or +1.
-func (id ID) Cmp(other ID) int {
-	a, b := id.Words(), other.Words()
+// Cmp compares two decoded IDs as 160-bit unsigned integers, returning
+// -1, 0 or +1.
+func (w Words) Cmp(o Words) int {
 	switch {
-	case a.W0 != b.W0:
-		if a.W0 < b.W0 {
+	case w.W0 != o.W0:
+		if w.W0 < o.W0 {
 			return -1
 		}
 		return 1
-	case a.W1 != b.W1:
-		if a.W1 < b.W1 {
+	case w.W1 != o.W1:
+		if w.W1 < o.W1 {
 			return -1
 		}
 		return 1
-	case a.W2 != b.W2:
-		if a.W2 < b.W2 {
+	case w.W2 != o.W2:
+		if w.W2 < o.W2 {
 			return -1
 		}
 		return 1
 	}
 	return 0
 }
+
+// Sub returns w-o mod 2^160, the clockwise ring distance from o to w.
+// Both W2 operands are below 2^32, so the 64-bit subtraction borrows
+// exactly when the 32-bit one would; the mask drops the bits that
+// borrow sets above the low 32, keeping the result a valid decoded ID
+// that Cmp can order.
+func (w Words) Sub(o Words) Words {
+	d2, borrow := bits.Sub64(w.W2, o.W2, 0)
+	d1, borrow := bits.Sub64(w.W1, o.W1, borrow)
+	d0, _ := bits.Sub64(w.W0, o.W0, borrow)
+	return Words{d0, d1, d2 & 0xffffffff}
+}
+
+// RingDist is ID.RingDist on decoded IDs.
+func (w Words) RingDist(o Words) Words {
+	cw, ccw := w.Sub(o), o.Sub(w)
+	if cw.Cmp(ccw) <= 0 {
+		return cw
+	}
+	return ccw
+}
+
+// CloserRing is ID.CloserRing on decoded IDs.
+func (w Words) CloserRing(target, rival Words) bool {
+	if c := w.RingDist(target).Cmp(rival.RingDist(target)); c != 0 {
+		return c < 0
+	}
+	return w.Cmp(rival) < 0
+}
+
+// Cmp compares two IDs as 160-bit unsigned integers, returning -1, 0 or +1.
+func (id ID) Cmp(other ID) int { return id.Words().Cmp(other.Words()) }
 
 // Less reports whether id < other as 160-bit unsigned integers.
 func (id ID) Less(other ID) bool { return id.Cmp(other) < 0 }
@@ -185,36 +218,18 @@ func (id ID) add(other ID) ID {
 
 // Sub returns id-other mod 2^160, i.e. the clockwise ring distance from
 // other to id.
-func (id ID) Sub(other ID) ID {
-	a, b := id.Words(), other.Words()
-	d2, borrow := bits.Sub64(a.W2, b.W2, 0)
-	d1, borrow := bits.Sub64(a.W1, b.W1, borrow)
-	d0, _ := bits.Sub64(a.W0, b.W0, borrow)
-	return Words{d0, d1, d2}.ID()
-}
+func (id ID) Sub(other ID) ID { return id.Words().Sub(other.Words()).ID() }
 
 // RingDist returns the distance between two IDs on the circular 160-bit
 // ring: min(a-b, b-a) mod 2^160. Pastry's leaf set and final delivery rule
 // use this circular closeness.
-func (id ID) RingDist(other ID) ID {
-	cw := id.Sub(other)
-	ccw := other.Sub(id)
-	if cw.Cmp(ccw) <= 0 {
-		return cw
-	}
-	return ccw
-}
+func (id ID) RingDist(other ID) ID { return id.Words().RingDist(other.Words()).ID() }
 
 // CloserRing reports whether id is strictly closer to target than rival is,
 // under circular numeric distance. Ties are broken toward the numerically
 // smaller ID so the relation is a total order for distinct IDs.
 func (id ID) CloserRing(target, rival ID) bool {
-	a := id.RingDist(target)
-	b := rival.RingDist(target)
-	if c := a.Cmp(b); c != 0 {
-		return c < 0
-	}
-	return id.Cmp(rival) < 0
+	return id.Words().CloserRing(target.Words(), rival.Words())
 }
 
 // Between reports whether id lies on the clockwise arc (low, high], the

@@ -131,15 +131,45 @@ func TestWordParallelDigitOpsAgainstNaive(t *testing.T) {
 	}
 }
 
-// TestWordsEntryPointsAgainstNaive checks the metrics on decoded IDs,
-// which MPIL's routing step calls directly, against the per-digit
-// references, and pins the XOR metric's top word against the top 64
-// bits of the byte-wise XOR distance it replaced.
+// TestWordsEntryPointsAgainstNaive checks the metrics and the ring
+// arithmetic on decoded IDs, which MPIL's routing step and Pastry's leaf
+// set call directly, against the per-digit and per-byte references, and
+// pins the XOR metric's top word against the top 64 bits of the
+// byte-wise XOR distance it replaced.
 func TestWordsEntryPointsAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pairs := correlatedPairs(rng, 2000)
 	for i := 0; i < 2000; i++ {
 		pairs = append(pairs, [2]ID{Random(rng), Random(rng)})
+	}
+	// Subtractions that wrap through zero, borrowing out of the trailing
+	// 32-bit word and across every word boundary.
+	var ones ID
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	pairs = append(pairs,
+		[2]ID{Zero, Zero}, [2]ID{ones, ones},
+		[2]ID{Zero, FromUint64(1)}, [2]ID{FromUint64(1), FromUint64(2)},
+		[2]ID{Zero, ones}, [2]ID{FromUint64(1 << 32), FromUint64(1)},
+		[2]ID{MustParseHex("0000000000000000000000010000000000000000"), FromUint64(1)},
+		[2]ID{MustParseHex("0000000000000001000000000000000000000000"), FromUint64(1)},
+	)
+	for _, p := range pairs {
+		x, y := p[0], p[1]
+		xw, yw := x.Words(), y.Words()
+		if got, want := xw.Sub(yw), naiveSub(x, y).Words(); got != want {
+			t.Fatalf("Words.Sub(%v, %v) = %#x, want %#x", x.Hex(), y.Hex(), got, want)
+		}
+		if got, want := yw.Sub(xw), naiveSub(y, x).Words(); got != want {
+			t.Fatalf("Words.Sub(%v, %v) = %#x, want %#x", y.Hex(), x.Hex(), got, want)
+		}
+		if got, want := xw.Cmp(yw), naiveCmp(x, y); got != want {
+			t.Fatalf("Words.Cmp(%v, %v) = %d, want %d", x.Hex(), y.Hex(), got, want)
+		}
+		if got, want := xw.Sub(yw).Cmp(yw.Sub(xw)), naiveCmp(naiveSub(x, y), naiveSub(y, x)); got != want {
+			t.Fatalf("Cmp of the two ring distances between %v and %v = %d, want %d", x.Hex(), y.Hex(), got, want)
+		}
 	}
 	for _, b := range []int{1, 2, 4, 8} {
 		s := MustSpace(b)
@@ -272,9 +302,21 @@ func BenchmarkSub(b *testing.B) {
 	benchSinkID = sink
 }
 
+func BenchmarkWordsSub(b *testing.B) {
+	x, y := benchIDs()
+	xw, yw := x.Words(), y.Words()
+	b.ReportAllocs()
+	var sink Words
+	for i := 0; i < b.N; i++ {
+		sink = xw.Sub(yw)
+	}
+	benchSinkWords = sink
+}
+
 var (
-	benchSink   int
-	benchSinkID ID
+	benchSinkWords Words
+	benchSink      int
+	benchSinkID    ID
 )
 
 func (s Space) digitsLabel() string {

@@ -199,7 +199,9 @@ func (nw *Network) runProbeAction(a probeAction, from, to int) {
 func (nw *Network) evict(i, failed int) {
 	nd := nw.nodes[i]
 	inLeaf := nd.removeLeaf(failed)
-	nd.removeRT(failed)
+	if row, col, ok := nw.rtCell(nd, failed); ok && nd.rt[row][col] == failed {
+		nd.rt[row][col] = -1
+	}
 	if inLeaf {
 		nw.repairLeafset(i)
 	}
@@ -266,24 +268,21 @@ func (nw *Network) wouldUse(i, x int) bool {
 		return false
 	}
 	half := nw.params.LeafSize / 2
-	xid := nw.nodes[x].id
+	xw := nw.nodes[x].w
 	if len(nd.right) < half {
 		return true
 	}
-	if xid.Sub(nd.id).Cmp(nw.nodes[nd.right[len(nd.right)-1]].id.Sub(nd.id)) < 0 {
+	if xw.Sub(nd.w).Cmp(nw.nodes[nd.right[len(nd.right)-1]].w.Sub(nd.w)) < 0 {
 		return true
 	}
 	if len(nd.left) < half {
 		return true
 	}
-	if nd.id.Sub(xid).Cmp(nd.id.Sub(nw.nodes[nd.left[len(nd.left)-1]].id)) < 0 {
+	if nd.w.Sub(xw).Cmp(nd.w.Sub(nw.nodes[nd.left[len(nd.left)-1]].w)) < 0 {
 		return true
 	}
-	row := nw.space.SharedPrefix(nd.id, xid)
-	if row < len(nd.rt) && nd.rt[row][nw.space.Digit(xid, row)] == -1 {
-		return true
-	}
-	return false
+	row, col, ok := nw.rtCell(nd, x)
+	return ok && nd.rt[row][col] == -1
 }
 
 // considerAlive folds fresh liveness evidence about x into node i's
@@ -297,14 +296,14 @@ func (nw *Network) considerAlive(i, x int) {
 	}
 	nd := nw.nodes[i]
 	half := nw.params.LeafSize / 2
-	xid := nw.nodes[x].id
+	xw := nw.nodes[x].w
 
 	if !nd.inLeafset(x) {
 		// Right side: ordered by clockwise distance from nd.id.
-		cw := xid.Sub(nd.id)
+		cw := xw.Sub(nd.w)
 		pos := len(nd.right)
 		for k, v := range nd.right {
-			if cw.Cmp(nw.nodes[v].id.Sub(nd.id)) < 0 {
+			if cw.Cmp(nw.nodes[v].w.Sub(nd.w)) < 0 {
 				pos = k
 				break
 			}
@@ -319,10 +318,10 @@ func (nw *Network) considerAlive(i, x int) {
 		}
 		// Left side: ordered by counter-clockwise distance.
 		if !nd.inLeafset(x) {
-			ccw := nd.id.Sub(xid)
+			ccw := nd.w.Sub(xw)
 			pos = len(nd.left)
 			for k, v := range nd.left {
-				if ccw.Cmp(nd.id.Sub(nw.nodes[v].id)) < 0 {
+				if ccw.Cmp(nd.w.Sub(nw.nodes[v].w)) < 0 {
 					pos = k
 					break
 				}
@@ -338,11 +337,21 @@ func (nw *Network) considerAlive(i, x int) {
 		}
 	}
 
-	row := nw.space.SharedPrefix(nd.id, xid)
-	if row < len(nd.rt) {
-		col := nw.space.Digit(xid, row)
-		if nd.rt[row][col] == -1 {
-			nd.rt[row][col] = x
-		}
+	if row, col, ok := nw.rtCell(nd, x); ok && nd.rt[row][col] == -1 {
+		nd.rt[row][col] = x
 	}
+}
+
+// rtCell names the one routing-table cell of nd that node x can occupy:
+// the row is the length of their shared digit prefix and the column is
+// x's digit at that position. Every writer places x only there, which is
+// what lets evict clear a departed node with a single cell check. ok is
+// false when x carries nd's own ID, which has no cell.
+func (nw *Network) rtCell(nd *node, x int) (row, col int, ok bool) {
+	xn := nw.nodes[x]
+	row = nw.space.SharedPrefixWords(nd.w, xn.w)
+	if row >= len(nd.rt) {
+		return 0, 0, false
+	}
+	return row, nw.space.Digit(xn.id, row), true
 }

@@ -12,6 +12,7 @@ import (
 type node struct {
 	idx int
 	id  idspace.ID
+	w   idspace.Words // id decoded once for the ring arithmetic
 
 	// left holds ring predecessors ordered by increasing counter-
 	// clockwise distance; right holds successors ordered by increasing
@@ -42,6 +43,7 @@ func newNode(idx int, id idspace.ID, rows, cols int) *node {
 	n := &node{
 		idx:   idx,
 		id:    id,
+		w:     id.Words(),
 		rt:    make([][]int, rows),
 		store: make(map[idspace.ID][]byte),
 		seen:  make(map[uint64]bool),
@@ -99,19 +101,4 @@ func removeOrdered(list *[]int, v int) bool {
 		}
 	}
 	return false
-}
-
-// removeRT clears every routing-table cell pointing at idx and reports
-// whether any did.
-func (n *node) removeRT(idx int) bool {
-	found := false
-	for r := range n.rt {
-		for c := range n.rt[r] {
-			if n.rt[r][c] == idx {
-				n.rt[r][c] = -1
-				found = true
-			}
-		}
-	}
-	return found
 }

@@ -76,24 +76,81 @@ func TestPerfectLeafsets(t *testing.T) {
 	}
 }
 
+// TestPerfectRoutingTableInvariant pins the placement rule evict relies
+// on to clear a node with a single cell check: rt[r][c] holds only a node
+// sharing exactly r digits with the owner and having digit c at row r.
+// It holds in the perfect state, and after maintenance under heavy
+// flapping has evicted, readmitted and merged rows into the tables.
 func TestPerfectRoutingTableInvariant(t *testing.T) {
-	nw, _ := newTestNetwork(t, 100, 3, nil)
+	cases := []struct {
+		name  string
+		churn bool
+	}{
+		{"perfect", false},
+		{"maintained-30:30-p1.0", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, sim := newTestNetwork(t, 100, 3, nil)
+			if tc.churn {
+				before := rtCopy(nw)
+				fl, err := perturb.New(nw.N(), 30*time.Second, 30*time.Second, 1.0, rand.New(rand.NewSource(3)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				nw.SetAvailability(fl)
+				nw.StartMaintenance()
+				sim.RunUntil(20 * time.Minute)
+				nw.StopMaintenance()
+				if changed := rtChanged(before, rtCopy(nw)); changed == 0 {
+					t.Fatal("20 min of maintenance under flapping changed no routing-table cell")
+				}
+			}
+			for i, nd := range nw.nodes {
+				for r, row := range nd.rt {
+					for c, v := range row {
+						if v == -1 {
+							continue
+						}
+						vid := nw.nodes[v].id
+						if got := nw.space.SharedPrefix(nd.id, vid); got != r {
+							t.Errorf("node %d rt[%d][%d]=%d shares %d digits, want exactly %d", i, r, c, v, got, r)
+						}
+						if got := nw.space.Digit(vid, r); got != c {
+							t.Errorf("node %d rt[%d][%d]=%d has digit %d at row, want %d", i, r, c, v, got, c)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// rtCopy snapshots every node's routing table.
+func rtCopy(nw *Network) [][][]int {
+	out := make([][][]int, len(nw.nodes))
 	for i, nd := range nw.nodes {
+		out[i] = make([][]int, len(nd.rt))
 		for r, row := range nd.rt {
-			for c, v := range row {
-				if v == -1 {
-					continue
-				}
-				vid := nw.nodes[v].id
-				if got := nw.space.SharedPrefix(nd.id, vid); got != r {
-					t.Errorf("node %d rt[%d][%d]=%d shares %d digits, want exactly %d", i, r, c, v, got, r)
-				}
-				if got := nw.space.Digit(vid, r); got != c {
-					t.Errorf("node %d rt[%d][%d]=%d has digit %d at row, want %d", i, r, c, v, got, c)
+			out[i][r] = append([]int(nil), row...)
+		}
+	}
+	return out
+}
+
+// rtChanged counts the cells that differ between two snapshots.
+func rtChanged(a, b [][][]int) int {
+	n := 0
+	for i := range a {
+		for r := range a[i] {
+			for c := range a[i][r] {
+				if a[i][r][c] != b[i][r][c] {
+					n++
 				}
 			}
 		}
 	}
+	return n
 }
 
 func TestRouteProbeDeliversToTrueRoot(t *testing.T) {
@@ -278,6 +335,20 @@ func TestEvictionOnDeadNode(t *testing.T) {
 		}
 		if nd.inLeafset(victim) {
 			t.Errorf("node %d still has dead node %d in its leafset after 20 min", i, victim)
+		}
+	}
+	// Eviction clears only the one cell the victim can occupy; a full
+	// scan confirms no other cell still points at it.
+	for i, nd := range nw.nodes {
+		if i == victim {
+			continue
+		}
+		for r, row := range nd.rt {
+			for c, v := range row {
+				if v == victim {
+					t.Errorf("node %d still has dead node %d at rt[%d][%d] after 20 min", i, victim, r, c)
+				}
+			}
 		}
 	}
 	// Leafsets must have been repaired back to full size.

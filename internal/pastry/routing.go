@@ -166,6 +166,7 @@ func (nw *Network) nextHop(n int, key idspace.ID) int {
 		return n
 	}
 	half := nw.params.LeafSize / 2
+	kw := key.Words()
 
 	// Leaf-set coverage: with full sides, the covered arc runs clockwise
 	// from the farthest left member to the farthest right member. A
@@ -174,25 +175,23 @@ func (nw *Network) nextHop(n int, key idspace.ID) int {
 	// networks fall back to closest-known routing).
 	covered := true
 	if len(nd.left) >= half && len(nd.right) >= half {
-		lmost := nw.nodes[nd.left[len(nd.left)-1]].id
-		rmost := nw.nodes[nd.right[len(nd.right)-1]].id
-		span := rmost.Sub(lmost)
-		off := key.Sub(lmost)
-		covered = off.Cmp(span) <= 0
+		lmost := nw.nodes[nd.left[len(nd.left)-1]].w
+		rmost := nw.nodes[nd.right[len(nd.right)-1]].w
+		covered = kw.Sub(lmost).Cmp(rmost.Sub(lmost)) <= 0
 	}
 	if covered {
 		best := n
-		bestID := nd.id
+		bestW := nd.w
 		for _, v := range nw.leafMembersScratch(nd) {
-			if nw.nodes[v].id.CloserRing(key, bestID) {
+			if vw := nw.nodes[v].w; vw.CloserRing(kw, bestW) {
 				best = v
-				bestID = nw.nodes[v].id
+				bestW = vw
 			}
 		}
 		return best
 	}
 
-	row := nw.space.SharedPrefix(key, nd.id)
+	row := nw.space.SharedPrefixWords(kw, nd.w)
 	col := nw.space.Digit(key, row)
 	if e := nd.rt[row][col]; e != -1 {
 		return e
@@ -201,16 +200,16 @@ func (nw *Network) nextHop(n int, key idspace.ID) int {
 	// Rare case: any known node with shared prefix >= row that is
 	// strictly closer to the key than we are.
 	best := n
-	bestDist := nd.id.RingDist(key)
+	bestDist := nd.w.RingDist(kw)
 	consider := func(v int) {
 		if v < 0 || v == n {
 			return
 		}
-		vid := nw.nodes[v].id
-		if nw.space.SharedPrefix(key, vid) < row {
+		vw := nw.nodes[v].w
+		if nw.space.SharedPrefixWords(kw, vw) < row {
 			return
 		}
-		if d := vid.RingDist(key); d.Cmp(bestDist) < 0 {
+		if d := vw.RingDist(kw); d.Cmp(bestDist) < 0 {
 			best = v
 			bestDist = d
 		}
