@@ -187,7 +187,7 @@ func (nw *Network) rebuildRing() {
 		nw.ringIdx[i] = i
 	}
 	sort.Slice(nw.ringIdx, func(a, b int) bool {
-		return nw.nodes[nw.ringIdx[a]].w.Cmp(nw.nodes[nw.ringIdx[b]].w) < 0
+		return nw.nodes[nw.ringIdx[a]].id.Less(nw.nodes[nw.ringIdx[b]].id)
 	})
 }
 
@@ -275,10 +275,9 @@ func (nw *Network) HoldersOf(key idspace.ID) []int {
 // TrueRoot returns the node whose ID is numerically closest to key on the
 // ring — ground truth for tests.
 func (nw *Network) TrueRoot(key idspace.ID) int {
-	kw := key.Words()
 	best := 0
 	for i := 1; i < len(nw.nodes); i++ {
-		if nw.nodes[i].w.CloserRing(kw, nw.nodes[best].w) {
+		if nw.nodes[i].id.CloserRing(key, nw.nodes[best].id) {
 			best = i
 		}
 	}
